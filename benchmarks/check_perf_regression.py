@@ -7,7 +7,7 @@ Usage::
         [--factor 2.0] [--strict]
 
 Handles the committed payload schemas — ``BENCH_partition_perf.json``
-(scalar vs batch partition search), ``BENCH_sim_perf.json``
+(scalar reference vs array engine partition search), ``BENCH_sim_perf.json``
 (fast-forward vs event-level simulation),
 ``BENCH_telemetry_overhead.json`` (telemetry hot-path cost vs the null
 registry), ``BENCH_adaptive_perf.json`` (adaptive repartitioning vs

@@ -3,7 +3,7 @@
 The ISSUE-10 tentpole claim: at 10k simulated clients the asyncio server
 — request batching plus the shared bounded SearchCache — sustains at
 least ``SERVE_SPEEDUP_FLOOR`` (5x) the decisions/s a per-request cold
-``exhaustive_partition(engine="array")`` could, while every served
+``exhaustive_partition`` could, while every served
 decision stays bit-identical to that direct search (cold and warm cache,
 across tenants).  Writes the summary to ``benchmarks/out/serve_perf.txt``
 and the machine-readable record to the repo root as

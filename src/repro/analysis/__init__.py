@@ -17,7 +17,7 @@ incremental caching, and eight paper-grounded rules:
     through the injectable clock in simulation-critical code;
 ``engine-parity``
     numeric constants must not be duplicated between the scalar estimator
-    and the batch fastpath engines;
+    and the array engine;
 ``telemetry-determinism``
     sim-critical code must record sim-domain (deterministic, clock-domain
     verified) telemetry; host-domain instruments there need an explicit

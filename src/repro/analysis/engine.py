@@ -2,10 +2,10 @@
 
 A small, dependency-free AST linter purpose-built for this repository: the
 paper's printed Eq 3 is dimensionally wrong (the DESIGN.md erratum), the
-cost model exists twice (scalar ``partition/estimator.py`` and batch
-``partition/fastpath.py``), and the partitioner re-evaluates annotation
-callbacks during search and replay — three bug classes a generic linter
-cannot see.  The engine parses every target file once into a
+cost model exists twice (scalar ``partition/estimator.py`` and the array
+engine ``partition/arrayengine.py``), and the partitioner re-evaluates
+annotation callbacks during search and replay — three bug classes a
+generic linter cannot see.  The engine parses every target file once into a
 :class:`ParsedModule`, hands the whole :class:`Project` to each registered
 :class:`Rule`, and filters the resulting :class:`Finding` stream through
 per-line ``# repro: noqa[rule-name]`` suppressions and ``--select`` /

@@ -1,18 +1,17 @@
 """Rule ``engine-parity``: the cost-model engines must share constants.
 
-The Eq 1–6 cost model exists three times: the scalar reference
-implementation (``partition/estimator.py``), the vectorized batch engine
-(``partition/fastpath.py``), and the preallocated array engine
-(``partition/arrayengine.py``).  PR 2's tie-breaking bug was exactly the drift
-mode this invites — one engine's decision logic evolved while the other's
-copy did not.  Logic drift needs the equivalence test-suite; *constant*
+The Eq 1–6 cost model exists twice: the scalar reference implementation
+(``partition/estimator.py``) and the preallocated array engine
+(``partition/arrayengine.py``) that runs every exact search.  PR 2's
+tie-breaking bug was exactly the drift mode this invites — one engine's
+decision logic evolved while the other's copy did not.  Logic drift needs the equivalence test-suite; *constant*
 drift is statically checkable: any numeric literal that appears in both
 engines (instead of being imported from a single shared source such as
 :mod:`repro.units`) is a fork waiting to diverge, as is a module-level
 constant re-defined under the same name in both files.
 
-The rule analyzes each configured engine pair when both files are present
-in the run, collecting:
+The rule analyzes the engine pair when both files are present in the run,
+collecting:
 
 * numeric literals (ints with ``|v| > 2``, non-trivial floats) appearing
   in both files — reported at every occurrence in both engines;
@@ -30,13 +29,8 @@ from repro.analysis.engine import Finding, ParsedModule, Project, Rule, register
 __all__ = ["EngineParityRule", "ENGINE_PAIRS"]
 
 #: (reference implementation, alternate implementation) path suffixes.
-#: The array engine pairs against both the scalar reference and the batch
-#: engine it inherits its lowering from — a constant re-literaled in
-#: ``arrayengine.py`` instead of imported drifts all three apart.
 ENGINE_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("repro/partition/estimator.py", "repro/partition/fastpath.py"),
     ("repro/partition/estimator.py", "repro/partition/arrayengine.py"),
-    ("repro/partition/fastpath.py", "repro/partition/arrayengine.py"),
 )
 
 #: Structurally trivial values that legitimately recur everywhere.
@@ -84,7 +78,7 @@ class EngineParityRule(Rule):
     name = "engine-parity"
     description = (
         "Flags numeric constants or coefficient expressions duplicated "
-        "between the scalar estimator and the batch fastpath instead of "
+        "between the scalar estimator and the array engine instead of "
         "imported from a single shared source — the drift mode behind the "
         "PR-2 tie-breaking bug."
     )
@@ -119,7 +113,7 @@ class EngineParityRule(Rule):
                             f"numeric constant {node.value!r} is duplicated "
                             f"in the paired engine {other.relpath}; hoist it "
                             f"into a shared module (e.g. repro.units) so the "
-                            f"scalar and batch engines cannot drift"
+                            f"scalar and array engines cannot drift"
                         ),
                     )
         ref_consts = _module_constants(ref)

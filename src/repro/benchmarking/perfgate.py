@@ -4,20 +4,19 @@ The perf-smoke CI jobs record benchmarks as JSON payloads and the repo
 commits the last known-good record of each.  This module compares a fresh
 payload against its baseline and reports what regressed.
 
-``BENCH_partition_perf.json`` (:func:`check_regression`, the
-scalar/batch/array partition benchmark from
+``BENCH_partition_perf.json`` (:func:`check_regression`, the scalar
+reference vs array engine partition benchmark from
 ``benchmarks/test_bench_partition_perf.py``):
 
 * **decision drift** — any engine choosing a different configuration is
   a correctness bug, never noise, and always fails;
 * **floor breach** — the array engine's configs/s must be at least the
-  payload's committed ``array_over_batch_floor`` times the batch engine's
-  (a within-run ratio, like the telemetry budget) whenever both engines
-  are present; always fails;
-* **speedup collapse** — the batch/scalar and array/batch speedups are
-  within-run ratios, so they transfer across machines; a drop beyond
-  ``factor`` (default 2×) against the baseline fails.  Baselines predating
-  the array engine simply skip the array checks (back-compat);
+  payload's committed ``array_over_scalar_floor`` times the scalar
+  reference's (a within-run ratio, like the telemetry budget); always
+  fails;
+* **speedup collapse** — the array/scalar speedup is a within-run ratio,
+  so it transfers across machines; a drop beyond ``factor`` (default 2×)
+  against the baseline fails;
 * **throughput collapse** (``strict=True`` only) — absolute
   ``configs_per_s`` per engine; off by default because wall-clock rates do
   not transfer between the machine that committed the baseline and the CI
@@ -136,34 +135,23 @@ def check_regression(
                 f"{engine} throughput regressed >{factor:g}x: "
                 f"{base['configs_per_s']:.0f} -> {cur['configs_per_s']:.0f} configs/s"
             )
-    base_speedup = baseline.get("speedup_batch_over_scalar")
-    cur_speedup = current.get("speedup_batch_over_scalar")
+    # The committed floor is a within-run invariant of the *current*
+    # payload; the drift check compares against the baseline's ratio.
+    cur_speedup = current.get("speedup_array_over_scalar")
+    floor = current.get("array_over_scalar_floor")
+    if cur_speedup is not None and floor is not None and cur_speedup < floor:
+        problems.append(
+            f"array/scalar speedup below committed floor: "
+            f"{cur_speedup:.1f}x < {floor:g}x"
+        )
+    base_speedup = baseline.get("speedup_array_over_scalar")
     if base_speedup is not None:
         if cur_speedup is None:
-            problems.append("speedup_batch_over_scalar missing from current payload")
+            problems.append("speedup_array_over_scalar missing from current payload")
         elif cur_speedup * factor < base_speedup:
             problems.append(
-                f"batch/scalar speedup regressed >{factor:g}x: "
+                f"array/scalar speedup regressed >{factor:g}x: "
                 f"{base_speedup:.1f}x -> {cur_speedup:.1f}x"
-            )
-    # Array-engine gates: the committed floor is a within-run invariant of
-    # the *current* payload; the regression check needs the baseline to
-    # know about the array engine at all (back-compat with older records).
-    cur_array = current.get("speedup_array_over_batch")
-    floor = current.get("array_over_batch_floor")
-    if cur_array is not None and floor is not None and cur_array < floor:
-        problems.append(
-            f"array/batch speedup below committed floor: "
-            f"{cur_array:.1f}x < {floor:g}x"
-        )
-    base_array = baseline.get("speedup_array_over_batch")
-    if base_array is not None:
-        if cur_array is None:
-            problems.append("speedup_array_over_batch missing from current payload")
-        elif cur_array * factor < base_array:
-            problems.append(
-                f"array/batch speedup regressed >{factor:g}x: "
-                f"{base_array:.1f}x -> {cur_array:.1f}x"
             )
     return problems
 
@@ -392,8 +380,8 @@ def check_serve_regression(
     """Problems in a ``BENCH_serve_perf.json`` payload (empty = pass).
 
     * **parity breakage** — a served decision diverging from the direct
-      cold ``exhaustive_partition(engine="array")`` answer (cold or warm
-      cache, either parity tenant) is a correctness bug and always fails;
+      cold ``exhaustive_partition`` answer (cold or warm cache, either
+      parity tenant) is a correctness bug and always fails;
     * **error replies** — the bench runs with wide-open admission limits,
       so *any* error reply means the pipeline dropped or mis-served a
       request; always fails;

@@ -113,17 +113,10 @@ def _bench_partition(args) -> str:
 
     from repro.partition.perfbench import perf_payload, perf_report, run_perf
 
-    if args.engine == "all":
-        engines = ("scalar", "batch", "array")
-    elif args.engine == "both":
-        engines = ("scalar", "batch")
-    else:
-        engines = (args.engine,)
     cmp = run_perf(
         tuple(args.clusters),
         n=args.n,
         repeat=args.repeat,
-        engines=engines,
         prune=not args.no_prune,
     )
     text = perf_report(cmp)
@@ -146,14 +139,9 @@ def _bench_partition(args) -> str:
             tel.metrics.gauge(f"{prefix}.configs_evaluated", domain="host").set(
                 r.configs_evaluated
             )
-        if cmp.speedup is not None:
-            tel.metrics.gauge(
-                "bench.partition.speedup_batch_over_scalar", domain="host"
-            ).set(cmp.speedup)
-        if cmp.speedup_array_over_batch is not None:
-            tel.metrics.gauge(
-                "bench.partition.speedup_array_over_batch", domain="host"
-            ).set(cmp.speedup_array_over_batch)
+        tel.metrics.gauge(
+            "bench.partition.speedup_array_over_scalar", domain="host"
+        ).set(cmp.speedup_array_over_scalar)
         tel.dump(args.metrics_out, meta={"command": "bench-partition"})
         text += f"\n[metrics written to {args.metrics_out}]"
     return text
@@ -349,7 +337,6 @@ def _run_dynamic(args) -> str:
             paper_cost_database(),
             policy=RuntimePolicy(
                 imbalance_threshold=args.threshold,
-                engine=getattr(args, "decide_engine", "scalar"),
                 adaptive=args.adaptive,
                 slowdown_research=args.slowdown_research,
                 hysteresis_k=args.hysteresis_k,
@@ -524,7 +511,6 @@ def _resilience(args) -> str:
         workers=getattr(args, "workers", None),
         validate_cycles=args.validate_cycles,
         validate_mode=args.validate_mode,
-        decide_engine=getattr(args, "decide_engine", "scalar"),
         telemetry=tel,
     )
     if tel is not None:
@@ -707,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p12 = sub.add_parser(
         "bench-partition",
-        help="time the exhaustive oracle: scalar vs batch vs array engines",
+        help="time the exhaustive oracle: scalar reference vs array engine",
     )
     p12.add_argument(
         "--clusters",
@@ -720,16 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     p12.add_argument("--n", type=int, default=600, help="stencil problem size")
     p12.add_argument("--repeat", type=int, default=3, help="timing repeats per engine")
     p12.add_argument(
-        "--engine",
-        choices=("scalar", "batch", "array", "both", "all"),
-        default="all",
-        help="which evaluation path(s) to time ('both' = scalar+batch, "
-        "'all' adds the preallocated array engine)",
-    )
-    p12.add_argument(
         "--no-prune",
         action="store_true",
-        help="disable the batch engine's branch-and-bound prune",
+        help="disable the array engine's branch-and-bound prune",
     )
     p12.add_argument(
         "--json", metavar="FILE", help="also write the machine-readable record to FILE"
@@ -986,14 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="validation engine: fast-forward confirmed steady-state "
         "windows, or event-simulate every cycle",
     )
-    p13.add_argument(
-        "--decide-engine",
-        choices=("scalar", "array"),
-        default="scalar",
-        help="probe engine for the supervisor's repartition searches "
-        "(identical decisions; 'array' prefetches candidate segments "
-        "through a preallocated workspace)",
-    )
     p13.set_defaults(func=_run_dynamic)
 
     p14 = sub.add_parser(
@@ -1016,13 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fast", "event"),
         default="fast",
         help="fast-forward confirmed steady-state cycles, or simulate all",
-    )
-    p14.add_argument(
-        "--decide-engine",
-        choices=("scalar", "array"),
-        default="scalar",
-        help="cost-model engine for the supervisor's repartition decisions "
-        "(identical decisions, different throughput)",
     )
     p14.add_argument(
         "--metrics-out",
@@ -1099,8 +1063,8 @@ def build_parser() -> argparse.ArgumentParser:
             "conventions — the Eq-3 erratum shape), callback-purity (phase "
             "annotation callbacks must be pure/deterministic), sim-determinism "
             "(entropy via sim/rng.py named streams, time via injectable clocks), "
-            "engine-parity (no constants duplicated between the scalar and batch "
-            "cost engines), telemetry-determinism (sim-critical code records "
+            "engine-parity (no constants duplicated between the scalar estimator "
+            "and the array engine), telemetry-determinism (sim-critical code records "
             "sim-domain metrics/spans only), clock-domain (flow-sensitive taint: "
             "sim-clock and host-clock values never added/compared), unit-flow "
             "(units flow through function signatures via the call graph), "

@@ -151,20 +151,11 @@ def _supervised_run(
     loads: Optional[LoadSchedule] = None,
     pre_dead: Sequence[int] = (),
     policy: Optional[RuntimePolicy] = None,
-    decide_engine: str = "scalar",
 ) -> RuntimeResult:
-    """One supervised execution on a fresh paper testbed.
-
-    ``decide_engine`` selects the repartition searches' probe engine
-    (``"scalar"`` or ``"array"``) when no explicit ``policy`` is given —
-    the engines make identical decisions, so grid rows are byte-stable
-    across the choice.
-    """
+    """One supervised execution on a fresh paper testbed."""
     network = paper_testbed()
     for pid in pre_dead:
         network.processor(pid).fail()
-    if policy is None and decide_engine != "scalar":
-        policy = RuntimePolicy(engine=decide_engine)
     runtime = PartitionRuntime(
         network,
         stencil_computation(n, overlap=False, cycles=1),
@@ -226,20 +217,15 @@ def _grid_row(
     epochs: int,
     validate_cycles: int,
     validate_mode: str,
-    decide_engine: str = "scalar",
 ) -> ResilienceRow:
     """One scenario row — module-level and primitive-argument so
     :func:`~repro.partition.search_parallel.sweep` can ship it to a pool."""
-    supervised = _supervised_run(
-        n=n, epochs=epochs, failures=schedule, decide_engine=decide_engine
-    )
+    supervised = _supervised_run(n=n, epochs=epochs, failures=schedule)
     first_fail = min(e.at_epoch for e in schedule.events)
     dead = sorted(e.proc_id for e in schedule.events)
     # Fail-stop baseline: everything before the failure is wasted, then the
     # whole computation restarts on whatever survived.
-    restart = _supervised_run(
-        n=n, epochs=epochs, pre_dead=dead, decide_engine=decide_engine
-    )
+    restart = _supervised_run(n=n, epochs=epochs, pre_dead=dead)
     baseline_ms = clean_ms * (first_fail / epochs) + restart.elapsed_ms
     retries = sum(
         sum(event.retries.values()) for event in supervised.audit
@@ -286,7 +272,6 @@ def resilience_grid(
     workers: Optional[int] = None,
     validate_cycles: int = 0,
     validate_mode: str = "fast",
-    decide_engine: str = "scalar",
 ) -> list[ResilienceRow]:
     """The overhead grid: single worker loss, manager loss, MTBF draws.
 
@@ -295,9 +280,6 @@ def resilience_grid(
     rows); ``validate_cycles`` additionally event-executes each row's
     final decomposition for that many stencil cycles in ``validate_mode``
     (``"fast"`` or ``"event"`` — identical results, different wall time).
-    ``decide_engine`` (``"scalar"`` or ``"array"``) picks the cost-model
-    engine the supervisor's repartition decisions run on; the decisions
-    are bit-identical, so the grid itself must be too.
     """
     _prime_cost_database()  # the clean run and serial rows share one fit
     clean = _supervised_run(n=n, epochs=epochs)
@@ -334,7 +316,6 @@ def resilience_grid(
             epochs,
             validate_cycles,
             validate_mode,
-            decide_engine,
         )
         for scenario, schedule in scenarios
     ]
@@ -353,7 +334,6 @@ def resilience_report(
     workers: Optional[int] = None,
     validate_cycles: int = 0,
     validate_mode: str = "fast",
-    decide_engine: str = "scalar",
     telemetry=None,
 ) -> str:
     """ASCII grid; raises if any scenario breaks answer parity.
@@ -372,7 +352,6 @@ def resilience_report(
         workers=workers,
         validate_cycles=validate_cycles,
         validate_mode=validate_mode,
-        decide_engine=decide_engine,
     )
     broken = [r.scenario for r in rows if not r.answer_parity]
     if telemetry is not None:

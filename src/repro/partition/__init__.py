@@ -14,6 +14,7 @@ from repro.partition.arrayengine import (
     ArraySearchResult,
     ArrayWorkspace,
     FrontierState,
+    prefix_count_matrix,
 )
 from repro.partition.available import (
     ClusterResources,
@@ -44,13 +45,6 @@ from repro.partition.dynamic import (
     transfer_plan,
 )
 from repro.partition.estimator import CycleEstimate, CycleEstimator
-from repro.partition.fastpath import (
-    BatchCycleEstimator,
-    BatchEstimate,
-    full_count_matrix,
-    prefix_count_matrix,
-    pruned_count_matrix,
-)
 from repro.partition.general import general_partition
 from repro.partition.engine import DecisionEngine
 from repro.partition.heuristic import (
@@ -86,6 +80,7 @@ __all__ = [
     "ArraySearchResult",
     "ArrayWorkspace",
     "FrontierState",
+    "prefix_count_matrix",
     "ClusterResources",
     "GatherReport",
     "ManagerReply",
@@ -112,11 +107,6 @@ __all__ = [
     "transfer_plan",
     "CycleEstimate",
     "CycleEstimator",
-    "BatchCycleEstimator",
-    "BatchEstimate",
-    "full_count_matrix",
-    "prefix_count_matrix",
-    "pruned_count_matrix",
     "general_partition",
     "PartitionDecision",
     "exhaustive_partition",

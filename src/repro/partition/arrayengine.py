@@ -1,11 +1,11 @@
-"""The preallocated array engine: streamed, allocation-free Eq 3-6 kernels.
+"""The array engine: streamed, allocation-free Eq 3-6 kernels.
 
-:class:`BatchCycleEstimator` (the PR-1 fast path) evaluates candidate
-*matrices* but builds fresh NumPy arrays on every call — temporaries for the
-speed gather, boolean masks, the per-cluster cost grid — which is the
-dominant cost of a decide once the matrices are small and the calls are
-frequent (the supervisor's repeat searches, interactive decisions).  This
-module removes that cost:
+This is the production engine behind every exact search
+(:func:`~repro.partition.heuristic.exhaustive_partition`, the
+:class:`~repro.partition.engine.DecisionEngine` exact path, and the
+collapsed wide-area search).  The scalar
+:class:`~repro.partition.estimator.CycleEstimator` stays the reference
+specification and re-estimates every winner.
 
 * :class:`ArrayWorkspace` — every buffer the kernels touch, allocated once
   per (estimator, max-batch) pair and reused for the engine's lifetime.
@@ -13,18 +13,25 @@ module removes that cost:
   every kernel op runs over a contiguous 1-D slice — axis-1 reductions over
   tiny ``(M, K)`` matrices are an order of magnitude slower than ``K``
   contiguous passes at these sizes.
-* :class:`ArrayCycleEstimator` — inherits the Eq 1/3/crossing lowering from
-  :class:`BatchCycleEstimator` and adds in-place (``out=``-style) kernels:
-  folded Eq 1 coefficients (the constant message size ``b`` is absorbed
-  into per-cluster ``alpha + beta·p`` at construction), a crossing-penalty
-  lookup table indexed by the row's active-cluster bit pattern, and a
-  rounds lookup table over row totals.  Zero per-row allocations on the
-  constant-complexity path.
+* :class:`ArrayCycleEstimator` — lowers one computation + ordered cluster
+  list into flat arrays (per-cluster speed prefix sums for Eq 3/4, the
+  fitted ``c1..c4`` Eq 1 coefficients, the pairwise router/coercion
+  intercept and slope matrices), then folds them for in-place
+  (``out=``-style) kernels: the constant message size ``b`` is absorbed
+  into per-cluster ``alpha + beta·p`` lines, the crossing penalty becomes
+  a lookup table indexed by the row's active-cluster bit pattern, and the
+  rounds multiplier a lookup table over row totals.  Zero per-row
+  allocations on that path.  Rows it cannot fold (share-dependent message
+  sizes, or more than ``_MAX_LUT_CLUSTERS`` clusters) take a per-row
+  fallback over the unfolded arithmetic.
 * chunked candidate streaming — :meth:`ArrayCycleEstimator.iter_full_blocks`
   decodes mixed-radix configuration indices straight into the workspace
   (never materializing the full count matrix), and
-  :meth:`iter_pruned_blocks` streams the branch-and-bound survivors block
-  by block for spaces too large to scan.
+  :meth:`ArrayCycleEstimator.iter_pruned_blocks` streams the
+  branch-and-bound survivors block by block: every count prefix whose
+  ``T_comp`` lower bound (remaining clusters fully allocated) already
+  exceeds the cluster-prefix incumbent is cut, which is exact because
+  ``T_c >= T_comp`` and ``T_comp`` is non-increasing in every count.
 * :class:`FrontierState` — the incremental frontier: a completed search
   remembers every candidate it scored and the prune threshold it used.
   When availability *shrinks* (node loss — the supervisor's common case)
@@ -36,9 +43,10 @@ module removes that cost:
   :class:`~repro.partition.warmstart.SearchCache`, which carries the
   frontier (and the engine's workspace) across epochs.
 
-The scalar :class:`~repro.partition.estimator.CycleEstimator` stays the
-reference; ``tests/partition/test_array_engine.py`` pins three-way decision
-parity (scalar vs batch vs array) and frontier-vs-cold equality.
+``tests/partition/test_fastpath_equivalence.py`` pins the kernels to the
+scalar reference component by component, and
+``tests/partition/test_array_engine.py`` pins decision parity and
+frontier-vs-cold equality.
 """
 
 from __future__ import annotations
@@ -52,12 +60,7 @@ from repro.benchmarking.database import CostDatabase
 from repro.errors import FittingError, PartitionError
 from repro.model.computation import DataParallelComputation
 from repro.partition.available import ClusterResources
-from repro.partition.estimator import CycleEstimate, CycleEstimator
-from repro.partition.fastpath import (
-    _PRUNE_SLACK,
-    BatchCycleEstimator,
-    prefix_count_matrix,
-)
+from repro.spmd.topology import Topology
 from repro.units import US_PER_MS
 
 __all__ = [
@@ -65,10 +68,9 @@ __all__ = [
     "ArrayCycleEstimator",
     "ArraySearchResult",
     "ArraySearchEngine",
-    "ArrayHeuristicEstimator",
     "FrontierState",
     "array_exhaustive_search",
-    "array_prefix_search",
+    "prefix_count_matrix",
 ]
 
 #: Rows per streamed block — the workspace's batch capacity.
@@ -82,6 +84,21 @@ _AUTO_PRUNE_BLOCKS = 4
 #: Crossing lookup tables are ``2^K``; beyond this many clusters fall back
 #: to the pairwise loop instead of a table.
 _MAX_LUT_CLUSTERS = 16
+
+#: Relative + absolute slack applied to the prune bound so floating-point
+#: noise can never discard the true optimum.
+_PRUNE_SLACK = 1e-12
+
+
+def prefix_count_matrix(resources: Sequence[ClusterResources]) -> np.ndarray:
+    """The cluster-prefix candidate rows, in the scalar oracle's order."""
+    rows = []
+    prefix = [0] * len(resources)
+    for k, res in enumerate(resources):
+        for p in range(1, res.n_available + 1):
+            rows.append(prefix[:k] + [p] + prefix[k + 1 :])
+        prefix[k] = res.n_available
+    return np.array(rows, dtype=np.int64)
 
 
 class ArrayWorkspace:
@@ -211,15 +228,21 @@ class FrontierState:
         return tuple(int(c) for c in best), float(t_min)
 
 
-class ArrayCycleEstimator(BatchCycleEstimator):
+class ArrayCycleEstimator:
     """In-place Eq 3-6 kernels over a reusable :class:`ArrayWorkspace`.
 
-    Inherits the full lowering (speed prefixes, Eq 1 coefficients,
-    crossing matrices) from :class:`BatchCycleEstimator` — the parity lint
-    rule keeps the two from drifting — and adds the preallocated streaming
-    layer.  ``evaluate()`` (the batch API) still works and is used as the
-    fallback for the per-row callback cases the kernels cannot vectorize
-    (share-dependent message sizes).
+    Parameters
+    ----------
+    computation:
+        The annotated computation (dominant-phase model, like the scalar
+        estimator's default; ``all_phases`` is not supported here).
+    resources:
+        The *ordered* cluster list; every workspace row is interpreted
+        column-for-column against it.
+    cost_db:
+        The fitted :class:`~repro.benchmarking.CostDatabase`.
+    max_rows:
+        The workspace's block capacity.
     """
 
     def __init__(
@@ -231,8 +254,83 @@ class ArrayCycleEstimator(BatchCycleEstimator):
         startup_ms: float = 0.0,
         max_rows: int = DEFAULT_MAX_ROWS,
     ) -> None:
-        super().__init__(computation, resources, cost_db, startup_ms=startup_ms)
+        self.computation = computation
+        self.ordered: tuple[ClusterResources, ...] = tuple(resources)
+        self.cost_db = cost_db
+        self.startup_ms = startup_ms
+        if not self.ordered:
+            raise PartitionError("no clusters to evaluate over")
+
+        comp_phase = computation.dominant_computation_phase()
+        self.op_kind = comp_phase.op_kind
+        self.comp_complexity = comp_phase.complexity_value(computation.problem)
+        self.comm_phase = computation.dominant_communication_phase()
+        self.num_pdus = computation.num_pdus_value()
+        self.overlapped = computation.overlapped_with_dominant()
+        #: Number of T_c evaluations performed (rows estimated).
+        self.evaluations = 0
+
+        # -- Eq 3/4 lowering: per-cluster speed prefix sums -------------------
+        self.limits = np.array([r.n_available for r in self.ordered], dtype=np.int64)
+        self._speed_prefix: list[np.ndarray] = []
+        self._cluster_rates: list[np.ndarray] = []
+        for res in self.ordered:
+            rates = np.array(
+                [res.rate_of(proc, self.op_kind) for proc in res.take(res.n_available)],
+                dtype=float,
+            )
+            if np.any(rates <= 0):
+                raise PartitionError(
+                    f"instruction rates must be positive: {rates.tolist()}"
+                )
+            self._cluster_rates.append(rates)
+            self._speed_prefix.append(
+                np.concatenate(([0.0], np.cumsum(1.0 / rates)))
+            )
+
+        # -- Eq 1 lowering: per-cluster coefficients for the dominant topology
         k_n = len(self.ordered)
+        self._c1 = np.full(k_n, np.nan)
+        self._c2 = np.full(k_n, np.nan)
+        self._c3 = np.full(k_n, np.nan)
+        self._c4 = np.full(k_n, np.nan)
+        self._quirk = np.zeros(k_n, dtype=bool)
+        self._have_comm = np.zeros(k_n, dtype=bool)
+        self.topology: Optional[Topology] = None
+        if self.comm_phase is not None:
+            topo = self.comm_phase.topology
+            self.topology = topo if isinstance(topo, Topology) else Topology(topo)
+            for k, res in enumerate(self.ordered):
+                try:
+                    c1, c2, c3, c4, quirk = cost_db.comm_coefficients(
+                        res.name, self.topology
+                    )
+                except FittingError:
+                    continue
+                self._c1[k], self._c2[k], self._c3[k], self._c4[k] = c1, c2, c3, c4
+                self._quirk[k] = quirk
+                self._have_comm[k] = True
+
+        # -- crossing lowering: pairwise router+coercion linear penalties -----
+        self._cross_intercept = np.full((k_n, k_n), np.nan)
+        self._cross_slope = np.full((k_n, k_n), np.nan)
+        for i in range(k_n):
+            for j in range(i + 1, k_n):
+                a, b_name = self.ordered[i].name, self.ordered[j].name
+                router = cost_db._pair_cost(cost_db.router, a, b_name)
+                if router is None:
+                    continue  # NaN marker: raise only if a candidate needs it
+                coerce = cost_db._pair_cost(cost_db.coerce, a, b_name)
+                intercept = router.intercept_ms + (
+                    coerce.intercept_ms if coerce is not None else 0.0
+                )
+                slope = router.slope_ms_per_byte + (
+                    coerce.slope_ms_per_byte if coerce is not None else 0.0
+                )
+                self._cross_intercept[i, j] = intercept
+                self._cross_slope[j, i] = self._cross_slope[i, j] = slope
+                self._cross_intercept[j, i] = intercept
+
         self.workspace = ArrayWorkspace(k_n, max_rows)
         self._decoded_for: Optional[tuple[int, ...]] = None
         self._prepare_fast_path()
@@ -242,7 +340,7 @@ class ArrayCycleEstimator(BatchCycleEstimator):
     def _prepare_fast_path(self) -> None:
         k_n = len(self.ordered)
         phase = self.comm_phase
-        #: Eq 4 numerator, divided exactly as the batch engine divides it.
+        #: Eq 4 numerator, divided exactly as the fallback divides it.
         self._comp_numer = self.comp_complexity * self.num_pdus
         self._b_const: Optional[float] = None
         self._rounds_lut: Optional[np.ndarray] = None
@@ -353,11 +451,13 @@ class ArrayCycleEstimator(BatchCycleEstimator):
     def iter_pruned_blocks(self, incumbent_t_cycle: float) -> Iterator[int]:
         """Stream the branch-and-bound survivors into the workspace.
 
-        Prefix levels expand exactly as
-        :func:`~repro.partition.fastpath.pruned_count_matrix`; the final
-        cluster level — the dominant dimension — is expanded prefix-block
-        by prefix-block so at most one workspace's worth of candidates
-        exists at a time.
+        The count matrix expands cluster by cluster; after each level every
+        prefix whose ``T_comp`` lower bound (remaining clusters fully
+        allocated) exceeds ``incumbent_t_cycle`` is dropped together with
+        its subtree, so every candidate that could still beat the
+        incumbent survives.  The final cluster level — the dominant
+        dimension — is expanded prefix-block by prefix-block so at most one
+        workspace's worth of candidates exists at a time.
         """
         ws = self.workspace
         limits = self.limits
@@ -448,7 +548,7 @@ class ArrayCycleEstimator(BatchCycleEstimator):
             np.less_equal(ck, 0, out=ws.inactive[k, :n])
             np.multiply(ak, 1 << k, out=i1)
             np.add(patt, i1, out=patt)
-        # Eq 4 with the batch engine's exact operation order.
+        # Eq 4 in the fallback's exact operation order.
         np.divide(self._comp_numer, sums, out=t_comp)
         np.divide(t_comp, US_PER_MS, out=t_comp)
         if self.comm_phase is None:
@@ -470,8 +570,8 @@ class ArrayCycleEstimator(BatchCycleEstimator):
         for k in range(k_n):
             ck = ws.counts[k, :n]
             if not self._have_comm[k]:
-                # Parity with the batch path: raise only if a row in this
-                # block actually needs the missing fit (active + multi-proc).
+                # Like the fallback: raise only if a row in this block
+                # actually needs the missing fit (active + multi-proc).
                 np.logical_and(ws.active[k, :n], mask, out=ws.inactive[k, :n])
                 if ws.inactive[k, :n].any():
                     raise FittingError(
@@ -533,21 +633,144 @@ class ArrayCycleEstimator(BatchCycleEstimator):
         return t_cycle  # repro: noqa[workspace-escape]
 
     def _score_block_fallback(self, n: int) -> np.ndarray:
-        """Per-row callback cases (share-dependent ``b``): delegate to the
-        batch matrix path for the block, keeping decision parity; the
-        streamed search machinery above it is unchanged."""
+        """Eq 4-6 over ``n`` workspace rows the folded kernels cannot
+        serve: share-dependent message sizes (one callback per row) and
+        pools too large for a crossing lookup table.
+
+        The block is scored as an ``(n, K)`` matrix with the unfolded Eq 1
+        form ``c1 + c2·p_eff + b·(c3 + c4·p_eff)`` and a pairwise crossing
+        max chained from 0.0.
+        :meth:`~repro.partition.collapse.CollapsedSearchEngine._score_row_analytic`
+        replays these IEEE operations in this order, so the two change
+        together or not at all.
+        """
         ws = self.workspace
-        rows = np.stack([ws.counts[k, :n] for k in range(len(self.ordered))], axis=1)
-        before = self.evaluations
-        result = self.evaluate(rows)
-        self.evaluations = before  # the streamed search does its own counting
-        np.copyto(ws.t_comp[:n], result.t_comp_ms)
-        np.copyto(ws.t_comm[:n], result.t_comm_ms)
-        np.copyto(ws.t_overlap[:n], result.t_overlap_ms)
-        np.copyto(ws.t_cycle[:n], result.t_cycle_ms)
-        np.copyto(ws.totals[:n], result.totals)
+        c = np.stack([ws.counts[k, :n] for k in range(len(self.ordered))], axis=1)
+        totals = c.sum(axis=1)
+        # Eq 3/4: Σ P_j/S_j per row, accumulated in cluster order.
+        sums = np.zeros(n)
+        for k, prefix in enumerate(self._speed_prefix):
+            sums += prefix[c[:, k]]
+        t_comp = self._comp_numer / sums / US_PER_MS
+        mask = totals > 1
+        if mask.any():
+            b = self._message_bytes(c)
+            rounds = (
+                self._rounds_lut[totals]
+                if self._rounds_lut is not None
+                else self._rounds_const
+            )
+            t_comm = np.where(
+                mask, rounds * self._topology_cost(c, totals, b, mask), 0.0
+            )
+        else:
+            t_comm = np.zeros(n)
+        t_overlap = np.minimum(t_comp, t_comm) if self.overlapped else np.zeros(n)
+        np.copyto(ws.totals[:n], totals)
+        np.copyto(ws.t_comp[:n], t_comp)
+        np.copyto(ws.t_comm[:n], t_comm)
+        np.copyto(ws.t_overlap[:n], t_overlap)
+        t_cycle = ws.t_cycle[:n]
+        np.subtract(t_comp + t_comm, t_overlap, out=t_cycle)
         # Same borrow contract as score_block, which this path serves.
-        return ws.t_cycle[:n]  # repro: noqa[workspace-escape]
+        return t_cycle  # repro: noqa[workspace-escape]
+
+    def _message_bytes(self, c: np.ndarray) -> np.ndarray:
+        """Per-row message size ``b`` (may depend on the row's shares)."""
+        if self._b_const is not None:
+            return np.full(c.shape[0], self._b_const)
+        # The paper's "b may depend on A_i" case needs the per-processor
+        # share list: one callback per row.
+        phase = self.comm_phase
+        b = np.zeros(c.shape[0])
+        for m in range(c.shape[0]):
+            rates = np.concatenate(
+                [self._cluster_rates[k][: c[m, k]] for k in range(c.shape[1])]
+            )
+            speeds = 1.0 / rates
+            shares = (speeds / speeds.sum() * self.num_pdus).tolist()
+            b[m] = phase.complexity_for_shares(self.computation.problem, shares)
+        return b
+
+    def _eq1(self, k: int, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Unfolded Eq 1 for cluster ``k`` (callers guarantee ``p >= 2``)."""
+        per_byte = self._c3[k] + self._c4[k] * p
+        if self._quirk[k]:
+            per_byte = np.abs(per_byte)
+        return self._c1[k] + self._c2[k] * p + b * per_byte
+
+    def _topology_cost(
+        self, c: np.ndarray, totals: np.ndarray, b: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        """Row-wise :meth:`CostDatabase.topology_cost` for the fallback."""
+        m, k_n = c.shape
+        active = c > 0
+        n_active = active.sum(axis=1)
+        multi = n_active > 1
+
+        needed = active & mask[:, None]
+        missing = needed & ~self._have_comm[None, :]
+        if np.any(missing):
+            k_bad = int(np.argmax(missing.any(axis=0)))
+            raise FittingError(
+                f"no fitted cost function for cluster {self.ordered[k_bad].name!r}, "
+                f"topology {str(self.topology)!r}"
+            )
+
+        per_cluster = np.full((m, k_n), -np.inf)
+        if self.topology.bandwidth_limited:
+            # Offered load scales with the total count regardless of placement.
+            for k in range(k_n):
+                rows = needed[:, k]
+                if rows.any():
+                    per_cluster[rows, k] = self._eq1(k, b[rows], totals[rows])
+        else:
+            extra = np.where(multi & self.cost_db.router_extra_station, 1, 0)
+            for k in range(k_n):
+                rows = needed[:, k]
+                if not rows.any():
+                    continue
+                p_eff = c[rows, k] + extra[rows]
+                # Across a router even a lone processor sees a 2-station
+                # pattern (its partner arrives via the router).
+                p_eff = np.where(multi[rows], np.maximum(p_eff, 2), p_eff)
+                per_cluster[rows, k] = self._eq1(k, b[rows], p_eff)
+        cost = np.where(mask, per_cluster.max(axis=1, initial=-np.inf), 0.0)
+
+        # Crossing penalty: max over active pairs of router+coercion, >= 0.
+        if np.any(multi & mask):
+            crossing = np.zeros(m)
+            for i in range(k_n):
+                for j in range(i + 1, k_n):
+                    rows = needed[:, i] & needed[:, j]
+                    if not rows.any():
+                        continue
+                    if np.isnan(self._cross_intercept[i, j]):
+                        raise FittingError(
+                            f"no fitted router cost for clusters "
+                            f"{self.ordered[i].name!r}/{self.ordered[j].name!r}"
+                        )
+                    pair = (
+                        self._cross_intercept[i, j]
+                        + self._cross_slope[i, j] * b[rows]
+                    )
+                    crossing[rows] = np.maximum(crossing[rows], pair)
+            cost = cost + np.where(multi & mask, crossing, 0.0)
+        return cost
+
+    # -- branch-and-bound support ------------------------------------------------
+
+    def t_comp_lower_bound(self, partial_speed_sum, max_rest_speed) -> np.ndarray:
+        """Lowest reachable ``T_comp`` for count prefixes.
+
+        ``partial_speed_sum`` holds each prefix's ``Σ P_j/S_j`` over the
+        fixed clusters; ``max_rest_speed`` is the remaining clusters' speed
+        sum at full allocation.  Since ``T_c >= T_comp`` and ``T_comp``
+        shrinks as counts grow, this bounds every completion of the prefix.
+        """
+        denom = np.asarray(partial_speed_sum, dtype=float) + max_rest_speed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.comp_complexity * self.num_pdus / denom / US_PER_MS
 
     def _raise_missing_router(self, pattern: int) -> None:
         pair_cost = self._cross_intercept
@@ -870,133 +1093,3 @@ def engine_compatible(
             return False
     limits = np.array([r.n_available for r in ordered], dtype=np.int64)
     return bool(np.all(limits <= est.limits))
-
-
-def array_prefix_search(
-    computation: DataParallelComputation,
-    ordered: Sequence[ClusterResources],
-    cost_db: CostDatabase,
-    *,
-    startup_ms: float = 0.0,
-    metrics=None,
-) -> ArraySearchResult:
-    """The cluster-prefix scan, streamed through an array workspace."""
-    est = ArrayCycleEstimator(computation, ordered, cost_db, startup_ms=startup_ms)
-    rows = prefix_count_matrix(ordered)
-    best: Optional[tuple[int, ...]] = None
-    best_t = np.inf
-    evaluations = 0
-    chunks = 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for start in range(0, rows.shape[0], est.workspace.max_rows):
-            block = rows[start : start + est.workspace.max_rows]
-            n = est.load_rows(block)
-            est.score_block(n)
-            evaluations += n
-            chunks += 1
-            t_blk, counts_blk = est.block_best(n)
-            if _better(t_blk, counts_blk, best_t, best):
-                best_t, best = t_blk, counts_blk
-    if best is None:
-        raise PartitionError("no candidate configurations")
-    est.evaluations += evaluations
-    return ArraySearchResult(
-        counts=best,
-        t_cycle_ms=best_t,
-        evaluations=evaluations,
-        chunks=chunks,
-        frontier_hit=False,
-        method="array-prefix",
-    )
-
-
-class ArrayHeuristicEstimator(CycleEstimator):
-    """The §5 heuristic's array-backed evaluator.
-
-    A drop-in for :class:`~repro.partition.estimator.CycleEstimator` inside
-    :func:`~repro.partition.heuristic.partition`: before each per-cluster
-    search, :meth:`prefetch` scores the cluster's whole candidate segment
-    in one workspace pass; the binary search's probes are then dictionary
-    lookups.  Evaluation counting, memoization (including an injected
-    :class:`~repro.partition.warmstart.SearchCache` memo) and therefore the
-    decision trace replay the scalar path's semantics exactly — only
-    *probed* configurations count or enter the shared memo, so the decision,
-    ``evaluations`` and trace length are identical to ``engine="scalar"``.
-    """
-
-    def __init__(
-        self,
-        computation: DataParallelComputation,
-        ordered: Sequence[ClusterResources],
-        cost_db: CostDatabase,
-        *,
-        startup_ms: float = 0.0,
-        memo: Optional[dict] = None,
-        metrics=None,
-    ) -> None:
-        super().__init__(computation, cost_db, startup_ms=startup_ms, memo=memo)
-        from repro.telemetry import NULL_REGISTRY
-
-        segment_rows = max(r.n_available for r in ordered) + 1
-        self._array = ArrayCycleEstimator(
-            computation,
-            ordered,
-            cost_db,
-            startup_ms=startup_ms,
-            max_rows=segment_rows,
-        )
-        self._ordered = tuple(ordered)
-        self._segments: dict[tuple[int, ...], tuple[float, float, float]] = {}
-        registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_segments = registry.counter(
-            "decide.array.segments",
-            domain="host",
-            help="per-cluster candidate segments prefetched by the heuristic",
-        )
-
-    def prefetch(self, index: int, counts: Sequence[int], lo: int, hi: int) -> None:
-        """Score cluster ``index``'s whole [lo, hi] segment in one pass."""
-        if lo == 0 and not any(int(c) for c in counts):
-            lo = 1  # the all-zero row is not a configuration
-        if lo > hi:
-            return
-        n = hi - lo + 1
-        ws = self._array.workspace
-        for k, fixed in enumerate(counts):
-            if k == index:
-                ws.counts[k, :n] = np.arange(lo, hi + 1, dtype=np.int64)
-            else:
-                ws.counts[k, :n].fill(int(fixed))
-        self._array._decoded_for = None
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._array.score_block(n)
-        base = list(counts)
-        for row, p in enumerate(range(lo, hi + 1)):
-            base[index] = p
-            self._segments[tuple(base)] = (
-                float(ws.t_comp[row]),
-                float(ws.t_comm[row]),
-                float(ws.t_overlap[row]),
-            )
-        self._m_segments.inc()
-
-    def estimate(self, config) -> CycleEstimate:
-        key = tuple(config.counts)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return super().estimate(config)  # memo path (rebind + serve)
-        segment = self._segments.get(key)
-        if segment is None:
-            # Never prefetched (e.g. a configuration probed outside the
-            # per-cluster segments): fall back to the scalar reference.
-            return super().estimate(config)
-        t_comp, t_comm, t_overlap = segment
-        self.evaluations += 1
-        result = CycleEstimate(
-            config=config,
-            t_comp_ms=t_comp,
-            t_comm_ms=t_comm,
-            t_overlap_ms=t_overlap,
-        )
-        self._memo[key] = result
-        return result

@@ -62,6 +62,7 @@ from repro.errors import PartitionError
 from repro.model.computation import DataParallelComputation
 from repro.partition.arrayengine import (
     _AUTO_PRUNE_BLOCKS,
+    _PRUNE_SLACK,
     DEFAULT_MAX_ROWS,
     ArrayCycleEstimator,
     ArraySearchResult,
@@ -71,7 +72,6 @@ from repro.partition.arrayengine import (
     engine_compatible,
 )
 from repro.partition.available import ClusterResources
-from repro.partition.fastpath import _PRUNE_SLACK, BatchCycleEstimator
 from repro.units import US_PER_MS
 
 __all__ = [
@@ -96,7 +96,7 @@ _MAX_LEVEL_CLASSES = 8
 _SAVINGS_CAP = 10**18
 
 #: Above this many physical clusters the level-mode winner is re-scored
-#: through the closed-form replay instead of the batch kernel (whose
+#: through the closed-form replay instead of the kernel fallback (whose
 #: Python crossing loop is O(K²) per row).
 _ANALYTIC_MIN_CLUSTERS = 32
 
@@ -186,7 +186,7 @@ def _pair_signature(
 
 
 def detect_equivalence_classes(
-    est: BatchCycleEstimator, *, rtol: float = 0.0, atol: float = 0.0
+    est: ArrayCycleEstimator, *, rtol: float = 0.0, atol: float = 0.0
 ) -> Optional[CollapsePlan]:
     """Partition the lowered clusters into interchangeability classes.
 
@@ -787,12 +787,13 @@ class CollapsedSearchEngine:
         )
 
     def _score_row(self, row: np.ndarray, *, analytic: bool = False) -> float:
-        """One row through the batch kernels (exact engine arithmetic).
+        """One row through the array kernels (exact engine arithmetic).
 
         ``analytic=True`` (the level-mode winner) allows a closed-form
-        replay of the same arithmetic when the batch kernel's Python pair
-        loop would dominate — at a thousand clusters the O(K²) crossing
-        sweep inside :meth:`BatchCycleEstimator.evaluate` costs seconds,
+        replay of the same arithmetic when the kernel fallback's Python
+        pair loop would dominate — at a thousand clusters the O(K²)
+        crossing sweep inside
+        :meth:`ArrayCycleEstimator._score_block_fallback` costs seconds,
         which is the whole decision budget.
         """
         est = self.estimator
@@ -800,24 +801,23 @@ class CollapsedSearchEngine:
             t = self._score_row_analytic(row)
             if t is not None:
                 return t
-        # The in-place kernels, not BatchCycleEstimator.evaluate: at K <= 16
-        # score_block runs the folded fast path whose rounding the array
-        # engine's own results carry, and bit-parity with that engine is
-        # the contract tests pin.
+        # score_block, not the fallback directly: at K <= 16 it runs the
+        # folded fast path whose rounding the array engine's own results
+        # carry, and bit-parity with that engine is the contract tests pin.
         with np.errstate(invalid="ignore", divide="ignore"):
             n = est.load_rows(row[None, :].astype(np.int64))
             return float(est.score_block(n)[0])
 
     def _score_row_analytic(self, row: np.ndarray) -> Optional[float]:
-        """Closed-form replay of the batch fallback arithmetic for one row.
+        """Closed-form replay of the kernel fallback arithmetic for one row.
 
         Performs the *same IEEE operations in the same order* as
-        :meth:`BatchCycleEstimator.evaluate` — per-cluster speed-prefix
-        adds in cluster order, the unfolded Eq 1 form
+        :meth:`ArrayCycleEstimator._score_block_fallback` — per-cluster
+        speed-prefix adds in cluster order, the unfolded Eq 1 form
         ``c1 + c2·p_eff + b·(c3 + c4·p_eff)``, the crossing max chained
         from 0.0 — only vectorized over clusters/pairs instead of looping
         in Python, so the result is bit-identical.  Returns ``None`` when
-        any evaluate() branch this replay does not model could trigger
+        any fallback branch this replay does not model could trigger
         (callable rounds, per-config b, bandwidth-limited topology, the
         bandwidth quirk, missing fits): the caller then uses the kernel.
         """
@@ -833,7 +833,7 @@ class CollapsedSearchEngine:
         if idx.size == 0:
             return None
 
-        # Eq 3/4: identical accumulation order to _speed_sums (inactive
+        # Eq 3/4: identical accumulation order to the fallback (inactive
         # clusters add an exact 0.0, so skipping them changes nothing).
         speed = 0.0
         for k in idx:

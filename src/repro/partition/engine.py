@@ -10,7 +10,8 @@ boundary instead of each caller re-threading ``partition()`` /
 ``exhaustive_partition()`` keyword plumbing:
 
 * :meth:`DecisionEngine.decide` — the §5 heuristic (the supervisor's
-  path), with warm-start seeding and the shared cache;
+  path), probed through the scalar estimator, with warm-start seeding and
+  the shared cache;
 * :meth:`DecisionEngine.decide_exact` — the streamed array-engine oracle
   (the server's path), with a per-tenant decision memo layered over the
   tenant-agnostic estimate/frontier reuse.
@@ -52,10 +53,10 @@ class DecisionEngine:
         The annotated :class:`~repro.model.DataParallelComputation`.
     cost_db:
         Fitted :class:`~repro.benchmarking.CostDatabase`.
-    startup_ms, search, engine:
+    startup_ms, search:
         Fixed per-engine search configuration, forwarded to
         :func:`~repro.partition.heuristic.partition` on every
-        :meth:`decide` call.
+        :meth:`decide` call (``startup_ms`` to the exact path too).
     cache:
         The :class:`~repro.partition.warmstart.SearchCache` shared across
         calls.  ``None`` disables all cross-call reuse (every decision is
@@ -72,7 +73,6 @@ class DecisionEngine:
         *,
         startup_ms: float = 0.0,
         search: str = "binary",
-        engine: str = "scalar",
         cache: Optional[SearchCache] = None,
         metrics=None,
     ) -> None:
@@ -80,7 +80,6 @@ class DecisionEngine:
         self.cost_db = cost_db
         self.startup_ms = startup_ms
         self.search = search
-        self.engine = engine
         self.cache = cache
         self.metrics = metrics
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -121,7 +120,6 @@ class DecisionEngine:
             startup_ms=self.startup_ms,
             cluster_order=cluster_order,
             search=self.search,
-            engine=self.engine,
             cache=self.cache,
             warm_start=warm_start,
             metrics=self.metrics,
@@ -183,16 +181,15 @@ class DecisionEngine:
         self,
         resources: Sequence[ClusterResources],
         *,
-        prune: bool = True,
         collapse: bool = False,
         tenant: Optional[str] = None,
     ) -> PartitionDecision:
         """The unrestricted optimum via the streamed array engine.
 
-        Identical to ``exhaustive_partition(..., engine="array")`` on the
-        same inputs; with a cache attached, repeat pools are answered from
-        the per-tenant decision memo (zero evaluations) and shrunk pools
-        from the shared engine's incremental frontier.
+        Identical to :func:`~repro.partition.heuristic.exhaustive_partition`
+        on the same inputs; with a cache attached, repeat pools are
+        answered from the per-tenant decision memo (zero evaluations) and
+        shrunk pools from the shared engine's incremental frontier.
         """
         ordered = self.order(resources)
         if not ordered:
@@ -208,8 +205,6 @@ class DecisionEngine:
             ordered,
             self.cost_db,
             startup_ms=self.startup_ms,
-            engine="array",
-            prune=prune,
             cache=self.cache,
             metrics=self.metrics,
             collapse=collapse,
@@ -220,6 +215,6 @@ class DecisionEngine:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cached = "cached" if self.cache is not None else "uncached"
         return (
-            f"<DecisionEngine search={self.search!r} engine={self.engine!r} "
+            f"<DecisionEngine search={self.search!r} "
             f"startup_ms={self.startup_ms:g} {cached}>"
         )

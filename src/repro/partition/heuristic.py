@@ -8,12 +8,15 @@ bandwidth.  Within a cluster it locates the minimum of the unimodal
 cluster leaves that cluster partially used, the search stops: later clusters
 are only reachable once the current one is saturated.
 
-Two oracles validate the heuristic:
+The heuristic probes through the scalar :class:`CycleEstimator` — about
+``K·log2 P`` probes, too few for a vectorized engine to pay for itself.
+Two oracles validate it:
 
-* :func:`prefix_scan_partition` — linear scan of the same restricted
-  (cluster-prefix) configuration space;
+* :func:`prefix_scan_partition` — linear scalar scan of the same
+  restricted (cluster-prefix) configuration space;
 * :func:`exhaustive_partition` — every combination of per-cluster counts,
-  the unrestricted optimum of the estimator's objective.
+  the unrestricted optimum of the estimator's objective, searched by the
+  array engine (:mod:`repro.partition.arrayengine`).
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import PartitionError
 from repro.model.vector import PartitionVector
@@ -119,7 +120,6 @@ def partition(
     startup_ms: float = 0.0,
     cluster_order: Optional[Sequence[ClusterResources]] = None,
     search: str = "binary",
-    engine: str = "scalar",
     cache=None,
     warm_start: Optional[dict[str, int]] = None,
     metrics=None,
@@ -142,14 +142,6 @@ def partition(
         per cluster (Fig 3); ``"scan"`` — the robust per-cluster linear scan
         for cost curves with multiple minima (the paper's noted future
         work).  Both keep the cluster-ordered locality structure.
-    engine:
-        ``"scalar"`` (default) probes each candidate with the reference
-        :class:`CycleEstimator`; ``"array"`` scores each cluster's whole
-        candidate segment in one preallocated-workspace pass
-        (:class:`~repro.partition.arrayengine.ArrayHeuristicEstimator`)
-        and serves the search's probes from it.  Decision, evaluation
-        count, and trace length are identical — only probed counts tuples
-        count as evaluations or enter the shared memo.
     cache:
         Optional :class:`~repro.partition.warmstart.SearchCache` carrying
         estimate and decision memos across calls.  An identical
@@ -174,8 +166,6 @@ def partition(
     """
     if search not in ("binary", "scan"):
         raise PartitionError(f"unknown search mode {search!r}")
-    if engine not in ("scalar", "array"):
-        raise PartitionError(f"unknown engine {engine!r}")
     registry = metrics if metrics is not None else NULL_REGISTRY
     m_searches = registry.counter(
         "partition.searches", domain="host", help="heuristic searches that ran"
@@ -215,21 +205,7 @@ def partition(
         cache.searches += 1
     m_searches.inc()
     memo = cache.estimator_memo(ordered) if cache is not None else None
-    if engine == "array":
-        from repro.partition.arrayengine import ArrayHeuristicEstimator
-
-        estimator = ArrayHeuristicEstimator(
-            computation,
-            ordered,
-            cost_db,
-            startup_ms=startup_ms,
-            memo=memo,
-            metrics=metrics,
-        )
-    else:
-        estimator = CycleEstimator(
-            computation, cost_db, startup_ms=startup_ms, memo=memo
-        )
+    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms, memo=memo)
 
     counts = [0] * len(ordered)
     trace: list[tuple[str, float]] = []
@@ -262,11 +238,6 @@ def partition(
     for k, res in enumerate(ordered):
         lo = 1 if k == 0 else 0  # at least one processor overall
         hi = res.n_available
-        if engine == "array":
-            # Score the whole candidate segment for this cluster in one
-            # workspace pass; the binary search's probes below become
-            # dictionary lookups against it.
-            estimator.prefetch(k, counts, lo, hi)
         best_p: Optional[int] = None
         if warm_start is not None and search == "binary":
             prev = warm_start.get(res.name)
@@ -329,9 +300,9 @@ def _best_of(
         t = estimator.t_cycle(cfg)
         trace.append((cfg.describe(), t))
         # On exact ties prefer the lexicographically-smallest counts tuple —
-        # the same rule BatchEstimate.best_index applies, so the scalar and
-        # batch engines return byte-identical decisions regardless of their
-        # enumeration orders.
+        # the same rule ArrayCycleEstimator.block_best applies, so the
+        # scalar oracles and the array engine return byte-identical
+        # decisions regardless of their enumeration orders.
         if t < best_t or (t == best_t and best is not None and cfg.counts < best.counts):
             best, best_t = cfg, t
     assert best is not None
@@ -359,8 +330,8 @@ def _decision_from_counts(
     """Package a winning counts vector as a full decision.
 
     The winner is re-estimated with the scalar :class:`CycleEstimator`, so
-    every vectorized oracle (batch or array) returns the exact
-    reference-path numbers (the engines agree to ~1e-13 ms; see
+    every array-engine search returns the exact reference-path numbers
+    (the kernels agree with it to ~1e-13 ms; see
     ``tests/partition/test_fastpath_equivalence.py``).
     """
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
@@ -376,33 +347,6 @@ def _decision_from_counts(
     )
 
 
-def _batch_decision(
-    computation,
-    ordered: Sequence[ClusterResources],
-    cost_db,
-    counts_matrix,
-    method: str,
-    *,
-    startup_ms: float = 0.0,
-    extra_evaluations: int = 0,
-) -> PartitionDecision:
-    """Argmin a candidate matrix with the vectorized estimator."""
-    from repro.partition.fastpath import BatchCycleEstimator
-
-    batch = BatchCycleEstimator(
-        computation, ordered, cost_db, startup_ms=startup_ms
-    )
-    result = batch.evaluate(counts_matrix)
-    return _decision_from_counts(
-        computation,
-        ordered,
-        cost_db,
-        result.best_counts(),
-        method,
-        startup_ms=startup_ms,
-        evaluations=batch.evaluations + extra_evaluations,
-    )
-
 
 def prefix_scan_partition(
     computation,
@@ -410,50 +354,17 @@ def prefix_scan_partition(
     cost_db,
     *,
     startup_ms: float = 0.0,
-    engine: str = "batch",
 ) -> PartitionDecision:
     """Linear scan of the cluster-prefix space the heuristic searches.
 
     Candidates: p processors of cluster 1 (p = 1..N₁); then N₁ plus
-    p of cluster 2; and so on.  The oracle for the binary search.
-
-    ``engine="batch"`` (default) evaluates all candidates in one
-    vectorized pass; ``engine="array"`` streams them through a
-    preallocated workspace; ``engine="scalar"`` keeps the original
-    per-config reference loop.  All return the same decision.
+    p of cluster 2; and so on.  The oracle for the binary search, probed
+    through the scalar reference estimator.
     """
-    if engine not in ("batch", "scalar", "array"):
-        raise PartitionError(f"unknown engine {engine!r}")
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
     ordered = order_by_power(resources, estimator.op_kind)
     if not ordered:
         raise PartitionError("no available processors in any cluster")
-    if engine == "array":
-        from repro.partition.arrayengine import array_prefix_search
-
-        result = array_prefix_search(
-            computation, ordered, cost_db, startup_ms=startup_ms
-        )
-        return _decision_from_counts(
-            computation,
-            ordered,
-            cost_db,
-            result.counts,
-            "prefix-scan",
-            startup_ms=startup_ms,
-            evaluations=result.evaluations,
-        )
-    if engine == "batch":
-        from repro.partition.fastpath import prefix_count_matrix
-
-        return _batch_decision(
-            computation,
-            ordered,
-            cost_db,
-            prefix_count_matrix(ordered),
-            "prefix-scan",
-            startup_ms=startup_ms,
-        )
     configs = []
     prefix = [0] * len(ordered)
     for k, res in enumerate(ordered):
@@ -472,7 +383,6 @@ def exhaustive_partition(
     cost_db,
     *,
     startup_ms: float = 0.0,
-    engine: str = "batch",
     prune: bool = True,
     cache=None,
     metrics=None,
@@ -480,93 +390,70 @@ def exhaustive_partition(
 ) -> PartitionDecision:
     """Minimum of the objective over *all* per-cluster count combinations.
 
-    Exponential in the cluster count — an oracle that was historically
-    usable on small networks only.  ``engine="batch"`` (default) generates
-    the count-combination matrix and argmins it in one vectorized pass;
-    with ``prune=True`` a branch-and-bound cut first discards every count
-    prefix whose ``T_comp`` lower bound already exceeds the best
-    cluster-prefix candidate (an incumbent found in O(ΣN_i) vectorized
-    evaluations), which keeps the oracle exact while often skipping most
-    of the space.  ``engine="array"`` streams the same space through a
-    preallocated workspace (see :mod:`repro.partition.arrayengine`) and,
-    given a ``cache`` (:class:`~repro.partition.warmstart.SearchCache`),
-    keeps the lowered engine plus its incremental frontier across calls so
-    an availability *shrink* is answered in O(delta) with zero fresh
-    evaluations.  ``engine="scalar"`` keeps the original reference loop.
-    ``cache``/``metrics`` only apply to the array engine.
+    Exponential in the cluster count, so the space is streamed through the
+    array engine's preallocated workspace (see
+    :mod:`repro.partition.arrayengine`).  With ``prune=True`` a
+    branch-and-bound cut discards every count prefix whose ``T_comp``
+    lower bound already exceeds the best cluster-prefix candidate, once
+    the space is large enough for the cut to pay; the result stays exact.
+    Given a ``cache`` (:class:`~repro.partition.warmstart.SearchCache`),
+    the lowered engine and its incremental frontier persist across calls,
+    so an availability *shrink* is answered in O(delta) with zero fresh
+    evaluations.
 
-    ``collapse=True`` (array engine only) detects equivalence classes of
-    interchangeable clusters and searches one canonical member per orbit
+    ``collapse=True`` detects equivalence classes of interchangeable
+    clusters and searches one canonical member per orbit
     (:mod:`repro.partition.collapse`) — the wide-area path.  The returned
     decision is identical to ``collapse=False``; pools with no duplicate
     clusters simply fall through to the plain streamed scan.
     """
-    if engine not in ("batch", "scalar", "array"):
-        raise PartitionError(f"unknown engine {engine!r}")
-    if collapse and engine != "array":
-        raise PartitionError(
-            f"collapsed search requires engine='array', got {engine!r}"
-        )
+    if collapse:
+        from repro.partition.collapse import collapsed_exhaustive_search
+
+        search = collapsed_exhaustive_search
+    else:
+        from repro.partition.arrayengine import array_exhaustive_search
+
+        search = array_exhaustive_search
+    kind = computation.dominant_computation_phase().op_kind
+    ordered = order_by_power(resources, kind)
+    if not ordered:
+        raise PartitionError("no available processors in any cluster")
+    result = search(
+        computation,
+        ordered,
+        cost_db,
+        startup_ms=startup_ms,
+        prune="auto" if prune else False,
+        cache=cache,
+        metrics=metrics,
+    )
+    return _decision_from_counts(
+        computation,
+        ordered,
+        cost_db,
+        result.counts,
+        "exhaustive",
+        startup_ms=startup_ms,
+        evaluations=result.evaluations,
+    )
+
+
+def _scalar_exhaustive_partition(
+    computation,
+    resources: Sequence[ClusterResources],
+    cost_db,
+    *,
+    startup_ms: float = 0.0,
+) -> PartitionDecision:
+    """The reference exhaustive oracle: every count combination, probed one
+    by one through the scalar :class:`CycleEstimator` in
+    :func:`itertools.product` order.  Only the parity tests and the
+    partition throughput bench use it."""
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
     ordered = order_by_power(resources, estimator.op_kind)
     if not ordered:
         raise PartitionError("no available processors in any cluster")
-    if engine == "array":
-        if collapse:
-            from repro.partition.collapse import collapsed_exhaustive_search
-
-            search = collapsed_exhaustive_search
-        else:
-            from repro.partition.arrayengine import array_exhaustive_search
-
-            search = array_exhaustive_search
-        result = search(
-            computation,
-            ordered,
-            cost_db,
-            startup_ms=startup_ms,
-            prune="auto" if prune else False,
-            cache=cache,
-            metrics=metrics,
-        )
-        return _decision_from_counts(
-            computation,
-            ordered,
-            cost_db,
-            result.counts,
-            "exhaustive",
-            startup_ms=startup_ms,
-            evaluations=result.evaluations,
-        )
-    if engine == "batch":
-        from repro.partition.fastpath import (
-            BatchCycleEstimator,
-            full_count_matrix,
-            prefix_count_matrix,
-            pruned_count_matrix,
-        )
-
-        if prune:
-            scout = BatchCycleEstimator(
-                computation, ordered, cost_db, startup_ms=startup_ms
-            )
-            incumbent = float(
-                np.min(scout.t_cycle(prefix_count_matrix(ordered)))
-            )
-            candidates = pruned_count_matrix(scout, incumbent)
-            extra = scout.evaluations
-        else:
-            candidates = full_count_matrix(ordered)
-            extra = 0
-        return _batch_decision(
-            computation,
-            ordered,
-            cost_db,
-            candidates,
-            "exhaustive",
-            startup_ms=startup_ms,
-            extra_evaluations=extra,
-        )
     ranges = [range(0, r.n_available + 1) for r in ordered]
     configs = [
         ProcessorConfiguration(ordered, combo)

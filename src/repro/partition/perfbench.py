@@ -1,20 +1,22 @@
-"""Partitioning throughput harness: scalar vs batch vs array engines.
+"""Partitioning throughput harness: the scalar reference vs the array engine.
 
 Shared by the ``repro bench-partition`` CLI subcommand and
 ``benchmarks/test_bench_partition_perf.py``: builds a deterministic
 synthetic heterogeneous network (one cluster per requested size, era-style
-instruction rates), runs the exhaustive oracle under each engine, and
+instruction rates), runs the exhaustive oracle on both engines, and
 reports wall time, configurations evaluated, throughput, and a
 ``tracemalloc`` allocation sample — the numbers
 ``BENCH_partition_perf.json`` tracks across PRs.
 
 Timing methodology per engine:
 
-* ``scalar`` / ``batch`` — a fresh cost database per repeat (cold
-  composition caches), the full ``exhaustive_partition`` call timed;
+* ``scalar`` — the reference product loop, probing every configuration
+  through :class:`~repro.partition.estimator.CycleEstimator`, with a fresh
+  cost database per repeat (cold composition caches) and the full call
+  timed;
 * ``array`` — the persistent :class:`~repro.partition.arrayengine.\
 ArraySearchEngine` is constructed *outside* the timed window (like the
-  cost database is for every engine) because its operating point is the
+  cost database is for both engines) because its operating point is the
   steady-state decide loop: lower once, search many times.  Each repeat
   times one full streamed search; the incremental frontier is never used,
   so every repeat does the complete space's work.
@@ -34,7 +36,8 @@ from repro.errors import PartitionError
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.processor import ProcessorSpec
 from repro.partition.available import gather_available_resources
-from repro.partition.heuristic import exhaustive_partition
+from repro.partition.arrayengine import ArraySearchEngine
+from repro.partition.heuristic import _scalar_exhaustive_partition, order_by_power
 from repro.units import seconds_to_msec
 
 __all__ = [
@@ -49,8 +52,8 @@ __all__ = [
 ]
 
 #: The perfgate's committed floor: array-engine throughput (configs/s)
-#: must be at least this many times the batch engine's, within one run.
-ARRAY_SPEEDUP_FLOOR = 10.0
+#: must be at least this many times the scalar reference's, within one run.
+ARRAY_SPEEDUP_FLOOR = 100.0
 
 #: Era-plausible µs/op rates cycled over the requested clusters
 #: (Sparc2-like, IPC-like, Sun3-like, ...).
@@ -128,31 +131,17 @@ class PerfComparison:
         raise KeyError(engine)
 
     @property
-    def speedup(self) -> Optional[float]:
-        """Scalar wall time over batch wall time (best repeats)."""
-        try:
-            scalar, batch = self.result("scalar"), self.result("batch")
-        except KeyError:
-            return None
-        if batch.best_wall_s <= 0:
-            return float("inf")
-        return scalar.best_wall_s / batch.best_wall_s
-
-    @property
-    def speedup_array_over_batch(self) -> Optional[float]:
-        """Array-engine throughput over batch throughput, in configs/s.
+    def speedup_array_over_scalar(self) -> float:
+        """Array-engine throughput over scalar throughput, in configs/s.
 
         A throughput (not wall-time) ratio because the engines may visit
-        different candidate counts (the batch oracle prunes; the array
-        engine streams the full space below its prune cutoff).
+        different candidate counts (the scalar oracle scans the whole
+        space; the array engine prunes above its size cutoff).
         """
-        try:
-            batch, array = self.result("batch"), self.result("array")
-        except KeyError:
-            return None
-        if batch.configs_per_s <= 0:
+        scalar, array = self.result("scalar"), self.result("array")
+        if scalar.configs_per_s <= 0:
             return float("inf")
-        return array.configs_per_s / batch.configs_per_s
+        return array.configs_per_s / scalar.configs_per_s
 
 
 def _alloc_sample(fn: Callable[[], object]) -> tuple[int, float]:
@@ -182,21 +171,21 @@ def run_perf(
     *,
     n: int = 600,
     repeat: int = 3,
-    engines: Sequence[str] = ("scalar", "batch", "array"),
     prune: bool = True,
     alloc_sample: bool = True,
 ) -> PerfComparison:
-    """Time the exhaustive oracle under each engine on one scenario.
+    """Time the exhaustive oracle on both engines on one scenario.
 
-    For the scalar/batch engines a fresh cost database is built per repeat
-    so the composition caches start cold each time, like a first-decision
-    probe.  The array engine is timed at its operating point instead: the
+    The scalar reference gets a fresh cost database per repeat so the
+    composition caches start cold each time, like a first-decision probe.
+    The array engine is timed at its operating point instead: the
     persistent engine (lowering + workspace) is built outside the window
     and each repeat times one full streamed search — the frontier is not
     consulted, so no repeat is cheaper than a cold search of the space.
-    Reports the best and mean wall time over ``repeat`` runs, plus a
-    ``tracemalloc`` allocation sample per engine unless ``alloc_sample``
-    is off.
+    ``prune`` applies to the array engine only; the scalar oracle always
+    scans every configuration.  Reports the best and mean wall time over
+    ``repeat`` runs, plus a ``tracemalloc`` allocation sample per engine
+    unless ``alloc_sample`` is off.
     """
     if repeat < 1:
         raise PartitionError(f"repeat must be >= 1, got {repeat}")
@@ -204,67 +193,64 @@ def run_perf(
     names = [c.name for c in net.clusters]
     resources = gather_available_resources(net)
     comp = stencil_computation(n, overlap=False)
-    results = []
-    for engine in engines:
-        walls = []
-        if engine == "array":
-            from repro.partition.arrayengine import ArraySearchEngine
-            from repro.partition.heuristic import order_by_power
 
-            ordered = order_by_power(resources)
-            db = synthetic_database(names)
-            searcher = ArraySearchEngine(comp, ordered, db)
-            search_prune = "auto" if prune else False
-            outcome = None
-            for _ in range(repeat):
-                start = time.perf_counter()
-                outcome = searcher.search(prune=search_prune)
-                walls.append(time.perf_counter() - start)
-            evaluated = outcome.evaluations
-            counts = outcome.counts
-            t_cycle_ms = outcome.t_cycle_ms
-            sample = (
-                _alloc_sample(lambda: searcher.search(prune=search_prune))
-                if alloc_sample
-                else None
-            )
-        else:
-            decision = None
-            for _ in range(repeat):
-                db = synthetic_database(names)
-                start = time.perf_counter()
-                decision = exhaustive_partition(
-                    comp, resources, db, engine=engine, prune=prune
-                )
-                walls.append(time.perf_counter() - start)
-            evaluated = decision.evaluations
-            counts = tuple(decision.config.counts)
-            t_cycle_ms = decision.t_cycle_ms
-            db = synthetic_database(names)
-            sample = (
-                _alloc_sample(
-                    lambda: exhaustive_partition(
-                        comp, resources, db, engine=engine, prune=prune
-                    )
-                )
-                if alloc_sample
-                else None
-            )
-        results.append(
-            EngineResult(
-                engine=engine,
-                repeats=repeat,
-                best_wall_s=min(walls),
-                mean_wall_s=sum(walls) / len(walls),
-                configs_evaluated=evaluated,
-                counts=counts,
-                t_cycle_ms=t_cycle_ms,
-                alloc_blocks=sample[0] if sample else None,
-                alloc_peak_kib=sample[1] if sample else None,
-            )
-        )
+    walls = []
+    decision = None
+    for _ in range(repeat):
+        db = synthetic_database(names)
+        start = time.perf_counter()
+        decision = _scalar_exhaustive_partition(comp, resources, db)
+        walls.append(time.perf_counter() - start)
+    assert decision is not None
+    db = synthetic_database(names)
+    sample = (
+        _alloc_sample(lambda: _scalar_exhaustive_partition(comp, resources, db))
+        if alloc_sample
+        else None
+    )
+    scalar = EngineResult(
+        engine="scalar",
+        repeats=repeat,
+        best_wall_s=min(walls),
+        mean_wall_s=sum(walls) / len(walls),
+        configs_evaluated=decision.evaluations,
+        counts=tuple(decision.config.counts),
+        t_cycle_ms=decision.t_cycle_ms,
+        alloc_blocks=sample[0] if sample else None,
+        alloc_peak_kib=sample[1] if sample else None,
+    )
+
+    searcher = ArraySearchEngine(
+        comp, order_by_power(resources), synthetic_database(names)
+    )
+    search_prune = "auto" if prune else False
+    walls = []
+    outcome = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        outcome = searcher.search(prune=search_prune)
+        walls.append(time.perf_counter() - start)
+    assert outcome is not None
+    sample = (
+        _alloc_sample(lambda: searcher.search(prune=search_prune))
+        if alloc_sample
+        else None
+    )
+    array = EngineResult(
+        engine="array",
+        repeats=repeat,
+        best_wall_s=min(walls),
+        mean_wall_s=sum(walls) / len(walls),
+        configs_evaluated=outcome.evaluations,
+        counts=outcome.counts,
+        t_cycle_ms=outcome.t_cycle_ms,
+        alloc_blocks=sample[0] if sample else None,
+        alloc_peak_kib=sample[1] if sample else None,
+    )
     return PerfComparison(
-        cluster_sizes=tuple(int(s) for s in cluster_sizes), n=n, results=tuple(results)
+        cluster_sizes=tuple(int(s) for s in cluster_sizes),
+        n=n,
+        results=(scalar, array),
     )
 
 
@@ -304,15 +290,10 @@ def perf_report(cmp: PerfComparison) -> str:
         rows,
         title=title,
     )
-    if cmp.speedup is not None:
-        table += f"\n\nbatch speedup over scalar: {cmp.speedup:.1f}x"
-    if cmp.speedup_array_over_batch is not None:
-        table += (
-            f"\narray speedup over batch (configs/s): "
-            f"{cmp.speedup_array_over_batch:.1f}x "
-            f"(floor {ARRAY_SPEEDUP_FLOOR:g}x)"
-        )
-    return table
+    return table + (
+        f"\n\narray speedup over scalar (configs/s): "
+        f"{cmp.speedup_array_over_scalar:.1f}x (floor {ARRAY_SPEEDUP_FLOOR:g}x)"
+    )
 
 
 def perf_payload(cmp: PerfComparison) -> dict:
@@ -337,14 +318,9 @@ def perf_payload(cmp: PerfComparison) -> dict:
             }
             for r in cmp.results
         },
-        "speedup_batch_over_scalar": cmp.speedup,
-        "speedup_array_over_batch": cmp.speedup_array_over_batch,
+        "speedup_array_over_scalar": cmp.speedup_array_over_scalar,
         # The within-run floor the perfgate enforces (see
         # repro.benchmarking.perfgate.check_regression): committed with the
         # payload, like the telemetry budget, so the gate needs no baseline.
-        "array_over_batch_floor": (
-            ARRAY_SPEEDUP_FLOOR
-            if cmp.speedup_array_over_batch is not None
-            else None
-        ),
+        "array_over_scalar_floor": ARRAY_SPEEDUP_FLOOR,
     }

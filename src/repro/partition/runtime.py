@@ -118,10 +118,6 @@ class RuntimePolicy:
     allow_partial_gather: bool = True
     #: Search mode handed to the §5 heuristic.
     search: str = "binary"
-    #: Probe engine for the heuristic: ``"scalar"`` (reference) or
-    #: ``"array"`` (preallocated segment prefetch — identical decisions,
-    #: see docs/performance.md).
-    engine: str = "scalar"
     #: Warm-start repartition searches: carry a
     #: :class:`~repro.partition.warmstart.SearchCache` across epochs and
     #: seed each search from the surviving prefix of the previous decision.
@@ -527,7 +523,6 @@ class PartitionRuntime:
             computation,
             cost_db,
             search=self.policy.search,
-            engine=self.policy.engine,
             cache=self.search_cache,
             metrics=self.telemetry.metrics,
         )

@@ -1,6 +1,6 @@
 """Multi-core fan-out for configuration sweeps and experiment grids.
 
-The partitioner's own hot path is vectorized (``fastpath``); what remains
+The partitioner's own hot path is vectorized (``arrayengine``); what remains
 embarrassingly parallel are the *grids around it* — simulating every Table 2
 cell, every Fig 3 curve point, every sensitivity perturbation level.
 :func:`sweep` maps a picklable worker over a list of argument tuples with a

@@ -109,7 +109,6 @@ class EnginePool:
             computation,
             self.cost_db,
             startup_ms=startup_ms,
-            engine="array",
             cache=cache,
             metrics=self.metrics,
         )

@@ -5,9 +5,9 @@ One run measures three things on the same pool and workload mix:
 
 * **baseline** — the one-search-per-request cost: each distinct request
   shape in the mix is priced by a cold direct
-  :func:`~repro.partition.heuristic.exhaustive_partition` call
-  (``engine="array"``, no cache), and the mix-weighted mean gives the
-  decisions/s a server *without* batching or caching could sustain;
+  :func:`~repro.partition.heuristic.exhaustive_partition` call (no
+  cache), and the mix-weighted mean gives the decisions/s a server
+  *without* batching or caching could sustain;
 * **served** — an in-process :class:`~repro.server.service.PartitionServer`
   driven by the load generator at ``clients`` logical clients; decisions/s,
   p50/p99 latency, and the coalescing ratio come from this run.  The
@@ -130,7 +130,6 @@ def _direct_decision(pattern: LoadPattern, base_resources, cost_db):
         restricted,
         cost_db,
         startup_ms=pattern.startup_ms,
-        engine="array",
     )
 
 

@@ -130,7 +130,7 @@ def test_parity_rule_flags_constants_duplicated_across_the_pair():
     assert "0.062" in text
     assert "EQ1_INTERCEPT" in text
     # Findings land in both files of the pair.
-    assert {Path(f.path).name for f in findings} == {"estimator.py", "fastpath.py"}
+    assert {Path(f.path).name for f in findings} == {"estimator.py", "arrayengine.py"}
 
 
 def test_parity_rule_needs_both_engines_present():

@@ -19,19 +19,22 @@ from repro.benchmarking.perfgate import (
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def payload(*, speedup=20.0, scalar_rate=30_000.0, batch_rate=400_000.0, decision=(8, 6, 4)):
+def payload(
+    *, speedup=250.0, scalar_rate=30_000.0, array_rate=7_500_000.0, decision=(8, 6, 4)
+):
     return {
         "engines": {
             "scalar": {
                 "configs_per_s": scalar_rate,
                 "decision": list(decision),
             },
-            "batch": {
-                "configs_per_s": batch_rate,
+            "array": {
+                "configs_per_s": array_rate,
                 "decision": list(decision),
             },
         },
-        "speedup_batch_over_scalar": speedup,
+        "speedup_array_over_scalar": speedup,
+        "array_over_scalar_floor": 100.0,
     }
 
 
@@ -42,28 +45,36 @@ def test_identical_payloads_pass():
 
 
 def test_small_speedup_wobble_passes():
-    assert check_regression(payload(speedup=20.0), payload(speedup=11.0)) == []
+    assert check_regression(payload(speedup=250.0), payload(speedup=130.0)) == []
 
 
 def test_speedup_collapse_beyond_factor_fails():
-    problems = check_regression(payload(speedup=20.0), payload(speedup=9.0))
+    problems = check_regression(payload(speedup=250.0), payload(speedup=120.0))
     assert len(problems) == 1
     assert "speedup regressed >2x" in problems[0]
     assert "REGRESSION" in format_problems(problems)
 
 
+def test_array_floor_breach_always_fails():
+    # The floor is a within-run invariant of the current payload: breached
+    # even when the baseline itself is already below it.
+    problems = check_regression(payload(speedup=90.0), payload(speedup=90.0))
+    assert len(problems) == 1
+    assert "below committed floor" in problems[0]
+
+
 def test_decision_drift_always_fails():
     current = payload()
-    current["engines"]["batch"]["decision"] = [8, 8, 0]
+    current["engines"]["array"]["decision"] = [8, 8, 0]
     problems = check_regression(payload(), current)
     assert any("decision drifted" in p for p in problems)
 
 
 def test_throughput_only_gated_in_strict_mode():
-    slow = payload(batch_rate=50_000.0, speedup=20.0)
+    slow = payload(array_rate=1_000_000.0)
     assert check_regression(payload(), slow) == []
     problems = check_regression(payload(), slow, strict=True)
-    assert any("batch throughput regressed" in p for p in problems)
+    assert any("array throughput regressed" in p for p in problems)
 
 
 def test_missing_engine_fails():
@@ -354,7 +365,7 @@ def test_cli_script_on_committed_baseline(tmp_path):
     assert "OK" in ok.stdout
 
     bad = json.loads(baseline.read_text())
-    bad["speedup_batch_over_scalar"] /= 10.0
+    bad["speedup_array_over_scalar"] /= 10.0
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     fail = subprocess.run(

@@ -1,15 +1,18 @@
-"""The array-engine contract: scalar, batch, and array agree everywhere.
+"""The array-engine contract: the production engine agrees with the reference.
 
-Three implementations of the Eq 3-6 objective now exist — the scalar
-reference :class:`CycleEstimator`, the vectorized
-:class:`BatchCycleEstimator`, and the preallocated streaming
+Two implementations of the Eq 3-6 objective exist — the scalar reference
+:class:`CycleEstimator` and the preallocated streaming
 :class:`ArrayCycleEstimator` — and every search built on them must make
 the identical decision: same winning counts (lex-smallest on exact ties),
-same ``T_cycle`` within 1e-9 ms.  The second half exercises the
-incremental frontier: after arbitrary availability deltas, a decision
-served from :class:`FrontierState` must equal a cold search from scratch.
+same ``T_cycle`` (bit for bit once the winner is re-estimated, within
+1e-9 ms for raw kernel values).  Exact decisions are checked three ways:
+the scalar product loop, the streamed array search, and the collapsed
+array search.  The second half exercises the incremental frontier: after
+arbitrary availability deltas, a decision served from
+:class:`FrontierState` must equal a cold search from scratch.
 """
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -18,13 +21,12 @@ import pytest
 from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
-from repro.errors import FittingError, PartitionError
+from repro.errors import FittingError
 from repro.experiments.paper import paper_cost_database
+from repro.experiments.resilience import resilience_grid, resilience_report
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.presets import paper_testbed
 from repro.hardware.processor import ProcessorSpec
-from repro.model.computation import DataParallelComputation
-from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.model.workloads import (
     random_computation,
     random_cost_database,
@@ -32,23 +34,31 @@ from repro.model.workloads import (
 )
 from repro.partition import (
     CycleEstimator,
+    DecisionEngine,
+    ProcessorConfiguration,
+    RuntimePolicy,
     exhaustive_partition,
     gather_available_resources,
     order_by_power,
     partition,
     prefix_scan_partition,
 )
+from repro.partition import arrayengine
 from repro.partition.arrayengine import (
     ArrayCycleEstimator,
     ArraySearchEngine,
+    prefix_count_matrix,
 )
-from repro.partition.fastpath import BatchCycleEstimator, full_count_matrix
+from repro.partition.heuristic import _scalar_exhaustive_partition
 from repro.partition.warmstart import SearchCache
-from repro.spmd.topology import Topology
+from tests.partition.test_fastpath_equivalence import (
+    _allgather_computation,
+    array_block_best,
+    full_count_matrix,
+    score_rows,
+)
 
 TOL_MS = 1e-9
-
-ENGINES = ("scalar", "batch", "array")
 
 
 def _nonzero_counts(decision) -> dict[str, int]:
@@ -68,77 +78,100 @@ def _small_random_case(seed: int):
     return rng, comp, res, db
 
 
+def assert_oracles_agree(comp, res, db):
+    """The exact optimum three ways and the prefix scan two ways.
+
+    Exact winners are re-estimated by the scalar reference on the same
+    counts, so their ``T_cycle`` must match bit for bit; the prefix scan's
+    array side is a raw kernel value, within 1e-9 ms of the scalar one.
+    """
+    ref = _scalar_exhaustive_partition(comp, res, db)
+    for collapse in (False, True):
+        got = exhaustive_partition(comp, res, db, collapse=collapse)
+        assert got.counts_by_name() == ref.counts_by_name(), collapse
+        assert got.t_cycle_ms == ref.t_cycle_ms, collapse
+    scan = prefix_scan_partition(comp, res, db)
+    ordered = list(scan.config.resources)
+    est = ArrayCycleEstimator(comp, ordered, db)
+    t_best, counts = array_block_best(est, prefix_count_matrix(ordered))
+    assert counts == tuple(scan.config.counts)
+    assert abs(t_best - scan.t_cycle_ms) < TOL_MS
+
+
 @pytest.mark.parametrize("overlap", [False, True])
 @pytest.mark.parametrize("n", [60, 600])
 def test_paper_testbed_three_way_oracles(n, overlap):
-    """Both oracles on the paper testbed: all three engines, one answer."""
+    """Both oracles on the paper testbed: every path, one answer."""
     res = gather_available_resources(paper_testbed())
     db = paper_cost_database()
-    comp = stencil_computation(n, overlap=overlap)
-    for oracle in (prefix_scan_partition, exhaustive_partition):
-        decisions = {e: oracle(comp, res, db, engine=e) for e in ENGINES}
-        ref = decisions["scalar"]
-        for engine in ("batch", "array"):
-            got = decisions[engine]
-            assert got.counts_by_name() == ref.counts_by_name(), (
-                oracle.__name__,
-                engine,
-            )
-            assert abs(got.t_cycle_ms - ref.t_cycle_ms) < TOL_MS
+    assert_oracles_agree(stencil_computation(n, overlap=overlap), res, db)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_three_way_decision_parity(seed):
-    """Random topologies and annotations: the engines never disagree."""
+    """Random topologies and annotations: the paths never disagree."""
     _rng, comp, res, db = _small_random_case(8100 + seed)
-    for oracle in (prefix_scan_partition, exhaustive_partition):
-        decisions = {e: oracle(comp, res, db, engine=e) for e in ENGINES}
-        ref = decisions["scalar"]
-        for engine in ("batch", "array"):
-            got = decisions[engine]
-            assert got.counts_by_name() == ref.counts_by_name(), (
-                oracle.__name__,
-                engine,
-            )
-            assert abs(got.t_cycle_ms - ref.t_cycle_ms) < TOL_MS
+    assert_oracles_agree(comp, res, db)
 
 
 @pytest.mark.parametrize("search", ["binary", "scan"])
 @pytest.mark.parametrize("seed", range(10))
 def test_heuristic_array_matches_scalar(seed, search):
-    """partition(engine="array") replays the scalar search exactly.
-
-    Not just the decision: the evaluation count and the trace length must
-    match, because the array estimator only charges the probes the search
-    actually made (the prefetched segment is a cache, not work done).
+    """The §5 heuristic probes through the scalar estimator only; every
+    configuration it probed, re-scored by the array kernels, agrees
+    component by component, so the exact path and the heuristic price a
+    configuration the same way.  The probe memo, the evaluation count and
+    the trace all describe the same probes.
     """
     rng = np.random.default_rng(8200 + seed)
     net = random_network(rng)
     db = random_cost_database(net, rng)
     comp = random_computation(rng)
     res = gather_available_resources(net)
-    ref = partition(comp, res, db, search=search, engine="scalar")
-    got = partition(comp, res, db, search=search, engine="array")
-    assert got.counts_by_name() == ref.counts_by_name()
-    assert abs(got.t_cycle_ms - ref.t_cycle_ms) < TOL_MS
-    assert got.evaluations == ref.evaluations
-    assert len(got.trace) == len(ref.trace)
+    cache = SearchCache()
+    decision = partition(comp, res, db, search=search, cache=cache)
+    ordered = list(decision.config.resources)
+    probes = cache.estimator_memo(ordered)
+    assert len(probes) == decision.evaluations == len(decision.trace)
+    rows = np.array(sorted(probes), dtype=np.int64)
+    t_comp, t_comm, t_overlap, t_cycle = score_rows(
+        ArrayCycleEstimator(comp, ordered, db), rows
+    )
+    for m, counts in enumerate(map(tuple, rows.tolist())):
+        ref = probes[counts]
+        assert abs(t_comp[m] - ref.t_comp_ms) < TOL_MS, counts
+        assert abs(t_comm[m] - ref.t_comm_ms) < TOL_MS, counts
+        assert abs(t_overlap[m] - ref.t_overlap_ms) < TOL_MS, counts
+        assert abs(t_cycle[m] - ref.t_cycle_ms) < TOL_MS, counts
 
 
 def test_unknown_engine_rejected():
+    """No cost-model engine selector is left anywhere: one engine per job."""
     res = gather_available_resources(paper_testbed())
     db = paper_cost_database()
     comp = stencil_computation(300, overlap=False)
-    with pytest.raises(PartitionError, match="unknown engine"):
-        partition(comp, res, db, engine="simd")
-    with pytest.raises(PartitionError, match="unknown engine"):
-        exhaustive_partition(comp, res, db, engine="simd")
+    for oracle in (partition, prefix_scan_partition, exhaustive_partition):
+        with pytest.raises(TypeError, match="engine"):
+            oracle(comp, res, db, engine="array")
+    with pytest.raises(TypeError, match="engine"):
+        DecisionEngine(comp, db, engine="array")
+    with pytest.raises(TypeError, match="prune"):
+        DecisionEngine(comp, db).decide_exact(res, prune=False)
+    with pytest.raises(TypeError, match="engine"):
+        RuntimePolicy(engine="array")
+    for grid in (resilience_grid, resilience_report):
+        with pytest.raises(TypeError, match="decide_engine"):
+            grid(decide_engine="array")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.partition.fastpath")
+    for gone in ("ArrayHeuristicEstimator", "array_prefix_search"):
+        assert not hasattr(arrayengine, gone)
 
 
 def test_one_pdu_floor_streamed():
     """The streamed enumeration starts past the empty config: every scored
     row allocates at least one PDU, and an unpruned scan visits exactly
-    the batch engine's full space."""
+    the scalar oracle's full space."""
     res = order_by_power(gather_available_resources(paper_testbed()))
     db = paper_cost_database()
     comp = stencil_computation(300, overlap=False)
@@ -147,8 +180,9 @@ def test_one_pdu_floor_streamed():
     space = int(np.prod([r.n_available + 1 for r in res]))
     assert result.evaluations == space - 1
     assert result.evaluations == full_count_matrix(res).shape[0]
-    batch = exhaustive_partition(comp, res, db, engine="batch", prune=False)
-    assert tuple(batch.config.counts) == result.counts
+    scalar = _scalar_exhaustive_partition(comp, res, db)
+    assert scalar.evaluations == result.evaluations
+    assert tuple(scalar.config.counts) == result.counts
 
 
 def _twin_cluster_network() -> tuple[HeterogeneousNetwork, CostDatabase]:
@@ -168,54 +202,21 @@ def _twin_cluster_network() -> tuple[HeterogeneousNetwork, CostDatabase]:
 
 
 def test_lexicographic_tie_break_parity():
-    """Mirrored configs tie exactly; every engine settles on the same one."""
+    """Mirrored configs tie exactly; both engines settle on the same one."""
     net, db = _twin_cluster_network()
     res = gather_available_resources(net)
     comp = stencil_computation(300, overlap=False)
-    decisions = {
-        e: exhaustive_partition(comp, res, db, engine=e, prune=False)
-        for e in ENGINES
-    }
-    ref = decisions["scalar"]
+    ref = _scalar_exhaustive_partition(comp, res, db)
+    got = exhaustive_partition(comp, res, db, prune=False)
     # The mirror of the winner really does tie (the scenario is symmetric).
     ordered = order_by_power(res)
     counts = tuple(ref.config.counts)
     if counts != counts[::-1]:
         est = CycleEstimator(comp, db)
-        from repro.partition import ProcessorConfiguration
-
         mirrored = est.t_cycle(ProcessorConfiguration(ordered, counts[::-1]))
         assert abs(mirrored - ref.t_cycle_ms) < TOL_MS
-    for engine in ("batch", "array"):
-        assert decisions[engine].counts_by_name() == ref.counts_by_name(), engine
-        assert abs(decisions[engine].t_cycle_ms - ref.t_cycle_ms) < TOL_MS
-
-
-def _allgather_computation(n: int) -> DataParallelComputation:
-    """Share-dependent message size + total-dependent rounds: the callback
-    cases the in-place kernels cannot fold, exercising the batch fallback."""
-
-    def block_bytes(problem, shares):
-        return 8.0 * max(shares)
-
-    def ring_rounds(problem, total):
-        return max(total - 1, 1)
-
-    return DataParallelComputation(
-        name="allgather",
-        problem=n,
-        num_pdus=n,
-        computation_phases=[ComputationPhase("update", complexity=40.0 * n)],
-        communication_phases=[
-            CommunicationPhase(
-                "gather",
-                topology=Topology.RING,
-                complexity=8.0 * n,
-                per_config_complexity=block_bytes,
-                rounds=ring_rounds,
-            )
-        ],
-    )
+    assert got.counts_by_name() == ref.counts_by_name()
+    assert got.t_cycle_ms == ref.t_cycle_ms
 
 
 def test_callback_annotations_fall_back_exactly():
@@ -229,17 +230,12 @@ def test_callback_annotations_fall_back_exactly():
         comp, order_by_power(res), db
     )
     assert not est.vectorized_fast_path
-    for oracle in (prefix_scan_partition, exhaustive_partition):
-        decisions = {e: oracle(comp, res, db, engine=e) for e in ENGINES}
-        ref = decisions["scalar"]
-        for engine in ("batch", "array"):
-            assert decisions[engine].counts_by_name() == ref.counts_by_name()
-            assert abs(decisions[engine].t_cycle_ms - ref.t_cycle_ms) < TOL_MS
+    assert_oracles_agree(comp, res, db)
 
 
 def test_missing_router_raises_like_scalar():
     """Crossing rows without a router entry: FittingError through the
-    streamed path exactly as through scalar/batch; single-cluster limits
+    streamed path exactly as through the scalar estimator; single-cluster limits
     never touch the router and still decide."""
     ordered = order_by_power(gather_available_resources(paper_testbed()))
     db = CostDatabase()
@@ -254,8 +250,6 @@ def test_missing_router_raises_like_scalar():
     limits[0] = ordered[0].n_available
     scoped = ArraySearchEngine(comp, ordered, db).decide_counts(limits)
     scalar = CycleEstimator(comp, db)
-    from repro.partition import ProcessorConfiguration
-
     best = min(
         range(1, ordered[0].n_available + 1),
         key=lambda p: scalar.t_cycle(
@@ -297,7 +291,7 @@ def test_frontier_decisions_match_cold(seed):
     ordered = order_by_power(res, kind)
     engine = ArraySearchEngine(comp, ordered, db)
     full = engine.decide_counts()
-    cold_full = exhaustive_partition(comp, ordered, db, engine="batch")
+    cold_full = exhaustive_partition(comp, ordered, db)
     assert tuple(cold_full.config.counts) == full.counts
     limits = np.array([r.n_available for r in ordered], dtype=np.int64)
     frontier_hits = 0
@@ -309,7 +303,7 @@ def test_frontier_decisions_match_cold(seed):
         if result.frontier_hit:
             frontier_hits += 1
             assert result.evaluations == 0
-        cold = exhaustive_partition(comp, _shrunk(ordered, lim), db, engine="batch")
+        cold = exhaustive_partition(comp, _shrunk(ordered, lim), db)
         got = dict(
             (r.name, int(c)) for r, c in zip(ordered, result.counts) if c
         )
@@ -323,9 +317,9 @@ def test_frontier_decisions_match_cold(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_array_oracle_tracks_availability_deltas(seed):
-    """exhaustive_partition(engine="array", cache=...) over arbitrary delta
-    sequences — shrinks, partial restores, full restores — always equals
-    the cold batch and scalar oracles on the same pool."""
+    """exhaustive_partition(cache=...) over arbitrary delta sequences —
+    shrinks, partial restores, full restores — always equals the cold
+    array search and the scalar oracle on the same pool."""
     rng, comp, res, db = _small_random_case(8400 + seed)
     cache = SearchCache()
     limits = np.array([r.n_available for r in res], dtype=np.int64)
@@ -339,13 +333,12 @@ def test_cached_array_oracle_tracks_availability_deltas(seed):
     pools.append(limits)
     for lim in pools:
         pool = _shrunk(res, lim)
-        warm = exhaustive_partition(comp, pool, db, engine="array", cache=cache)
-        cold = exhaustive_partition(comp, pool, db, engine="batch")
-        scalar = exhaustive_partition(comp, pool, db, engine="scalar")
+        warm = exhaustive_partition(comp, pool, db, cache=cache)
+        cold = exhaustive_partition(comp, pool, db)
+        scalar = _scalar_exhaustive_partition(comp, pool, db)
         assert _nonzero_counts(warm) == _nonzero_counts(cold), lim
         assert _nonzero_counts(warm) == _nonzero_counts(scalar), lim
-        assert abs(warm.t_cycle_ms - cold.t_cycle_ms) < TOL_MS
-        assert abs(warm.t_cycle_ms - scalar.t_cycle_ms) < TOL_MS
+        assert warm.t_cycle_ms == cold.t_cycle_ms == scalar.t_cycle_ms
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -364,9 +357,8 @@ def test_shrink_best_is_exact_or_abstains(seed, prune):
     engine.decide_counts(prune=prune)
     frontier = engine.frontier
     assert frontier is not None
-    batch = BatchCycleEstimator(comp, ordered, db)
     matrix = full_count_matrix(ordered)
-    t_all = batch.t_cycle(matrix)
+    t_all = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]
     limits = np.array([r.n_available for r in ordered], dtype=np.int64)
     answered = 0
     for _ in range(8):
@@ -387,6 +379,6 @@ def test_shrink_best_is_exact_or_abstains(seed, prune):
         answered += 1
         counts, t = hit
         assert counts == brute
-        assert abs(t - t_min) < TOL_MS
+        assert t == t_min
     if not prune:
         assert answered >= 1

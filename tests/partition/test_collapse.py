@@ -35,7 +35,7 @@ from repro.hardware.presets import (
 from repro.model.computation import DataParallelComputation
 from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.partition import exhaustive_partition, gather_available_resources
-from repro.partition.arrayengine import ArraySearchEngine
+from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
 from repro.partition.collapse import (
     CollapsedSearchEngine,
     CollapsePlan,
@@ -43,10 +43,8 @@ from repro.partition.collapse import (
     collapsed_exhaustive_search,
     detect_equivalence_classes,
 )
-from repro.partition.heuristic import order_by_power
+from repro.partition.heuristic import _scalar_exhaustive_partition, order_by_power
 from repro.partition.warmstart import SearchCache
-
-TOL_MS = 1e-9
 
 #: Both collapsed modes: the default budget runs the exact canonical scan
 #: on these small instances; budget 0 forces the level sweep (or its
@@ -140,17 +138,39 @@ def test_randomized_duplicate_class_parity(seed):
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_wide_area_parity_all_engines(seed):
-    """On small wide-area pools the collapsed oracle matches *every*
-    engine: scalar reference, batch fast path, and the plain array scan."""
+    """On small wide-area pools the collapsed oracle matches both engines:
+    the scalar reference loop and the plain array scan."""
     comp, ordered, db = _wide_area_case(3, seed=seed, n=400)
     res = gather_available_resources(
         wide_area_network(3, seed=seed)
     )
-    collapsed = exhaustive_partition(comp, res, db, engine="array", collapse=True)
-    for engine in ("scalar", "batch", "array"):
-        ref = exhaustive_partition(comp, res, db, engine=engine)
+    collapsed = exhaustive_partition(comp, res, db, collapse=True)
+    references = {
+        "scalar": _scalar_exhaustive_partition(comp, res, db),
+        "array": exhaustive_partition(comp, res, db),
+    }
+    for engine, ref in references.items():
         assert collapsed.counts_by_name() == ref.counts_by_name(), engine
-        assert abs(collapsed.t_cycle_ms - ref.t_cycle_ms) < TOL_MS, engine
+        assert collapsed.t_cycle_ms == ref.t_cycle_ms, engine
+
+
+def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit():
+    """Above 32 clusters the level-mode winner is re-scored by a closed-form
+    replay of the kernel fallback's arithmetic; the two agree to the bit on
+    sparse, crossing and dense rows alike."""
+    comp, ordered, db = _wide_area_case(40, seed=7)
+    engine = CollapsedSearchEngine(comp, ordered, db)
+    est = engine.estimator
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        active = rng.random(len(ordered)) < rng.choice([0.05, 0.3, 1.0])
+        row = (rng.integers(1, est.limits + 1) * active).astype(np.int64)
+        if not row.any():
+            continue
+        replay = engine._score_row_analytic(row)
+        assert replay is not None
+        n = est.load_rows(row[None, :])
+        assert replay == float(est.score_block(n)[0]), row
 
 
 def test_level_mode_matches_exact_mode_on_wide_area_pool():
@@ -334,11 +354,17 @@ def test_limits_outside_bounds_rejected():
 
 
 def test_collapse_requires_array_engine():
+    """Collapse takes no engine choice: it always searches on the array
+    engine's kernels."""
     comp, ordered, db = _wide_area_case(3, seed=5)
     res = gather_available_resources(wide_area_network(3, seed=5))
-    for engine in ("scalar", "batch"):
-        with pytest.raises(PartitionError, match="requires engine='array'"):
-            exhaustive_partition(comp, res, db, engine=engine, collapse=True)
+    with pytest.raises(TypeError, match="engine"):
+        exhaustive_partition(comp, res, db, engine="scalar", collapse=True)
+    cache = SearchCache()
+    exhaustive_partition(comp, res, db, collapse=True, cache=cache)
+    engine = cache.array_engine(cache.estimate_namespace(ordered) + ("collapsed",))
+    assert isinstance(engine, CollapsedSearchEngine)
+    assert isinstance(engine.estimator, ArrayCycleEstimator)
 
 
 def test_collapsed_search_persists_engine_in_cache():

@@ -1,10 +1,11 @@
-"""Batch/scalar decision parity on exact ties, and search-trace hygiene.
+"""Array/scalar decision parity on exact ties, and search-trace hygiene.
 
-Two engines answer the same argmin question — the scalar ``_best_of`` scan
-and the vectorized ``BatchEstimate.best_index`` — and historically both
-broke exact-cost ties by *enumeration order*, which differs between the
-scalar product loop, the prefix scan, and the pruned candidate matrix.
-Both now prefer the lexicographically-smallest counts tuple, so the oracles
+Three argmins answer the same question — the scalar ``_best_of`` scan,
+the array engine's per-block ``ArrayCycleEstimator.block_best``, and the
+incremental ``FrontierState.shrink_best`` — and historically engines broke
+exact-cost ties by *enumeration order*, which differs between the scalar
+product loop, the prefix scan, and the pruned candidate stream.  All of
+them prefer the lexicographically-smallest counts tuple, so the oracles
 return byte-identical decisions however the candidates were enumerated.
 
 The trace tests pin the memoized binary search's bookkeeping: revisited
@@ -23,9 +24,18 @@ from repro.hardware.processor import ProcessorSpec
 from repro.model.workloads import random_cost_database
 from repro.partition import exhaustive_partition, gather_available_resources, partition
 from repro.partition.config import ProcessorConfiguration
+from repro.partition.arrayengine import (
+    ArrayCycleEstimator,
+    ArraySearchEngine,
+    FrontierState,
+)
 from repro.partition.estimator import CycleEstimator
-from repro.partition.fastpath import BatchCycleEstimator, BatchEstimate, full_count_matrix
-from repro.partition.heuristic import _best_of, order_by_power
+from repro.partition.heuristic import (
+    _best_of,
+    _scalar_exhaustive_partition,
+    order_by_power,
+)
+from tests.partition.test_fastpath_equivalence import full_count_matrix, score_rows
 
 
 def twin_cluster_case(n=60):
@@ -47,9 +57,8 @@ def test_twin_network_has_an_exact_tie_at_the_minimum():
     tests below would pass vacuously)."""
     comp, res, db = twin_cluster_case()
     ordered = order_by_power(res)
-    batch = BatchCycleEstimator(comp, ordered, db)
     matrix = full_count_matrix(ordered)
-    t = batch.t_cycle(matrix)
+    t = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]
     tied = matrix[t == t.min()]
     assert len(tied) >= 2
     # The tied rows are mirror images of each other across the two clusters.
@@ -58,42 +67,39 @@ def test_twin_network_has_an_exact_tie_at_the_minimum():
     )
 
 
-def test_batch_and_scalar_exhaustive_identical_on_exact_tie():
+def test_array_and_scalar_exhaustive_identical_on_exact_tie():
     comp, res, db = twin_cluster_case()
-    scalar = exhaustive_partition(comp, res, db, engine="scalar")
-    batch = exhaustive_partition(comp, res, db, engine="batch", prune=True)
-    unpruned = exhaustive_partition(comp, res, db, engine="batch", prune=False)
-    assert scalar.counts_by_name() == batch.counts_by_name() == unpruned.counts_by_name()
-    assert scalar.config.counts == batch.config.counts == unpruned.config.counts
-    # And the common choice is the lexicographically-smallest tied tuple.
+    scalar = _scalar_exhaustive_partition(comp, res, db)
+    array = exhaustive_partition(comp, res, db, prune=True)
+    unpruned = exhaustive_partition(comp, res, db, prune=False)
+    assert scalar.counts_by_name() == array.counts_by_name() == unpruned.counts_by_name()
+    assert scalar.config.counts == array.config.counts == unpruned.config.counts
+    # The size cutoff never prunes a space this small; force the prune too.
     ordered = order_by_power(res)
+    forced = ArraySearchEngine(comp, ordered, db).search(prune=True)
+    assert forced.counts == scalar.config.counts
+    # And the common choice is the lexicographically-smallest tied tuple.
     matrix = full_count_matrix(ordered)
-    t = BatchCycleEstimator(comp, ordered, db).t_cycle(matrix)
+    t = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]
     lex_smallest = min(map(tuple, matrix[t == t.min()].tolist()))
     assert scalar.config.counts == lex_smallest
 
 
-def test_best_index_tie_breaks_lex_regardless_of_row_order():
-    """Direct unit test of the vectorized rule: reversing the candidate
-    order must not change the winner."""
+def test_block_best_tie_breaks_lex_regardless_of_row_order():
+    """Direct unit test of the array engine's rule, per block and over a
+    frontier: reversing the candidate order must not change the winner."""
+    comp, res, db = twin_cluster_case()
+    est = ArrayCycleEstimator(comp, order_by_power(res), db)
     counts = np.array([[1, 0], [0, 1], [2, 2]])
     t = np.array([5.0, 5.0, 9.0])
-    zeros = np.zeros(3)
-
-    def estimate(order):
-        return BatchEstimate(
-            counts=counts[order],
-            totals=counts[order].sum(axis=1),
-            t_comp_ms=zeros,
-            t_comm_ms=zeros,
-            t_overlap_ms=zeros,
-            t_cycle_ms=t[order],
+    for order in ([0, 1, 2], [2, 1, 0]):
+        n = est.load_rows(counts[order])
+        est.workspace.t_cycle[:n] = t[order]
+        assert est.block_best(n) == (5.0, (0, 1))
+        frontier = FrontierState(
+            limits=(2, 2), rows=counts[order], t_cycle=t[order], keep_at=np.inf
         )
-
-    forward = estimate([0, 1, 2])
-    backward = estimate([2, 1, 0])
-    assert forward.best_counts() == (0, 1)
-    assert backward.best_counts() == (0, 1)
+        assert frontier.shrink_best(np.array([2, 2])) == ((0, 1), 5.0)
 
 
 def test_scalar_best_of_tie_breaks_lex_regardless_of_config_order():

@@ -1,11 +1,15 @@
-"""The fast-path contract: batch and scalar estimators agree everywhere.
+"""The kernel contract: the array engine and the scalar estimator agree.
 
-The vectorized :class:`BatchCycleEstimator` must reproduce the scalar
-reference decision-for-decision — same winning counts and per-component
-values within 1e-9 ms — on the paper's seed scenarios, on randomized
-heterogeneous networks, and on the annotation corner cases (``rounds``
-callables, share-dependent message sizes, missing database entries).
+The preallocated :class:`ArrayCycleEstimator` must reproduce the scalar
+reference :class:`CycleEstimator` decision-for-decision — same winning
+counts and per-component values within 1e-9 ms — on the paper's seed
+scenarios, on randomized heterogeneous networks, on the annotation corner
+cases (``rounds`` callables, share-dependent message sizes, missing
+database entries), and on wide-area pools too large for a crossing lookup
+table.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,7 +19,11 @@ from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
 from repro.errors import FittingError, PartitionError
 from repro.experiments.paper import paper_cost_database
-from repro.hardware.presets import paper_testbed
+from repro.hardware.presets import (
+    paper_testbed,
+    wide_area_cost_database,
+    wide_area_network,
+)
 from repro.model.computation import DataParallelComputation
 from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.model.workloads import (
@@ -31,30 +39,57 @@ from repro.partition import (
     order_by_power,
     prefix_scan_partition,
 )
-from repro.partition.fastpath import (
-    BatchCycleEstimator,
-    full_count_matrix,
-    prefix_count_matrix,
-    pruned_count_matrix,
-)
+from repro.partition.arrayengine import ArrayCycleEstimator, prefix_count_matrix
+from repro.partition.heuristic import _scalar_exhaustive_partition
 from repro.spmd.topology import Topology
 
 TOL_MS = 1e-9
 
 
+def full_count_matrix(ordered) -> np.ndarray:
+    """Every per-cluster count combination with >= 1 processor, in
+    :func:`itertools.product` order (the scalar oracle's enumeration)."""
+    ranges = [range(0, r.n_available + 1) for r in ordered]
+    combos = np.array(list(product(*ranges)), dtype=np.int64)
+    return combos[combos.sum(axis=1) >= 1]
+
+
+def score_rows(est: ArrayCycleEstimator, rows: np.ndarray) -> np.ndarray:
+    """Stream ``rows`` through the kernels block by block; returns the
+    ``(4, M)`` stack of ``t_comp``, ``t_comm``, ``t_overlap``, ``t_cycle``."""
+    ws = est.workspace
+    blocks = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for start in range(0, rows.shape[0], ws.max_rows):
+            n = est.load_rows(rows[start : start + ws.max_rows])
+            est.score_block(n)
+            blocks.append(
+                np.stack([ws.t_comp[:n], ws.t_comm[:n], ws.t_overlap[:n], ws.t_cycle[:n]])
+            )
+    return np.concatenate(blocks, axis=1)
+
+
+def array_block_best(est: ArrayCycleEstimator, rows: np.ndarray):
+    """``block_best`` over one block of ``rows``: ``(T_c, counts)``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n = est.load_rows(rows)
+        est.score_block(n)
+    return est.block_best(n)
+
+
 def assert_componentwise_match(comp, ordered, db, counts_matrix):
-    """Batch components equal the scalar estimate on every row, < 1e-9 ms."""
-    batch = BatchCycleEstimator(comp, ordered, db)
-    result = batch.evaluate(counts_matrix)
+    """Kernel components equal the scalar estimate on every row, < 1e-9 ms."""
+    est = ArrayCycleEstimator(comp, ordered, db)
+    t_comp, t_comm, t_overlap, t_cycle = score_rows(est, counts_matrix)
     scalar = CycleEstimator(comp, db)
     for m in range(counts_matrix.shape[0]):
         cfg = ProcessorConfiguration(ordered, tuple(counts_matrix[m]))
         ref = scalar.estimate(cfg)
-        assert abs(result.t_comp_ms[m] - ref.t_comp_ms) < TOL_MS, cfg.describe()
-        assert abs(result.t_comm_ms[m] - ref.t_comm_ms) < TOL_MS, cfg.describe()
-        assert abs(result.t_overlap_ms[m] - ref.t_overlap_ms) < TOL_MS, cfg.describe()
-        assert abs(result.t_cycle_ms[m] - ref.t_cycle_ms) < TOL_MS, cfg.describe()
-    return result, scalar
+        assert abs(t_comp[m] - ref.t_comp_ms) < TOL_MS, cfg.describe()
+        assert abs(t_comm[m] - ref.t_comm_ms) < TOL_MS, cfg.describe()
+        assert abs(t_overlap[m] - ref.t_overlap_ms) < TOL_MS, cfg.describe()
+        assert abs(t_cycle[m] - ref.t_cycle_ms) < TOL_MS, cfg.describe()
+    return est, t_cycle
 
 
 @pytest.mark.parametrize("overlap", [False, True])
@@ -65,17 +100,18 @@ def test_seed_scenarios_componentwise(n, overlap):
     db = paper_cost_database()
     comp = stencil_computation(n, overlap=overlap)
     ordered = order_by_power(res)
-    result, _ = assert_componentwise_match(comp, ordered, db, full_count_matrix(ordered))
-    # The winner is the scalar scan's winner (first-on-ties argmin).
-    scalar_best = min(
-        range(len(result)), key=lambda m: (result.t_cycle_ms[m], m)
-    )
-    assert result.best_index() == scalar_best
+    matrix = full_count_matrix(ordered)
+    est, t_cycle = assert_componentwise_match(comp, ordered, db, matrix)
+    # The winner is the scalar scan's winner (first-on-ties argmin, which in
+    # product order is the lex-smallest tied row).
+    scalar_best = min(range(len(t_cycle)), key=lambda m: (t_cycle[m], m))
+    _t, counts = array_block_best(est, matrix)
+    assert counts == tuple(int(c) for c in matrix[scalar_best])
 
 
 @pytest.mark.parametrize("seed", range(25))
 def test_randomized_networks_componentwise(seed):
-    """Random 1-4 cluster networks and annotations: batch == scalar."""
+    """Random 1-4 cluster networks and annotations: array == scalar."""
     rng = np.random.default_rng(7000 + seed)
     net = random_network(rng)
     db = random_cost_database(net, rng)
@@ -88,9 +124,31 @@ def test_randomized_networks_componentwise(seed):
     assert_componentwise_match(comp, ordered, db, matrix)
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("sites", [17, 24, 40])
+def test_wide_area_pools_past_the_lut_componentwise(sites, overlap):
+    """Above 16 clusters no crossing lookup table is built and
+    ``score_block`` takes the pairwise fallback — the path the 24-64-site
+    wide-area decisions are scored on.  Seeded rows mix sparse and dense
+    activation so single-cluster, crossing and full-pool rows all occur."""
+    net = wide_area_network(sites, seed=7)
+    db = wide_area_cost_database(net)
+    comp = stencil_computation(6000, overlap=overlap)
+    ordered = order_by_power(gather_available_resources(net))
+    rng = np.random.default_rng(1000 * sites + overlap)
+    limits = np.array([r.n_available for r in ordered], dtype=np.int64)
+    density = rng.choice([0.05, 0.3, 1.0], size=(300, 1))
+    active = rng.random((300, len(ordered))) < density
+    rows = rng.integers(1, limits + 1, size=(300, len(ordered))) * active
+    rows = rows[rows.sum(axis=1) >= 1]
+    est, _ = assert_componentwise_match(comp, ordered, db, rows)
+    assert not est.vectorized_fast_path
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_engine_decision_parity(seed):
-    """Both oracles choose identical counts under either engine."""
+    """Both oracles choose identical counts on the array engine and the
+    scalar reference."""
     rng = np.random.default_rng(8000 + seed)
     net = random_network(rng)
     db = random_cost_database(net, rng)
@@ -98,28 +156,36 @@ def test_engine_decision_parity(seed):
     res = gather_available_resources(net)
     if sum(r.n_available for r in res) > 24:
         pytest.skip("keep the scalar exhaustive scan small")
-    for oracle in (prefix_scan_partition, exhaustive_partition):
-        batch = oracle(comp, res, db, engine="batch")
-        scalar = oracle(comp, res, db, engine="scalar")
-        assert batch.counts_by_name() == scalar.counts_by_name(), oracle.__name__
-        assert abs(batch.t_cycle_ms - scalar.t_cycle_ms) < TOL_MS
+    array = exhaustive_partition(comp, res, db)
+    scalar = _scalar_exhaustive_partition(comp, res, db)
+    assert array.counts_by_name() == scalar.counts_by_name()
+    # Both winners are re-estimated by the scalar reference on one config.
+    assert array.t_cycle_ms == scalar.t_cycle_ms
+    scan = prefix_scan_partition(comp, res, db)
+    ordered = list(scan.config.resources)
+    est = ArrayCycleEstimator(comp, ordered, db)
+    t_best, counts = array_block_best(est, prefix_count_matrix(ordered))
+    assert counts == tuple(scan.config.counts)
+    assert abs(t_best - scan.t_cycle_ms) < TOL_MS
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_prune_is_exact(seed):
-    """The branch-and-bound matrix yields the full-space minimum."""
+    """The branch-and-bound stream yields the full-space minimum."""
     rng = np.random.default_rng(9000 + seed)
     net = random_network(rng)
     db = random_cost_database(net, rng)
     comp = random_computation(rng)
     ordered = order_by_power(gather_available_resources(net))
-    est = BatchCycleEstimator(comp, ordered, db)
-    incumbent = float(np.min(est.t_cycle(prefix_count_matrix(ordered))))
-    pruned = pruned_count_matrix(est, incumbent)
-    assert pruned.shape[0] >= 1
-    t_full = float(np.min(est.t_cycle(full_count_matrix(ordered))))
-    t_pruned = float(np.min(est.t_cycle(pruned)))
-    assert t_pruned == pytest.approx(t_full, abs=TOL_MS)
+    est = ArrayCycleEstimator(comp, ordered, db)
+    incumbent = float(np.min(score_rows(est, prefix_count_matrix(ordered))[3]))
+    pruned = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for n in est.iter_pruned_blocks(incumbent):
+            pruned.append(est.score_block(n).copy())
+    assert pruned
+    t_full = float(np.min(score_rows(est, full_count_matrix(ordered))[3]))
+    assert float(np.min(np.concatenate(pruned))) == t_full
 
 
 def _allgather_computation(n: int) -> DataParallelComputation:
@@ -158,6 +224,17 @@ def test_per_config_complexity_and_rounds_match():
     assert_componentwise_match(comp, ordered, db, full_count_matrix(ordered))
 
 
+def test_per_config_complexity_and_rounds_match():
+    """The b(A_i) and rounds(P) callback paths agree with the scalar model."""
+    rng = np.random.default_rng(123)
+    net = random_network(rng)
+    db = random_cost_database(net, rng)
+    ordered = order_by_power(gather_available_resources(net))
+    comp = _allgather_computation(480)
+    est, _ = assert_componentwise_match(comp, ordered, db, full_count_matrix(ordered))
+    assert not est.vectorized_fast_path
+
+
 def _two_cluster_env():
     net = paper_testbed()
     res = order_by_power(gather_available_resources(net))
@@ -172,18 +249,18 @@ def test_missing_router_raises_like_scalar():
         db.add_comm(CommCostFunction(name, "1-D", 0.5, 1.0, 0.0004, 0.001))
     comp = stencil_computation(300, overlap=False)
     scalar = CycleEstimator(comp, db)
-    batch = BatchCycleEstimator(comp, ordered, db)
+    est = ArrayCycleEstimator(comp, ordered, db)
     # Single-cluster rows evaluate fine on both paths.
     single = np.array([[p, 0] for p in range(1, 7)])
-    result = batch.evaluate(single)
+    t_cycle = score_rows(est, single)[3]
     for m, p in enumerate(range(1, 7)):
         ref = scalar.t_cycle(ProcessorConfiguration(ordered, (p, 0)))
-        assert abs(result.t_cycle_ms[m] - ref) < TOL_MS
+        assert abs(t_cycle[m] - ref) < TOL_MS
     # A crossing row needs the missing router entry on both paths.
     with pytest.raises(FittingError, match="router"):
         scalar.t_cycle(ProcessorConfiguration(ordered, (6, 2)))
     with pytest.raises(FittingError, match="router"):
-        batch.evaluate(np.array([[6, 2]]))
+        score_rows(est, np.array([[6, 2]]))
 
 
 def test_missing_comm_function_raises_like_scalar():
@@ -194,28 +271,33 @@ def test_missing_comm_function_raises_like_scalar():
     db.add_router(LinearByteCost("sparc2", "ipc", "router", 0.2, 0.0008))
     comp = stencil_computation(300, overlap=False)
     scalar = CycleEstimator(comp, db)
-    batch = BatchCycleEstimator(comp, ordered, db)
+    est = ArrayCycleEstimator(comp, ordered, db)
     # Rows that never activate the unfitted cluster still evaluate.
-    ok = batch.evaluate(np.array([[3, 0], [6, 0]]))
-    assert np.all(np.isfinite(ok.t_cycle_ms))
+    ok = score_rows(est, np.array([[3, 0], [6, 0]]))
+    assert np.all(np.isfinite(ok[3]))
     with pytest.raises(FittingError, match="no fitted cost function"):
         scalar.t_cycle(ProcessorConfiguration(ordered, (3, 3)))
     with pytest.raises(FittingError, match="no fitted cost function"):
-        batch.evaluate(np.array([[3, 3]]))
+        score_rows(est, np.array([[3, 3]]))
 
 
 def test_count_matrix_validation():
+    """Blocks must fit the workspace, limits the lowered availability."""
     _net, ordered = _two_cluster_env()
     db = paper_cost_database()
-    batch = BatchCycleEstimator(stencil_computation(300, overlap=False), ordered, db)
-    with pytest.raises(PartitionError, match="empty configuration"):
-        batch.evaluate(np.array([[0, 0]]))
+    comp = stencil_computation(300, overlap=False)
+    est = ArrayCycleEstimator(comp, ordered, db, max_rows=4)
+    with pytest.raises(PartitionError, match="capacity"):
+        est.load_rows(np.ones((5, 2), dtype=np.int64))
+    with pytest.raises(PartitionError, match="capacity"):
+        est.score_block(0)
+    with pytest.raises(PartitionError, match="capacity"):
+        est.score_block(5)
     with pytest.raises(PartitionError, match="availability"):
-        batch.evaluate(np.array([[7, 0]]))
+        list(est.iter_full_blocks(np.array([7, 0])))
     with pytest.raises(PartitionError, match="availability"):
-        batch.evaluate(np.array([[-1, 2]]))
-    with pytest.raises(PartitionError):
-        batch.evaluate(np.array([[1, 2, 3]]))
-    # A 1-D vector is promoted to a single-row matrix.
-    single = batch.evaluate(np.array([6, 2]))
-    assert len(single) == 1 and single.best_counts() == (6, 2)
+        list(est.iter_full_blocks(np.array([-1, 2])))
+    with pytest.raises(PartitionError, match="no clusters"):
+        ArrayCycleEstimator(comp, [], db)
+    # A block that fits is scored and argmin'd like any other.
+    assert array_block_best(est, np.array([[6, 2]]))[1] == (6, 2)

@@ -283,7 +283,6 @@ def test_concurrent_tenants_through_batcher_match_cold_search(ticks):
                     item.request.workload.build(),
                     list(item.resources),
                     db,
-                    engine="array",
                 )
                 expected[key] = (
                     direct.counts_by_name(),

@@ -58,7 +58,6 @@ def test_coalesced_reply_matches_direct_search():
         WorkloadSpec(app="stencil", n=256).build(),
         restrict_pool(base, {"c0": 2, "c1": 6}),
         db,
-        engine="array",
     )
     assert reply["counts"] == direct.counts_by_name()
     assert tuple(reply["vector"]) == tuple(direct.vector)

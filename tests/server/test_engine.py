@@ -32,8 +32,8 @@ def test_decide_matches_raw_partition_bit_exactly():
 def test_decide_exact_matches_raw_exhaustive_array_bit_exactly():
     network, comp, db = _setting()
     resources = gather_available_resources(network)
-    engine = DecisionEngine(comp, db, engine="array")
-    direct = exhaustive_partition(comp, resources, db, engine="array")
+    engine = DecisionEngine(comp, db)
+    direct = exhaustive_partition(comp, resources, db)
     via = engine.decide_exact(resources)
     assert tuple(via.config.counts) == tuple(direct.config.counts)
     assert tuple(via.vector) == tuple(direct.vector)
@@ -44,7 +44,7 @@ def test_exact_memo_is_per_tenant():
     network, comp, db = _setting()
     resources = gather_available_resources(network)
     cache = SearchCache()
-    engine = DecisionEngine(comp, db, engine="array", cache=cache)
+    engine = DecisionEngine(comp, db, cache=cache)
     first = engine.decide_exact(resources, tenant="team-a")
     assert cache.searches == 1
 
@@ -68,7 +68,7 @@ def test_exact_memo_is_per_tenant():
 def test_remember_exact_fans_a_decision_to_another_tenant():
     network, comp, db = _setting()
     resources = gather_available_resources(network)
-    engine = DecisionEngine(comp, db, engine="array", cache=SearchCache())
+    engine = DecisionEngine(comp, db, cache=SearchCache())
     ordered = engine.order(resources)
     decision = engine.decide_exact(resources, tenant="a")
     engine.remember_exact(ordered, decision, tenant="b")
@@ -82,7 +82,7 @@ def test_exact_signature_folds_tenant_and_mode_in():
     network, comp, db = _setting()
     ordered_pool = gather_available_resources(network)
     cache = SearchCache()
-    engine = DecisionEngine(comp, db, engine="array", cache=cache)
+    engine = DecisionEngine(comp, db, cache=cache)
     ordered = engine.order(ordered_pool)
     sig_a = engine.exact_signature(ordered, tenant="a")
     sig_b = engine.exact_signature(ordered, tenant="b")
@@ -98,7 +98,7 @@ def test_exact_signature_folds_tenant_and_mode_in():
 def test_uncached_engine_has_no_signatures_or_memos():
     network, comp, db = _setting()
     resources = gather_available_resources(network)
-    engine = DecisionEngine(comp, db, engine="array")
+    engine = DecisionEngine(comp, db)
     ordered = engine.order(resources)
     assert engine.exact_signature(ordered, tenant="a") is None
     assert engine.cached_exact(ordered, tenant="a") is None
@@ -111,7 +111,7 @@ def test_exact_counters_register_on_a_real_registry():
     resources = gather_available_resources(network)
     registry = MetricsRegistry()
     engine = DecisionEngine(
-        comp, db, engine="array", cache=SearchCache(), metrics=registry
+        comp, db, cache=SearchCache(), metrics=registry
     )
     engine.decide_exact(resources, tenant="a")
     engine.decide_exact(resources, tenant="a")

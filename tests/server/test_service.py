@@ -62,7 +62,6 @@ def test_round_trip_matches_direct_search():
         WorkloadSpec(app="stencil", n=256).build(),
         gather_available_resources(net),
         synthetic_database(["c0", "c1"]),
-        engine="array",
     )
     assert reply["counts"] == direct.counts_by_name()
     assert tuple(reply["vector"]) == tuple(direct.vector)

@@ -60,18 +60,22 @@ def test_sensitivity_command(capsys):
 def test_bench_partition_command(capsys):
     assert main(["bench-partition", "--clusters", "4", "4", "--repeat", "1"]) == 0
     out = capsys.readouterr().out
-    assert "scalar" in out and "batch" in out
-    assert "speedup" in out
+    assert "scalar" in out and "array" in out
+    assert "array speedup over scalar" in out
     assert "K=2 clusters (8 processors)" in out
 
 
-def test_bench_partition_single_engine(capsys):
-    assert main(
-        ["bench-partition", "--clusters", "4", "4", "--repeat", "1", "--engine", "batch"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "batch" in out
-    assert "speedup" not in out  # nothing to compare against
+def test_cost_model_engine_flags_are_gone(capsys):
+    """One engine per job: no flag selects a cost-model engine any more."""
+    for args in (
+        ["bench-partition", "--engine", "batch"],
+        ["run-dynamic", "--decide-engine", "array"],
+        ["resilience", "--decide-engine", "array"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
+        assert "unrecognized arguments" in capsys.readouterr().err, args
 
 
 def test_bench_partition_json(tmp_path, capsys):
@@ -88,19 +92,17 @@ def test_bench_partition_json(tmp_path, capsys):
     ) == 0
     payload = json.loads(target.read_text())
     assert payload["scenario"]["total_processors"] == 9
-    assert set(payload["engines"]) == {"scalar", "batch", "array"}
-    assert payload["engines"]["scalar"]["decision"] == payload["engines"]["batch"]["decision"]
+    assert set(payload["engines"]) == {"scalar", "array"}
     assert payload["engines"]["scalar"]["decision"] == payload["engines"]["array"]["decision"]
-    assert payload["speedup_batch_over_scalar"] > 0
-    assert payload["speedup_array_over_batch"] > 0
-    assert payload["array_over_batch_floor"] == 10.0
+    assert payload["speedup_array_over_scalar"] > 0
+    assert payload["array_over_scalar_floor"] == 100.0
 
 
 def test_bench_partition_no_prune(capsys):
     assert main(
         ["bench-partition", "--clusters", "3", "3", "--repeat", "1", "--no-prune"]
     ) == 0
-    # Unpruned batch visits the full 4*4-1 combo space.
+    # Both engines visit the full 4*4-1 combo space.
     assert "15" in capsys.readouterr().out
 
 
@@ -292,7 +294,7 @@ def test_bench_partition_metrics_out(capsys, tmp_path):
     ) == 0
     capsys.readouterr()
     by_name = {m["name"]: m for m in read_jsonl(str(out_file))["metrics"]}
-    speedup = by_name["bench.partition.speedup_batch_over_scalar"]
+    speedup = by_name["bench.partition.speedup_array_over_scalar"]
     assert speedup["domain"] == "host"
     assert speedup["value"] > 0
-    assert by_name["bench.partition.batch.best_wall_s"]["value"] > 0
+    assert by_name["bench.partition.array.best_wall_s"]["value"] > 0
