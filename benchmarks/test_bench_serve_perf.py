@@ -6,41 +6,20 @@ least ``SERVE_SPEEDUP_FLOOR`` (5x) the decisions/s a per-request cold
 ``exhaustive_partition`` could, while every served
 decision stays bit-identical to that direct search (cold and warm cache,
 across tenants).  Writes the summary to ``benchmarks/out/serve_perf.txt``
-and the machine-readable record to the repo root as
-``BENCH_serve_perf.json`` so the numbers are tracked across PRs (see
-``benchmarks/check_perf_regression.py``).
+and the record to the repo root as ``BENCH_serve_perf.json``; the gate's
+within-run verdict enforces parity, an ok reply to every request, the
+speedup floor and the coalescing floor.
 """
 
-import json
-from pathlib import Path
-
-from repro.server.servebench import (
-    SERVE_SPEEDUP_FLOOR,
-    run_serve_bench,
-    serve_payload,
-    serve_report,
-)
-
-REPO_ROOT = Path(__file__).parent.parent
+from repro.server.servebench import run_serve_bench, serve_payload, serve_report
 
 
-def test_serve_throughput_floor(benchmark, save_report):
+def test_serve_throughput_floor(benchmark, save_report, commit_record):
     bench = benchmark.pedantic(run_serve_bench, rounds=1, iterations=1)
     save_report("serve_perf.txt", serve_report(bench))
-    payload = serve_payload(bench)
-    (REPO_ROOT / "BENCH_serve_perf.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    # Parity ran on both halves (cold server, then warm post-load server)
-    # and matched bit-exactly; it raises on divergence, the flag is what
-    # the perfgate re-checks.
+    commit_record("serve_perf", serve_payload(bench))
+    # Parity ran on both halves (cold server, then warm post-load server).
     assert bench.parity_ok is True and bench.parity_instances > 0
-    # Wide-open admission limits: every request must be answered ok.
-    assert bench.errors == 0 and bench.ok == bench.requests
-    assert bench.speedup_vs_baseline >= SERVE_SPEEDUP_FLOOR, (
-        f"served pipeline only {bench.speedup_vs_baseline:.1f}x the "
-        f"one-search-per-request baseline (floor {SERVE_SPEEDUP_FLOOR:g}x)"
-    )
-    # Coalescing did the heavy lifting: far fewer searches than requests.
+    # Coalescing did the heavy lifting: far fewer searches and memo groups
+    # than requests.
     assert bench.searches + bench.memo_hits < bench.requests / 10
-    assert bench.coalesce_ratio > 10.0

@@ -4,14 +4,11 @@ The instrumented subsystems (runtime, MMPS, fast-forward engine) leave
 their instrument handles in place even when telemetry is disabled, so the
 hot-path cost of both the null and the enabled registry is a standing
 performance liability.  This bench times counter ``inc`` / gauge ``set`` /
-histogram ``observe`` for both, asserts the enabled/null ratio stays under
-:data:`~repro.benchmarking.telemetrybench.OVERHEAD_BUDGET`, and commits
-the record to the repo root as ``BENCH_telemetry_overhead.json`` so
-``benchmarks/check_perf_regression.py`` can gate it across PRs.
+histogram ``observe`` for both and commits the record to the repo root as
+``BENCH_telemetry_overhead.json``; the gate's within-run verdict holds the
+enabled/null ratio under
+:data:`~repro.benchmarking.telemetrybench.OVERHEAD_BUDGET`.
 """
-
-import json
-from pathlib import Path
 
 from repro.benchmarking.telemetrybench import (
     run_overhead_bench,
@@ -19,21 +16,11 @@ from repro.benchmarking.telemetrybench import (
     telemetry_overhead_report,
 )
 
-REPO_ROOT = Path(__file__).parent.parent
 
-
-def test_enabled_registry_overhead_within_budget(benchmark, save_report):
+def test_enabled_registry_overhead_within_budget(benchmark, save_report, commit_record):
     result = benchmark.pedantic(run_overhead_bench, rounds=1, iterations=1)
     save_report("telemetry_overhead.txt", telemetry_overhead_report(result))
-    payload = telemetry_overhead_payload(result)
-    (REPO_ROOT / "BENCH_telemetry_overhead.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    assert result.within_budget, (
-        f"enabled counter.inc() costs {result.overhead_ratio:.1f}x the null "
-        f"registry (budget {result.budget:g}x): "
-        f"{result.null_inc_ns:.0f} ns -> {result.enabled_inc_ns:.0f} ns"
-    )
+    commit_record("telemetry_overhead", telemetry_overhead_payload(result))
 
 
 def test_null_registry_is_shared_and_inert():

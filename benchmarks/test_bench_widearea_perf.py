@@ -6,46 +6,31 @@ in under ``DECISION_BUDGET_MS`` (100 ms) wall time — spaces of 10^50 to
 10^800 ordered configurations — while staying bit-identical to the
 uncollapsed array engine on pools small enough to scan.  Writes the
 scaling table to ``benchmarks/out/widearea_perf.txt`` and the
-machine-readable record to the repo root as ``BENCH_widearea_perf.json``
-so the numbers are tracked across PRs (see
-``benchmarks/check_perf_regression.py``).
+record to the repo root as ``BENCH_widearea_perf.json``; the gate's
+within-run verdict enforces the parity invariant, the decision budget and
+the evaluation ceiling at every size.
 """
 
-import json
-from pathlib import Path
-
 from repro.partition.wideareabench import (
-    DECISION_BUDGET_MS,
     DEFAULT_SIZES,
     run_widearea,
     widearea_payload,
     widearea_report,
 )
 
-REPO_ROOT = Path(__file__).parent.parent
 
-
-def test_widearea_decision_budget(benchmark, save_report):
+def test_widearea_decision_budget(benchmark, save_report, commit_record):
     bench = benchmark.pedantic(
         lambda: run_widearea(DEFAULT_SIZES, repeat=3), rounds=1, iterations=1
     )
     save_report("widearea_perf.txt", widearea_report(bench))
-    payload = widearea_payload(bench)
-    (REPO_ROOT / "BENCH_widearea_perf.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    # The small-instance parity block ran and matched bit-exactly (it
-    # raises on divergence; the flag is what the perfgate re-checks).
+    commit_record("widearea_perf", widearea_payload(bench))
     assert bench.parity_ok is True and bench.parity_instances > 0
+    # The whole point of collapsing: evaluations stay flat (the record's
+    # ceiling) while the considered space grows by hundreds of orders of
+    # magnitude.
     for r in bench.sizes:
-        assert r.decide_ms <= DECISION_BUDGET_MS, (
-            f"{r.n_clusters}-site decision took {r.decide_ms:.2f} ms "
-            f"(budget {DECISION_BUDGET_MS:g} ms)"
-        )
-        # The whole point of collapsing: evaluations stay flat while the
-        # considered space grows by hundreds of orders of magnitude.
         assert r.log10_configs_considered > 50.0
-        assert r.configs_evaluated < 100_000
     biggest = bench.result(max(DEFAULT_SIZES))
     assert biggest.n_clusters == 1000
     assert biggest.method.startswith("collapse")

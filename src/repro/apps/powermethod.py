@@ -13,7 +13,7 @@ product); ring message ≈ the average block, ``8·N/P̄`` bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.apps.stencil import BYTES_PER_POINT, OPS_PER_POINT, sequential_stencil
+from repro.apps.stencil import BYTES_PER_POINT, OPS_PER_POINT
 from repro.errors import PartitionError
 from repro.hardware.processor import Processor
 from repro.mmps.system import MMPS

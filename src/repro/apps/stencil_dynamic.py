@@ -15,7 +15,7 @@ down, trips the monitor, and sheds rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.apps.stencil import BYTES_PER_POINT, OPS_PER_POINT
 from repro.errors import PartitionError

@@ -10,11 +10,6 @@ from repro.benchmarking.cache import load_database, load_or_build, save_database
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase, build_cost_database
 from repro.benchmarking.fitting import fit_comm_cost, fit_linear_byte_cost, r_squared
-from repro.benchmarking.perfgate import (
-    check_adaptive_regression,
-    check_regression,
-    format_problems,
-)
 from repro.benchmarking.microbench import (
     CycleSample,
     Workbench,
@@ -40,9 +35,6 @@ __all__ = [
     "fit_comm_cost",
     "fit_linear_byte_cost",
     "r_squared",
-    "check_adaptive_regression",
-    "check_regression",
-    "format_problems",
     "CycleSample",
     "Workbench",
     "measure_crossing_penalty",

@@ -15,7 +15,7 @@ implement the same quirk, controlled by ``abs_bandwidth_quirk``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CommCostFunction", "LinearByteCost"]
 

@@ -10,20 +10,20 @@ This module times the three hot-path operations (counter ``inc``, gauge
 enabled/null per-op ratio.
 
 The gate is the **ratio**, not the absolute nanoseconds: like the
-batch/scalar and fast/event speedups gated by
-:mod:`repro.benchmarking.perfgate`, a within-run ratio transfers between
+array/scalar and fast/event speedups, a within-run ratio transfers between
 the machine that committed the baseline and the CI runner, while absolute
-per-op times do not.  ``benchmarks/test_bench_telemetry_overhead.py``
-enforces :data:`OVERHEAD_BUDGET` directly and commits the payload as
-``BENCH_telemetry_overhead.json`` for the regression gate.
+per-op times do not.  The record carries :data:`OVERHEAD_BUDGET` as the
+ratio's ``bound``, so :func:`repro.benchmarking.perfgate.check` enforces
+it on every fresh ``BENCH_telemetry_overhead.json``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.benchmarking.perfgate import metric, record
+from repro.benchmarking.timing import time_calls
 from repro.telemetry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
@@ -50,32 +50,26 @@ class TelemetryOverheadResult:
     enabled_inc_ns: float
     enabled_set_ns: float
     enabled_observe_ns: float
-    budget: float
 
     @property
     def overhead_ratio(self) -> float:
         """Enabled/null counter-inc cost ratio — the gated quantity."""
         return self.enabled_inc_ns / self.null_inc_ns
 
-    @property
-    def within_budget(self) -> bool:
-        return self.overhead_ratio <= self.budget
-
 
 def _ns_per_op(op: Callable[[], Any], iterations: int, repeats: int) -> float:
     """Best-of-``repeats`` nanoseconds per call of ``op`` in a tight loop."""
-    best = float("inf")
     loop = range(iterations)
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+
+    def burst() -> None:
         for _ in loop:
             op()
-        best = min(best, time.perf_counter() - t0)
-    return best / iterations * 1e9
+
+    return time_calls(burst, repeats)[0] / iterations * 1e9
 
 
 def run_overhead_bench(
-    *, iterations: int = 200_000, repeats: int = 5, budget: float = OVERHEAD_BUDGET
+    *, iterations: int = 200_000, repeats: int = 5
 ) -> TelemetryOverheadResult:
     """Time the hot-path operations the instrumented modules actually run."""
     enabled = MetricsRegistry()
@@ -90,30 +84,35 @@ def run_overhead_bench(
         enabled_inc_ns=_ns_per_op(live_inc, iterations, repeats),
         enabled_set_ns=_ns_per_op(lambda: live_set(42.0), iterations, repeats),
         enabled_observe_ns=_ns_per_op(lambda: live_observe(7.0), iterations, repeats),
-        budget=budget,
     )
 
 
 def telemetry_overhead_payload(result: TelemetryOverheadResult) -> dict[str, Any]:
-    """The machine-readable record committed as ``BENCH_telemetry_overhead.json``."""
-    return {
-        "telemetry_overhead": {
+    """The ``BENCH_telemetry_overhead.json`` record (see
+    :mod:`repro.benchmarking.perfgate` for the shape and the gate)."""
+    return record(
+        "telemetry",
+        scenario={
             "iterations": result.iterations,
             "repeats": result.repeats,
             "null_inc_ns": round(result.null_inc_ns, 2),
-            "enabled_inc_ns": round(result.enabled_inc_ns, 2),
             "enabled_set_ns": round(result.enabled_set_ns, 2),
             "enabled_observe_ns": round(result.enabled_observe_ns, 2),
-            "overhead_ratio": round(result.overhead_ratio, 3),
-            "budget": result.budget,
-            "within_budget": result.within_budget,
-        }
-    }
+        },
+        ratios={
+            "overhead_ratio": metric(
+                round(result.overhead_ratio, 3), "lower", OVERHEAD_BUDGET
+            )
+        },
+        absolute={
+            "enabled_inc_ns": metric(round(result.enabled_inc_ns, 2), "lower")
+        },
+    )
 
 
 def telemetry_overhead_report(result: TelemetryOverheadResult) -> str:
     """Human-readable rendering for ``benchmarks/out/``."""
-    verdict = "OK" if result.within_budget else "OVER BUDGET"
+    verdict = "OK" if result.overhead_ratio <= OVERHEAD_BUDGET else "OVER BUDGET"
     return "\n".join(
         [
             "telemetry hot-path overhead "
@@ -123,6 +122,6 @@ def telemetry_overhead_report(result: TelemetryOverheadResult) -> str:
             f"  enabled gauge.set()     {result.enabled_set_ns:8.1f} ns/op",
             f"  enabled hist.observe()  {result.enabled_observe_ns:8.1f} ns/op",
             f"  enabled/null ratio      {result.overhead_ratio:8.2f}x "
-            f"(budget {result.budget:g}x): {verdict}",
+            f"(budget {OVERHEAD_BUDGET:g}x): {verdict}",
         ]
     )

@@ -108,9 +108,44 @@ def _multiapp(args) -> str:
     return multiapp_report(workers=getattr(args, "workers", None))
 
 
-def _bench_partition(args) -> str:
-    import json
+def _bench_telemetry(args):
+    """A live telemetry sink when ``--metrics-out`` is set, else ``None``."""
+    if not getattr(args, "metrics_out", None):
+        return None
+    from repro.telemetry import MetricsRegistry, Telemetry
 
+    return Telemetry(metrics=MetricsRegistry())
+
+
+def _write_record(args, payload: dict, text: str, tel=None) -> str:
+    """Write a benchmark record to ``--json`` and its gated numbers to
+    ``--metrics-out``.
+
+    The dump gets one host-domain gauge ``bench.<bench>.<name>`` per
+    invariant (as 0/1), ratio and absolute value; instruments already
+    registered on ``tel`` (engine, server) land in the same dump.
+    """
+    if args.json:
+        import json
+
+        with open(args.json, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        text += f"\n\n[json written to {args.json}]"
+    if tel is None:
+        tel = _bench_telemetry(args)
+    if tel is not None:
+        values = {name: int(ok) for name, ok in payload["invariants"].items()}
+        for section in ("ratios", "absolute"):
+            values.update((name, m["value"]) for name, m in payload[section].items())
+        for name, value in values.items():
+            tel.metrics.gauge(f"bench.{payload['bench']}.{name}", domain="host").set(value)
+        tel.dump(args.metrics_out, meta={"command": args.command})
+        text += f"\n[metrics written to {args.metrics_out}]"
+    return text
+
+
+def _bench_partition(args) -> str:
     from repro.partition.perfbench import perf_payload, perf_report, run_perf
 
     cmp = run_perf(
@@ -119,37 +154,10 @@ def _bench_partition(args) -> str:
         repeat=args.repeat,
         prune=not args.no_prune,
     )
-    text = perf_report(cmp)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(perf_payload(cmp), fh, indent=2)
-            fh.write("\n")
-        text += f"\n\n[json written to {args.json}]"
-    if getattr(args, "metrics_out", None):
-        from repro.telemetry import MetricsRegistry, Telemetry
-
-        tel = Telemetry(metrics=MetricsRegistry())
-        # Bench figures are wall-clock measurements: host domain.
-        for r in cmp.results:
-            prefix = f"bench.partition.{r.engine}"
-            tel.metrics.gauge(f"{prefix}.best_wall_s", domain="host").set(r.best_wall_s)
-            tel.metrics.gauge(f"{prefix}.configs_per_s", domain="host").set(
-                r.configs_per_s
-            )
-            tel.metrics.gauge(f"{prefix}.configs_evaluated", domain="host").set(
-                r.configs_evaluated
-            )
-        tel.metrics.gauge(
-            "bench.partition.speedup_array_over_scalar", domain="host"
-        ).set(cmp.speedup_array_over_scalar)
-        tel.dump(args.metrics_out, meta={"command": "bench-partition"})
-        text += f"\n[metrics written to {args.metrics_out}]"
-    return text
+    return _write_record(args, perf_payload(cmp), perf_report(cmp))
 
 
 def _bench_widearea(args) -> str:
-    import json
-
     from repro.partition.wideareabench import (
         DEFAULT_SIZES,
         QUICK_SIZES,
@@ -158,13 +166,9 @@ def _bench_widearea(args) -> str:
         widearea_report,
     )
 
-    registry = None
-    tel = None
-    if getattr(args, "metrics_out", None):
-        from repro.telemetry import MetricsRegistry, Telemetry
-
-        tel = Telemetry(metrics=MetricsRegistry())
-        registry = tel.metrics
+    # The decide.collapse.* instruments the engines register land in the
+    # same dump as the bench gauges, so `repro metrics-summary` shows both.
+    tel = _bench_telemetry(args)
     if args.sizes:
         sizes = tuple(args.sizes)
     else:
@@ -174,27 +178,9 @@ def _bench_widearea(args) -> str:
         n=args.n,
         repeat=1 if args.quick else args.repeat,
         seed=args.seed,
-        metrics=registry,
+        metrics=None if tel is None else tel.metrics,
     )
-    text = widearea_report(bench)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(widearea_payload(bench), fh, indent=2)
-            fh.write("\n")
-        text += f"\n\n[json written to {args.json}]"
-    if tel is not None:
-        # Bench figures are wall-clock measurements: host domain.  The
-        # decide.collapse.* instruments the engines registered land in the
-        # same dump, so `repro metrics-summary` shows both.
-        for r in bench.sizes:
-            prefix = f"bench.widearea.{r.n_clusters}"
-            tel.metrics.gauge(f"{prefix}.decide_ms", domain="host").set(r.decide_ms)
-            tel.metrics.gauge(f"{prefix}.configs_evaluated", domain="host").set(
-                r.configs_evaluated
-            )
-        tel.dump(args.metrics_out, meta={"command": "bench-widearea"})
-        text += f"\n[metrics written to {args.metrics_out}]"
-    return text
+    return _write_record(args, widearea_payload(bench), widearea_report(bench), tel)
 
 
 def _serve(args) -> str:
@@ -261,8 +247,6 @@ def _serve(args) -> str:
 
 
 def _bench_serve(args) -> str:
-    import json
-
     from repro.server.servebench import (
         DEFAULT_CLIENTS,
         QUICK_CLIENTS,
@@ -271,13 +255,8 @@ def _bench_serve(args) -> str:
         serve_report,
     )
 
-    registry = None
-    tel = None
-    if getattr(args, "metrics_out", None):
-        from repro.telemetry import MetricsRegistry, Telemetry
-
-        tel = Telemetry(metrics=MetricsRegistry())
-        registry = tel.metrics
+    # The serve.* instruments the server registers land in the same dump.
+    tel = _bench_telemetry(args)
     if args.clients is not None:
         clients = args.clients
     else:
@@ -288,27 +267,9 @@ def _bench_serve(args) -> str:
         pool=args.pool,
         n=args.n,
         batch_window_ms=args.batch_window_ms,
-        metrics=registry,
+        metrics=None if tel is None else tel.metrics,
     )
-    text = serve_report(bench)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(serve_payload(bench), fh, indent=2)
-            fh.write("\n")
-        text += f"\n\n[json written to {args.json}]"
-    if tel is not None:
-        # Headline figures as host gauges; the serve.* instruments the
-        # server itself registered land in the same dump.
-        tel.metrics.gauge("bench.serve.decisions_per_s", domain="host").set(
-            bench.decisions_per_s
-        )
-        tel.metrics.gauge("bench.serve.speedup_vs_baseline", domain="host").set(
-            bench.speedup_vs_baseline
-        )
-        tel.metrics.gauge("bench.serve.p99_ms", domain="host").set(bench.p99_ms)
-        tel.dump(args.metrics_out, meta={"command": "bench-serve"})
-        text += f"\n[metrics written to {args.metrics_out}]"
-    return text
+    return _write_record(args, serve_payload(bench), serve_report(bench), tel)
 
 
 def _run_dynamic(args) -> str:
@@ -520,15 +481,9 @@ def _resilience(args) -> str:
 
 
 def _churn(args) -> str:
-    import json
-
     from repro.experiments.resilience import churn_payload, churn_report
 
-    tel = None
-    if getattr(args, "metrics_out", None):
-        from repro.telemetry import MetricsRegistry, Telemetry
-
-        tel = Telemetry(metrics=MetricsRegistry())
+    tel = _bench_telemetry(args)
     text, rows = churn_report(
         n=args.n,
         epochs=args.epochs,
@@ -537,21 +492,10 @@ def _churn(args) -> str:
     )
     if any(not row.answer_parity for row in rows):
         raise SystemExit(text + "\nchurn: answer parity BROKEN")
-    if args.json:
-        payload = churn_payload(rows, n=args.n)
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        text += f"\n[record written to {args.json}]"
-    if tel is not None:
-        tel.dump(args.metrics_out, meta={"command": "churn"})
-        text += f"\n[metrics written to {args.metrics_out}]"
-    return text
+    return _write_record(args, churn_payload(rows, n=args.n), text, tel)
 
 
 def _bench_sim(args) -> str:
-    import json
-
     from repro.experiments.simbench import (
         run_sim_perf,
         sim_perf_payload,
@@ -569,39 +513,7 @@ def _bench_sim(args) -> str:
         grid_cycles=args.grid_cycles,
         workers=getattr(args, "workers", None),
     )
-    text = sim_perf_report(cmp)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(sim_perf_payload(cmp), fh, indent=2)
-            fh.write("\n")
-        text += f"\n\n[json written to {args.json}]"
-    if getattr(args, "metrics_out", None):
-        from repro.telemetry import MetricsRegistry, Telemetry
-
-        tel = Telemetry(metrics=MetricsRegistry())
-        payload = sim_perf_payload(cmp)
-        # Bench figures are wall-clock measurements: host domain.
-        for mode, row in payload["modes"].items():
-            prefix = f"bench.sim.{mode}"
-            tel.metrics.gauge(f"{prefix}.best_wall_s", domain="host").set(
-                row["best_wall_s"]
-            )
-            tel.metrics.gauge(f"{prefix}.probed_cycles", domain="host").set(
-                row["probed_cycles"]
-            )
-            tel.metrics.gauge(f"{prefix}.fast_forwarded_cycles", domain="host").set(
-                row["fast_forwarded_cycles"]
-            )
-        tel.metrics.gauge("bench.sim.parity_ok", domain="host").set(
-            int(payload["parity_ok"])
-        )
-        if payload.get("speedup_fast_over_event") is not None:
-            tel.metrics.gauge("bench.sim.speedup_fast_over_event", domain="host").set(
-                payload["speedup_fast_over_event"]
-            )
-        tel.dump(args.metrics_out, meta={"command": "bench-sim"})
-        text += f"\n[metrics written to {args.metrics_out}]"
-    return text
+    return _write_record(args, sim_perf_payload(cmp), sim_perf_report(cmp))
 
 
 def _metrics_summary(args) -> str:

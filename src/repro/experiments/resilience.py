@@ -46,7 +46,7 @@ N-double row at the clusters' marginal 1-D byte rate — the default
 0.05 ms/PDU token cost would make full-block thrashing look free) and
 charge the same modelled per-evaluation decision cost, so "total elapsed"
 genuinely means compute + decide + migrate on the one simulated clock.
-The gate: adaptive must win ≥ ``min_wins`` of the scenarios, answer
+The gate: adaptive must win ≥ :data:`CHURN_MIN_WINS` of the scenarios, answer
 parity must hold everywhere, and whenever the fallback fired the adaptive
 run must land on the same final decomposition as the always-research
 baseline (decision parity of the fallback search).
@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 
 from repro.apps.stencil import StencilCycleProgram, stencil_computation
 from repro.benchmarking.database import CostDatabase
+from repro.benchmarking.perfgate import metric, record
 from repro.experiments.paper import paper_cost_database
 from repro.experiments.report import format_table
 from repro.hardware.presets import paper_testbed
@@ -97,7 +98,8 @@ CHURN_STEP_LOAD = 0.50
 #: starts show up as genuinely cheaper decisions for baseline and adaptive
 #: alike).
 DECIDE_COST_MS_PER_EVAL = 0.05
-#: Adaptive wins required by the committed churn gate.
+#: Adaptive wins required on total elapsed time, committed in the
+#: record as the ``wins`` bound.
 CHURN_MIN_WINS = 2
 
 #: Fitted cost database shared across one process's grid rows.  Primed by
@@ -639,21 +641,28 @@ def churn_grid(
     return sweep(_churn_row, tasks, workers=workers, initializer=_prime_cost_database)
 
 
-def churn_payload(
-    rows: Sequence[ChurnRow], *, n: int = N, min_wins: int = CHURN_MIN_WINS
-) -> dict:
-    """The ``BENCH_adaptive_perf.json`` schema for a churn-grid run."""
-    return {
-        "adaptive_churn": {
+def churn_payload(rows: Sequence[ChurnRow], *, n: int = N) -> dict:
+    """The ``BENCH_adaptive_perf.json`` record for a churn-grid run (see
+    :mod:`repro.benchmarking.perfgate` for the shape and the gate).
+
+    Both policies run on the deterministic sim clock, so per-scenario
+    elapsed times are exact values, not wall-clock noise.
+    """
+    wins = sum(1 for r in rows if r.win)
+    exact, ratios = {}, {"wins": metric(wins, "higher", CHURN_MIN_WINS)}
+    for r in rows:
+        exact[f"{r.scenario}.baseline_ms"] = r.baseline_ms
+        exact[f"{r.scenario}.adaptive_ms"] = r.adaptive_ms
+        ratios[f"{r.scenario}.speedup"] = metric(r.speedup, "higher")
+    return record(
+        "adaptive",
+        scenario={
             "n": n,
             "epochs": rows[0].epochs if rows else 0,
             "decide_cost_per_eval_ms": DECIDE_COST_MS_PER_EVAL,
             "scenarios": {
                 r.scenario: {
                     "clean_ms": r.clean_ms,
-                    "baseline_ms": r.baseline_ms,
-                    "adaptive_ms": r.adaptive_ms,
-                    "speedup": r.speedup,
                     "win": r.win,
                     "answer_parity": r.answer_parity,
                     "baseline_moved": r.baseline_moved,
@@ -669,12 +678,16 @@ def churn_payload(
                 }
                 for r in rows
             },
-            "wins": sum(1 for r in rows if r.win),
-            "min_wins": min_wins,
+        },
+        invariants={
             "answer_parity_ok": all(r.answer_parity for r in rows),
             "fallback_parity_ok": all(r.fallback_parity is not False for r in rows),
-        }
-    }
+            # Without one fired fallback the fallback parity claim is vacuous.
+            "fallback_fired": any(r.fallbacks for r in rows),
+        },
+        exact=exact,
+        ratios=ratios,
+    )
 
 
 def churn_report(

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.apps.stencil import StencilCycleProgram
+from repro.benchmarking.perfgate import metric, record
+from repro.benchmarking.timing import time_calls
 from repro.errors import SimulationError
 from repro.hardware.presets import paper_testbed
 from repro.mmps import MMPS
@@ -29,6 +31,7 @@ from repro.sim.fastforward import FastForwardEngine, FastForwardReport
 from repro.units import seconds_to_msec
 
 __all__ = [
+    "SPEEDUP_FLOOR",
     "ModeResult",
     "GridTiming",
     "SimPerfComparison",
@@ -37,6 +40,10 @@ __all__ = [
     "sim_perf_report",
     "sim_perf_payload",
 ]
+
+#: Committed within-run floor on both fast/event speedups (the microbench
+#: and the E16 grid validation pass), written into the record as a bound.
+SPEEDUP_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -178,19 +185,16 @@ def run_sim_perf(
     results = []
     reports: dict[str, FastForwardReport] = {}
     for mode in ("event", "fast"):
-        walls = []
-        report = None
-        for _ in range(repeat):
-            start = time.perf_counter()
-            report = run_engine(n, cycles, p1, p2, mode)
-            walls.append(time.perf_counter() - start)
+        best_s, mean_s, report = time_calls(
+            lambda: run_engine(n, cycles, p1, p2, mode), repeat
+        )
         reports[mode] = report
         results.append(
             ModeResult(
                 mode=mode,
                 repeats=repeat,
-                best_wall_s=min(walls),
-                mean_wall_s=sum(walls) / len(walls),
+                best_wall_s=best_s,
+                mean_wall_s=mean_s,
                 cycles=report.cycles,
                 probed_cycles=report.probed_cycles,
                 fast_forwarded_cycles=report.fast_forwarded_cycles,
@@ -259,13 +263,12 @@ def sim_perf_report(cmp: SimPerfComparison) -> str:
 
 
 def sim_perf_payload(cmp: SimPerfComparison) -> dict:
-    """JSON-serializable record (the ``BENCH_sim_perf.json`` schema)."""
-    payload = {
-        "scenario": {
-            "workload": f"STEN-1 N={cmp.n}",
-            "config": list(cmp.config),
-            "cycles": cmp.cycles,
-        },
+    """The ``BENCH_sim_perf.json`` record (see
+    :mod:`repro.benchmarking.perfgate` for the shape and the gate)."""
+    scenario = {
+        "workload": f"STEN-1 N={cmp.n}",
+        "config": list(cmp.config),
+        "cycles": cmp.cycles,
         "modes": {
             r.mode: {
                 "repeats": r.repeats,
@@ -273,21 +276,37 @@ def sim_perf_payload(cmp: SimPerfComparison) -> dict:
                 "mean_wall_s": r.mean_wall_s,
                 "probed_cycles": r.probed_cycles,
                 "fast_forwarded_cycles": r.fast_forwarded_cycles,
-                "cycles_per_s": r.cycles_per_s,
-                "clock_ms": r.clock_ms,
             }
             for r in cmp.results
         },
+    }
+    event, fast = cmp.result("event"), cmp.result("fast")
+    invariants = {
         "parity_ok": cmp.parity_ok,
-        "speedup_fast_over_event": cmp.speedup,
+        "fast.fast_forwarded": event.fast_forwarded_cycles == 0
+        and fast.fast_forwarded_cycles > 0,
+    }
+    ratios = {
+        "speedup_fast_over_event": metric(cmp.speedup, "higher", SPEEDUP_FLOOR)
     }
     if cmp.grid is not None:
-        payload["grid"] = {
-            "rows": cmp.grid.rows,
-            "validate_cycles": cmp.grid.validate_cycles,
-            "event_wall_s": cmp.grid.event_wall_s,
-            "fast_wall_s": cmp.grid.fast_wall_s,
-            "speedup": cmp.grid.speedup,
-            "parity_ok": cmp.grid.parity_ok,
+        g = cmp.grid
+        scenario["grid"] = {
+            "rows": g.rows,
+            "validate_cycles": g.validate_cycles,
+            "event_wall_s": g.event_wall_s,
+            "fast_wall_s": g.fast_wall_s,
         }
-    return payload
+        invariants["grid.parity_ok"] = g.parity_ok
+        ratios["grid.speedup"] = metric(g.speedup, "higher", SPEEDUP_FLOOR)
+    return record(
+        "sim",
+        scenario=scenario,
+        invariants=invariants,
+        exact={f"{r.mode}.clock_ms": r.clock_ms for r in cmp.results},
+        ratios=ratios,
+        absolute={
+            f"{r.mode}.cycles_per_s": metric(r.cycles_per_s, "higher")
+            for r in cmp.results
+        },
+    )

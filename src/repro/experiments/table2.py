@@ -238,7 +238,7 @@ def table2_report(repro: Optional[Table2Reproduction] = None) -> str:
                 )
                 for cfg in TABLE2_CONFIGS
             ]
-            rows.append([f"  paper", ""] + paper_row + [""])
+            rows.append(["  paper", ""] + paper_row + [""])
     legend = (
         "E2: Table 2 — simulated elapsed ms (10 iterations). "
         "'*' = partitioner's predicted minimum, '!' = simulated minimum."

@@ -16,8 +16,6 @@ place.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import networkx as nx
 
 from repro.errors import NetworkModelError

@@ -18,7 +18,7 @@ Cost placement
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import MessagingError, PeerUnreachableError

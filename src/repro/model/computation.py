@@ -9,8 +9,8 @@ largest communication complexity (paper §4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
 from repro.errors import AnnotationError
 from repro.model.pdu import PDUSpace

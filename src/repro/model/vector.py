@@ -9,7 +9,7 @@ integer entries (e.g. N=300, P=(6,2): A=(43, 21) with 6·43 + 2·21 = 300).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -24,7 +24,6 @@ ArraySearchEngine` is constructed *outside* the timed window (like the
 
 from __future__ import annotations
 
-import time
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -32,6 +31,8 @@ from typing import Callable, Optional, Sequence
 from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
+from repro.benchmarking.perfgate import metric, record
+from repro.benchmarking.timing import time_calls
 from repro.errors import PartitionError
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.processor import ProcessorSpec
@@ -51,8 +52,9 @@ __all__ = [
     "perf_payload",
 ]
 
-#: The perfgate's committed floor: array-engine throughput (configs/s)
-#: must be at least this many times the scalar reference's, within one run.
+#: Committed within-run floor, written into the record as the ratio's
+#: ``bound``: array-engine throughput (configs/s) must be at least this
+#: many times the scalar reference's.
 ARRAY_SPEEDUP_FLOOR = 100.0
 
 #: Era-plausible µs/op rates cycled over the requested clusters
@@ -194,14 +196,11 @@ def run_perf(
     resources = gather_available_resources(net)
     comp = stencil_computation(n, overlap=False)
 
-    walls = []
-    decision = None
-    for _ in range(repeat):
-        db = synthetic_database(names)
-        start = time.perf_counter()
-        decision = _scalar_exhaustive_partition(comp, resources, db)
-        walls.append(time.perf_counter() - start)
-    assert decision is not None
+    best_s, mean_s, decision = time_calls(
+        lambda db: _scalar_exhaustive_partition(comp, resources, db),
+        repeat,
+        setup=lambda: synthetic_database(names),
+    )
     db = synthetic_database(names)
     sample = (
         _alloc_sample(lambda: _scalar_exhaustive_partition(comp, resources, db))
@@ -211,8 +210,8 @@ def run_perf(
     scalar = EngineResult(
         engine="scalar",
         repeats=repeat,
-        best_wall_s=min(walls),
-        mean_wall_s=sum(walls) / len(walls),
+        best_wall_s=best_s,
+        mean_wall_s=mean_s,
         configs_evaluated=decision.evaluations,
         counts=tuple(decision.config.counts),
         t_cycle_ms=decision.t_cycle_ms,
@@ -224,13 +223,9 @@ def run_perf(
         comp, order_by_power(resources), synthetic_database(names)
     )
     search_prune = "auto" if prune else False
-    walls = []
-    outcome = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        outcome = searcher.search(prune=search_prune)
-        walls.append(time.perf_counter() - start)
-    assert outcome is not None
+    best_s, mean_s, outcome = time_calls(
+        lambda: searcher.search(prune=search_prune), repeat
+    )
     sample = (
         _alloc_sample(lambda: searcher.search(prune=search_prune))
         if alloc_sample
@@ -239,8 +234,8 @@ def run_perf(
     array = EngineResult(
         engine="array",
         repeats=repeat,
-        best_wall_s=min(walls),
-        mean_wall_s=sum(walls) / len(walls),
+        best_wall_s=best_s,
+        mean_wall_s=mean_s,
         configs_evaluated=outcome.evaluations,
         counts=outcome.counts,
         t_cycle_ms=outcome.t_cycle_ms,
@@ -297,30 +292,47 @@ def perf_report(cmp: PerfComparison) -> str:
 
 
 def perf_payload(cmp: PerfComparison) -> dict:
-    """JSON-serializable record (the ``BENCH_partition_perf.json`` schema)."""
-    return {
-        "scenario": {
+    """The ``BENCH_partition_perf.json`` record (see
+    :mod:`repro.benchmarking.perfgate` for the shape and the gate)."""
+    scalar, array = cmp.result("scalar"), cmp.result("array")
+    invariants = {
+        "decision_parity": scalar.counts == array.counts
+        and abs(scalar.t_cycle_ms - array.t_cycle_ms) < 1e-9,
+    }
+    if scalar.alloc_peak_kib is not None and array.alloc_peak_kib is not None:
+        # The allocation story the workspace exists for: a streamed
+        # search's transient footprint stays below the scalar loop's.
+        invariants["array_alloc_below_scalar"] = (
+            array.alloc_peak_kib < scalar.alloc_peak_kib
+        )
+    absolute = {}
+    for r in cmp.results:
+        absolute[f"{r.engine}.configs_per_s"] = metric(r.configs_per_s, "higher")
+        absolute[f"{r.engine}.best_wall_s"] = metric(r.best_wall_s, "lower")
+    return record(
+        "partition",
+        scenario={
             "cluster_sizes": list(cmp.cluster_sizes),
             "total_processors": sum(cmp.cluster_sizes),
             "workload": f"STEN-1 N={cmp.n}",
+            "engines": {
+                r.engine: {
+                    "repeats": r.repeats,
+                    "mean_wall_s": r.mean_wall_s,
+                    "configs_evaluated": r.configs_evaluated,
+                    "alloc_blocks": r.alloc_blocks,
+                    "alloc_peak_kib": r.alloc_peak_kib,
+                    "t_cycle_ms": r.t_cycle_ms,
+                }
+                for r in cmp.results
+            },
         },
-        "engines": {
-            r.engine: {
-                "repeats": r.repeats,
-                "best_wall_s": r.best_wall_s,
-                "mean_wall_s": r.mean_wall_s,
-                "configs_evaluated": r.configs_evaluated,
-                "configs_per_s": r.configs_per_s,
-                "alloc_blocks": r.alloc_blocks,
-                "alloc_peak_kib": r.alloc_peak_kib,
-                "decision": list(r.counts),
-                "t_cycle_ms": r.t_cycle_ms,
-            }
-            for r in cmp.results
+        invariants=invariants,
+        exact={f"{r.engine}.decision": list(r.counts) for r in cmp.results},
+        ratios={
+            "speedup_array_over_scalar": metric(
+                cmp.speedup_array_over_scalar, "higher", ARRAY_SPEEDUP_FLOOR
+            )
         },
-        "speedup_array_over_scalar": cmp.speedup_array_over_scalar,
-        # The within-run floor the perfgate enforces (see
-        # repro.benchmarking.perfgate.check_regression): committed with the
-        # payload, like the telemetry budget, so the gate needs no baseline.
-        "array_over_scalar_floor": ARRAY_SPEEDUP_FLOOR,
-    }
+        absolute=absolute,
+    )

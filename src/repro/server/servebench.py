@@ -13,7 +13,7 @@ One run measures three things on the same pool and workload mix:
   p50/p99 latency, and the coalescing ratio come from this run.  The
   committed :data:`SERVE_SPEEDUP_FLOOR` is a within-run invariant
   (served/baseline on the *same* machine in the *same* run), so the
-  perfgate enforces it everywhere without wall-clock transfer problems;
+  record's bound holds everywhere without wall-clock transfer problems;
 * **parity** — every pattern in the mix is re-requested from a cold server
   and from the warm post-load server, under two different tenants each,
   and each reply must be bit-identical (counts, vector, ``T_c``) to the
@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
+from repro.benchmarking.perfgate import metric, record
 from repro.errors import ServeError
 from repro.partition.available import gather_available_resources
 from repro.partition.heuristic import exhaustive_partition
@@ -44,10 +45,10 @@ from repro.server.loadgen import (
 )
 from repro.server.protocol import WorkloadSpec, encode_line, restrict_pool
 from repro.server.service import PartitionServer, ServerConfig, resolve_pool
-from repro.units import seconds_to_msec
 
 __all__ = [
     "SERVE_SPEEDUP_FLOOR",
+    "COALESCE_RATIO_FLOOR",
     "DEFAULT_POOL",
     "DEFAULT_N",
     "DEFAULT_CLIENTS",
@@ -61,6 +62,10 @@ __all__ = [
 #: Committed within-run floor: the served pipeline must deliver at least
 #: this many times the one-search-per-request baseline's decisions/s.
 SERVE_SPEEDUP_FLOOR = 5.0
+
+#: Committed floor on served requests per fresh search: coalescing, not
+#: raw search speed, must do the heavy lifting.
+COALESCE_RATIO_FLOOR = 10.0
 
 #: Three synthetic clusters of 32: a cold search costs ~35k evaluations,
 #: so the baseline is honestly search-dominated, not transport-dominated.
@@ -86,7 +91,6 @@ class ServeBench:
     requests_per_client: int
     connections: int
     batch_window_ms: float
-    speedup_floor: float
     #: Mix-weighted mean cold-search seconds per request.
     baseline_mean_s: float
     baseline_decisions_per_s: float
@@ -317,7 +321,6 @@ def run_serve_bench(
         requests_per_client=requests_per_client,
         connections=min(max(1, connections), clients),
         batch_window_ms=batch_window_ms,
-        speedup_floor=SERVE_SPEEDUP_FLOOR,
         baseline_mean_s=baseline_mean_s,
         baseline_decisions_per_s=(
             1.0 / baseline_mean_s if baseline_mean_s > 0 else 0.0
@@ -361,13 +364,13 @@ def serve_report(bench: ServeBench) -> str:
         ),
     )
     verdict = (
-        "MEETS" if bench.speedup_vs_baseline >= bench.speedup_floor else "BELOW"
+        "MEETS" if bench.speedup_vs_baseline >= SERVE_SPEEDUP_FLOOR else "BELOW"
     )
     table += (
         f"\n\nserved {bench.ok}/{bench.requests} ok ({bench.errors} errors) "
         f"in {bench.wall_s:.2f} s"
         f"\nspeedup {bench.speedup_vs_baseline:.1f}x — {verdict} the "
-        f"committed {bench.speedup_floor:g}x floor"
+        f"committed {SERVE_SPEEDUP_FLOOR:g}x floor"
         f"\ncoalescing: {bench.searches} fresh searches + "
         f"{bench.memo_hits} memo groups served {bench.ok} decisions "
         f"({bench.coalesce_ratio:.0f} per search; {bench.fanned_out} fanned out)"
@@ -382,33 +385,47 @@ def serve_report(bench: ServeBench) -> str:
 
 
 def serve_payload(bench: ServeBench) -> dict:
-    """JSON-serializable record (the ``BENCH_serve_perf.json`` schema)."""
-    return {
-        "serve": {
+    """The ``BENCH_serve_perf.json`` record (see
+    :mod:`repro.benchmarking.perfgate` for the shape and the gate)."""
+    # Wide-open admission limits: every request must come back ok; an
+    # error reply or a reply lost with its connection breaks the run.
+    invariants = {
+        "all_replies_ok": bench.errors == 0 and bench.ok == bench.requests
+    }
+    if bench.parity_ok is not None:  # a skipped block fails as missing
+        invariants["parity_ok"] = bench.parity_ok
+    return record(
+        "serve",
+        scenario={
             "pool": bench.pool,
             "n": bench.n,
             "clients": bench.clients,
             "requests_per_client": bench.requests_per_client,
             "connections": bench.connections,
             "batch_window_ms": bench.batch_window_ms,
-            # Committed with the payload like the other within-run floors:
-            # the gate enforces it against the current run alone.
-            "speedup_floor": bench.speedup_floor,
             "baseline_mean_s": bench.baseline_mean_s,
             "baseline_decisions_per_s": bench.baseline_decisions_per_s,
             "requests": bench.requests,
             "ok": bench.ok,
             "errors": bench.errors,
             "wall_s": bench.wall_s,
-            "decisions_per_s": bench.decisions_per_s,
-            "speedup_vs_baseline": bench.speedup_vs_baseline,
             "p50_ms": bench.p50_ms,
-            "p99_ms": bench.p99_ms,
             "searches": bench.searches,
             "memo_hits": bench.memo_hits,
             "fanned_out": bench.fanned_out,
-            "coalesce_ratio": bench.coalesce_ratio,
-            "parity_ok": bench.parity_ok,
             "parity_instances": bench.parity_instances,
-        }
-    }
+        },
+        invariants=invariants,
+        ratios={
+            "speedup_vs_baseline": metric(
+                bench.speedup_vs_baseline, "higher", SERVE_SPEEDUP_FLOOR
+            ),
+            "coalesce_ratio": metric(
+                bench.coalesce_ratio, "higher", COALESCE_RATIO_FLOOR
+            ),
+        },
+        absolute={
+            "decisions_per_s": metric(bench.decisions_per_s, "higher"),
+            "p99_ms": metric(bench.p99_ms, "lower"),
+        },
+    )

@@ -11,7 +11,7 @@ Every collective must be called by *all* ranks of the run, like MPI.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.process import ProcessGenerator
 from repro.spmd.task import TaskContext

@@ -9,7 +9,7 @@ One stable serialization path for everything the subsystem records:
 * :func:`prometheus_text` — the Prometheus text exposition format
   (``# TYPE``/``# HELP`` headers, ``_bucket{le=…}``/``_sum``/``_count``
   for histograms).  :func:`validate_prometheus` is the matching lint,
-  used by the CI telemetry-smoke job.
+  used by the CI smoke job.
 * :func:`summary_table` — the human-facing table the
   ``metrics-summary`` CLI renders.
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.heat import heat_computation
 from repro.apps.powermethod import power_computation
-from repro.apps.sor import sor_computation
 from repro.errors import AnnotationError
 from repro.experiments.multiapp import CASES, _full_database, decision_quality, multiapp_report
 from repro.hardware.presets import paper_testbed

@@ -24,10 +24,15 @@ def test_report_and_payload_shapes(cmp):
     text = sim_perf_report(cmp)
     assert "sim perf" in text and "parity: ok" in text
     payload = sim_perf_payload(cmp)
-    assert set(payload["modes"]) == {"event", "fast"}
-    assert payload["parity_ok"] is True
-    assert payload["speedup_fast_over_event"] == cmp.speedup
-    assert "grid" not in payload  # not requested
+    assert payload["bench"] == "sim"
+    assert set(payload["scenario"]["modes"]) == {"event", "fast"}
+    assert payload["invariants"] == {"parity_ok": True, "fast.fast_forwarded": True}
+    assert set(payload["exact"]) == {"event.clock_ms", "fast.clock_ms"}
+    speedup = payload["ratios"]["speedup_fast_over_event"]
+    assert speedup["value"] == cmp.speedup and speedup["bound"] == 10.0
+    # Not requested: no grid parity or grid speedup to gate.
+    assert "grid" not in payload["scenario"]
+    assert "grid.speedup" not in payload["ratios"]
 
 
 def test_repeat_validation():

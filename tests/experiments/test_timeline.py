@@ -6,7 +6,6 @@ from repro.apps.stencil import run_stencil
 from repro.experiments import ascii_timeline
 from repro.hardware.presets import paper_testbed
 from repro.mmps import MMPS
-from repro.model import PartitionVector
 from repro.partition import balanced_partition_vector
 
 

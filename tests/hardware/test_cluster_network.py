@@ -10,9 +10,7 @@ from repro.hardware import (
 )
 from repro.hardware.cluster import Cluster
 from repro.hardware.presets import (
-    HP9000,
     IPC,
-    RS6000,
     SPARC2,
     paper_testbed,
     three_cluster_network,

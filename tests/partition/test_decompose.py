@@ -1,6 +1,5 @@
 """Tests for Eq 3 decomposition, including the paper's worked identities."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PartitionError

@@ -100,8 +100,6 @@ def test_scan_search_method_label_and_validation():
 
 def test_scan_finds_global_minimum_on_multimodal_curve():
     """A synthetic cost database with two minima defeats binary search."""
-    from repro.benchmarking.costfuncs import CommCostFunction
-    from repro.benchmarking.database import CostDatabase
     from repro.partition.heuristic import _argmin_scan, _argmin_unimodal
 
     # W-shaped cost: minima at p=2 and p=6, deeper at p=6.

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PartitionError
 from repro.partition import balanced_shares
 from repro.partition.heuristic import _argmin_unimodal
 

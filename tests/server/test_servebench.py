@@ -1,6 +1,8 @@
 """The bench-serve harness at toy scale: schema, parity, and the gate."""
 
-from repro.benchmarking.perfgate import check_serve_regression, payload_kind
+from dataclasses import replace
+
+from repro.benchmarking.perfgate import check
 from repro.server.servebench import (
     run_serve_bench,
     serve_payload,
@@ -8,7 +10,7 @@ from repro.server.servebench import (
 )
 
 
-def _quick_bench():
+def _quick_bench(**kwargs):
     # Small enough for a unit test, big enough that batching shows: 120
     # requests over a two-cluster pool.
     return run_serve_bench(
@@ -17,6 +19,7 @@ def _quick_bench():
         pool="synthetic:8,8",
         n=200,
         connections=8,
+        **kwargs,
     )
 
 
@@ -38,14 +41,39 @@ def test_bench_serves_everything_with_parity():
     assert "decisions/s" in report and "parity: OK" in report
 
 
+def _without_bounds(payload):
+    # The committed floors are sized for the full-scale run and may trip
+    # at toy scale; drop them so the gate compares everything else.
+    for section in ("ratios", "absolute"):
+        for metric in payload[section].values():
+            metric.pop("bound", None)
+    return payload
+
+
 def test_payload_round_trips_through_the_gate():
     bench = _quick_bench()
     payload = serve_payload(bench)
-    assert payload_kind(payload) == "serve"
-    serve = payload["serve"]
-    assert serve["speedup_vs_baseline"] == bench.speedup_vs_baseline
-    assert serve["parity_ok"] is True
-    # Identity comparison passes the gate (the floor check may trip at toy
-    # scale, so compare everything else by deleting the floor key).
-    serve["speedup_floor"] = 0.0
-    assert check_serve_regression(payload, payload) == []
+    assert payload["bench"] == "serve"
+    assert payload["invariants"] == {"all_replies_ok": True, "parity_ok": True}
+    speedup = payload["ratios"]["speedup_vs_baseline"]
+    assert speedup["value"] == bench.speedup_vs_baseline
+    assert speedup["bound"] == 5.0
+    assert payload["ratios"]["coalesce_ratio"]["bound"] == 10.0
+    payload = _without_bounds(payload)
+    assert check(payload, payload) == []
+    # A connection that drops mid-run loses its replies without sending an
+    # error reply: ok < requests with zero errors must still fail.
+    lost = _without_bounds(serve_payload(replace(bench, ok=bench.requests - 1)))
+    assert lost["scenario"]["errors"] == 0
+    assert check(payload, lost) == ["invariant all_replies_ok is false"]
+
+
+def test_skipped_parity_fails_as_missing():
+    ran = serve_payload(_quick_bench())
+    skipped = serve_payload(_quick_bench(parity=False))
+    assert "parity_ok" not in skipped["invariants"]
+    # Wall-clock ratios of two toy runs may drift; the skipped block must
+    # fail whatever they do.
+    assert "invariants 'parity_ok' missing from current payload" in check(
+        ran, skipped
+    )

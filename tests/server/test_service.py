@@ -9,7 +9,7 @@ from repro.partition.heuristic import exhaustive_partition
 from repro.partition.perfbench import synthetic_database, synthetic_network
 from repro.server.admission import AdmissionLimits
 from repro.server.metricshttp import MetricsHTTPServer
-from repro.server.protocol import WorkloadSpec, encode_line, restrict_pool
+from repro.server.protocol import WorkloadSpec, encode_line
 from repro.server.service import PartitionServer, ServerConfig, resolve_pool
 from repro.telemetry.export import validate_prometheus
 from repro.telemetry.metrics import MetricsRegistry

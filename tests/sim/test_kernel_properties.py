@@ -38,7 +38,6 @@ def test_clock_never_moves_backwards(delays):
 
     for d in delays:
         sim.process(body(d))
-    last = -1.0
     sim.run()
     for t in observed:
         assert t >= 0.0

@@ -2,8 +2,6 @@
 
 import operator
 
-import pytest
-
 from repro.hardware.presets import paper_testbed
 from repro.mmps import MMPS
 from repro.spmd import SPMDRun, Topology, allreduce, barrier, broadcast, reduce

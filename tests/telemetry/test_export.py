@@ -1,7 +1,6 @@
 """Exporters: JSONL round trip, Prometheus exposition + lint, summary table."""
 
 import io
-import json
 
 import pytest
 

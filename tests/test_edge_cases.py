@@ -1,6 +1,5 @@
 """Edge-case coverage across subsystems."""
 
-import numpy as np
 import pytest
 
 from repro.hardware.presets import paper_testbed
