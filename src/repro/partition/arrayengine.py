@@ -1,9 +1,10 @@
-"""The array engine: streamed, allocation-free Eq 3-6 kernels.
+"""The array engine: streamed, allocation-free Eq 3-6 kernels and the one
+exact search built on them.
 
-This is the production engine behind every exact search
-(:func:`~repro.partition.heuristic.exhaustive_partition`, the
-:class:`~repro.partition.engine.DecisionEngine` exact path, and the
-collapsed wide-area search).  The scalar
+:class:`ArraySearchEngine` is the engine behind every exact search
+(:func:`~repro.partition.heuristic.exhaustive_partition` and the
+:class:`~repro.partition.engine.DecisionEngine` exact path, which the
+decision server and the wide-area bench share).  The scalar
 :class:`~repro.partition.estimator.CycleEstimator` stays the reference
 specification and re-estimates every winner.
 
@@ -24,13 +25,15 @@ specification and re-estimates every winner.
   allocations on that path.  Rows it cannot fold (share-dependent message
   sizes, or more than ``_MAX_LUT_CLUSTERS`` clusters) take a per-row
   fallback over the unfolded arithmetic.
-* chunked candidate streaming — :meth:`ArrayCycleEstimator.iter_full_blocks`
-  decodes mixed-radix configuration indices straight into the workspace
-  (never materializing the full count matrix), and
-  :meth:`ArrayCycleEstimator.iter_pruned_blocks` streams the
-  branch-and-bound survivors block by block: every count prefix whose
-  ``T_comp`` lower bound (remaining clusters fully allocated) already
-  exceeds the cluster-prefix incumbent is cut, which is exact because
+* canonical streaming — every search scores the canonical rows of a
+  :class:`~repro.partition.collapse.CollapsePlan` (per equivalence class
+  of interchangeable clusters, one count multiset per orbit), streamed
+  block by block by :func:`~repro.partition.collapse.iter_canonical_blocks`.
+  The trivial one-class-per-cluster plan's canonical rows *are* the
+  ordered space, so one enumerator and one block loop serve every mode.
+  Past a size cutoff a branch-and-bound prune cuts every count prefix
+  whose ``T_comp`` lower bound (remaining classes fully allocated)
+  already exceeds the cluster-prefix incumbent, which is exact because
   ``T_c >= T_comp`` and ``T_comp`` is non-increasing in every count.
 * :class:`FrontierState` — the incremental frontier: a completed search
   remembers every candidate it scored and the prune threshold it used.
@@ -41,24 +44,25 @@ specification and re-estimates every winner.
   argmin over stored rows: O(delta) work, zero fresh evaluations, decision
   identical to a cold search.  It composes with
   :class:`~repro.partition.warmstart.SearchCache`, which carries the
-  frontier (and the engine's workspace) across epochs.
+  engine (workspace, plan and frontier) across epochs.
 
 ``tests/partition/test_fastpath_equivalence.py`` pins the kernels to the
-scalar reference component by component, and
-``tests/partition/test_array_engine.py`` pins decision parity and
-frontier-vs-cold equality.
+scalar reference component by component, ``tests/partition/test_array_engine.py``
+pins decision parity and frontier-vs-cold equality, and
+``tests/partition/test_collapse.py`` the collapsed modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.benchmarking.database import CostDatabase
 from repro.errors import FittingError, PartitionError
 from repro.model.computation import DataParallelComputation
+from repro.partition import collapse
 from repro.partition.available import ClusterResources
 from repro.spmd.topology import Topology
 from repro.units import US_PER_MS
@@ -68,18 +72,23 @@ __all__ = [
     "ArrayCycleEstimator",
     "ArraySearchResult",
     "ArraySearchEngine",
+    "EXACT_BUDGET",
     "FrontierState",
-    "array_exhaustive_search",
+    "exact_search",
     "prefix_count_matrix",
 ]
 
 #: Rows per streamed block — the workspace's batch capacity.
 DEFAULT_MAX_ROWS = 8192
 
-#: ``iter_full_blocks`` beats the branch-and-bound prune until the space
-#: exceeds this many blocks: the streamed kernel is cheaper per row than
-#: the prune's prefix expansion until the space dwarfs the block size.
+#: A full scan beats the branch-and-bound prune until the space exceeds
+#: this many blocks: the streamed kernel is cheaper per row than the
+#: prune's prefix expansion until the space dwarfs the block size.
 _AUTO_PRUNE_BLOCKS = 4
+
+#: Canonical spaces up to this many rows are streamed; beyond it the
+#: level sweep takes over (or, when its gates fail, the stream anyway).
+EXACT_BUDGET = 200_000
 
 #: Crossing lookup tables are ``2^K``; beyond this many clusters fall back
 #: to the pairwise loop instead of a table.
@@ -89,16 +98,22 @@ _MAX_LUT_CLUSTERS = 16
 #: noise can never discard the true optimum.
 _PRUNE_SLACK = 1e-12
 
+#: The symmetry-savings telemetry counter is capped here — full spaces at
+#: wide-area scale overflow anything resembling a counter.
+_SAVINGS_CAP = 10**18
 
-def prefix_count_matrix(resources: Sequence[ClusterResources]) -> np.ndarray:
-    """The cluster-prefix candidate rows, in the scalar oracle's order."""
+
+def prefix_count_matrix(limits: Sequence[int]) -> np.ndarray:
+    """The §5 cluster-prefix candidate rows under ``limits``, in the
+    scalar oracle's order: clusters before ``k`` fully allocated, cluster
+    ``k`` sweeping ``1..N_k``."""
     rows = []
-    prefix = [0] * len(resources)
-    for k, res in enumerate(resources):
-        for p in range(1, res.n_available + 1):
+    prefix = [0] * len(limits)
+    for k, limit in enumerate(limits):
+        for p in range(1, int(limit) + 1):
             rows.append(prefix[:k] + [p] + prefix[k + 1 :])
-        prefix[k] = res.n_available
-    return np.array(rows, dtype=np.int64)
+        prefix[k] = int(limit)
+    return np.array(rows, dtype=np.int64).reshape(-1, len(limits))
 
 
 class ArrayWorkspace:
@@ -332,7 +347,10 @@ class ArrayCycleEstimator:
                 self._cross_intercept[j, i] = intercept
 
         self.workspace = ArrayWorkspace(k_n, max_rows)
-        self._decoded_for: Optional[tuple[int, ...]] = None
+        #: ``(plan, keep_at, n)`` when the workspace holds a plan's whole
+        #: canonical space as one block (see
+        #: :func:`~repro.partition.collapse.iter_canonical_blocks`).
+        self._resident: Optional[tuple] = None
         self._prepare_fast_path()
 
     # -- construction-time folding ----------------------------------------------
@@ -401,105 +419,7 @@ class ArrayCycleEstimator:
             self._b_const is not None and self._cross_lut is not None
         )
 
-    # -- block enumeration -------------------------------------------------------
-
-    def limits_key(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in self.limits)
-
-    def iter_full_blocks(
-        self, limits: Optional[np.ndarray] = None
-    ) -> Iterator[int]:
-        """Stream the full combination space into the workspace, block by
-        block, yielding each block's row count.
-
-        Configuration index ``i`` (1-based; index 0 is the empty
-        configuration, which is skipped so every streamed row satisfies
-        the >=1-processor floor) is decoded mixed-radix straight into the
-        per-cluster count columns.  When the whole space fits one block
-        and availability is unchanged since the last call, the decode is
-        skipped entirely — the counts columns are already in place.
-        """
-        ws = self.workspace
-        lim = self.limits if limits is None else np.asarray(limits, dtype=np.int64)
-        if np.any(lim < 0) or np.any(lim > self.limits):
-            raise PartitionError("limits outside the lowered availability bounds")
-        radix = lim + 1
-        k_n = len(radix)
-        space = 1
-        for r in radix:
-            space *= int(r)
-        div = [1] * k_n
-        for k in range(k_n - 2, -1, -1):
-            div[k] = div[k + 1] * int(radix[k + 1])
-        key = tuple(int(v) for v in lim)
-        if space - 1 <= ws.max_rows and self._decoded_for == key:
-            yield space - 1  # cached single-block decode
-            return
-        self._decoded_for = None
-        for start in range(1, space, ws.max_rows):
-            stop = min(start + ws.max_rows, space)
-            n = stop - start
-            indices = np.arange(start, stop, dtype=np.int64)
-            for k in range(k_n):
-                ck = ws.counts[k, :n]
-                np.floor_divide(indices, div[k], out=ck)
-                np.remainder(ck, radix[k], out=ck)
-            if space - 1 <= ws.max_rows:
-                self._decoded_for = key
-            yield n
-
-    def iter_pruned_blocks(self, incumbent_t_cycle: float) -> Iterator[int]:
-        """Stream the branch-and-bound survivors into the workspace.
-
-        The count matrix expands cluster by cluster; after each level every
-        prefix whose ``T_comp`` lower bound (remaining clusters fully
-        allocated) exceeds ``incumbent_t_cycle`` is dropped together with
-        its subtree, so every candidate that could still beat the
-        incumbent survives.  The final cluster level — the dominant
-        dimension — is expanded prefix-block by prefix-block so at most one
-        workspace's worth of candidates exists at a time.
-        """
-        ws = self.workspace
-        limits = self.limits
-        k_n = len(limits)
-        keep_at = incumbent_t_cycle * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
-        full_speeds = np.array([p[-1] for p in self._speed_prefix])
-        rest = np.concatenate((np.cumsum(full_speeds[::-1])[::-1][1:], [0.0]))
-        prefixes = np.zeros((1, 0), dtype=np.int64)
-        partial_speed = np.zeros(1)
-        for k in range(k_n - 1):
-            counts_k = np.arange(0, limits[k] + 1, dtype=np.int64)
-            speed_k = self._speed_prefix[k][counts_k]
-            new_speed = (partial_speed[:, None] + speed_k[None, :]).ravel()
-            bound = self.t_comp_lower_bound(new_speed, rest[k])
-            n_old = prefixes.shape[0]
-            expanded = np.empty((n_old * counts_k.size, k + 1), dtype=np.int64)
-            expanded[:, :k] = np.repeat(prefixes, counts_k.size, axis=0)
-            expanded[:, k] = np.tile(counts_k, n_old)
-            keep = ~(bound > keep_at) | np.isnan(bound)
-            prefixes = expanded[keep]
-            partial_speed = new_speed[keep]
-        counts_last = np.arange(0, limits[-1] + 1, dtype=np.int64)
-        speed_last = self._speed_prefix[-1][counts_last]
-        per_prefix = counts_last.size
-        block_prefixes = max(1, ws.max_rows // per_prefix)
-        for start in range(0, prefixes.shape[0], block_prefixes):
-            stop = min(start + block_prefixes, prefixes.shape[0])
-            chunk = prefixes[start:stop]
-            speed = (
-                partial_speed[start:stop, None] + speed_last[None, :]
-            ).ravel()
-            bound = self.t_comp_lower_bound(speed, 0.0)
-            n_chunk = chunk.shape[0] * per_prefix
-            rows = np.empty((n_chunk, k_n), dtype=np.int64)
-            rows[:, : k_n - 1] = np.repeat(chunk, per_prefix, axis=0)
-            rows[:, k_n - 1] = np.tile(counts_last, chunk.shape[0])
-            keep = ~(bound > keep_at) & (rows.sum(axis=1) >= 1)
-            rows = rows[keep]
-            if rows.shape[0] == 0:
-                continue
-            self.load_rows(rows)
-            yield rows.shape[0]
+    # -- block loading -----------------------------------------------------------
 
     def load_rows(self, rows: np.ndarray) -> int:
         """Copy an ``(n, K)`` row matrix into the workspace count columns."""
@@ -509,7 +429,7 @@ class ArrayCycleEstimator:
                 f"block of {n} rows exceeds workspace capacity "
                 f"{self.workspace.max_rows}"
             )
-        self._decoded_for = None
+        self._resident = None
         for k in range(rows.shape[1]):
             np.copyto(self.workspace.counts[k, :n], rows[:, k])
         return n
@@ -640,9 +560,9 @@ class ArrayCycleEstimator:
         The block is scored as an ``(n, K)`` matrix with the unfolded Eq 1
         form ``c1 + c2·p_eff + b·(c3 + c4·p_eff)`` and a pairwise crossing
         max chained from 0.0.
-        :meth:`~repro.partition.collapse.CollapsedSearchEngine._score_row_analytic`
-        replays these IEEE operations in this order, so the two change
-        together or not at all.
+        :func:`repro.partition.collapse._score_row_analytic` replays these
+        IEEE operations in this order, so the two change together or not
+        at all.
         """
         ws = self.workspace
         c = np.stack([ws.counts[k, :n] for k in range(len(self.ordered))], axis=1)
@@ -816,20 +736,30 @@ class ArrayCycleEstimator:
 def _better(
     t: float, counts: tuple[int, ...], best_t: float, best: Optional[tuple[int, ...]]
 ) -> bool:
-    """The engines' shared ordering: strictly smaller T_c, lex on exact ties."""
+    """The search's ordering: strictly smaller T_c, lex on exact ties."""
     if best is None or t < best_t:
         return True
     return t == best_t and counts < best
 
 
-def _streamed_search(
+def _stream_search(
     est: ArrayCycleEstimator,
+    plan: collapse.CollapsePlan,
+    lim: np.ndarray,
     *,
-    prune: str | bool = "auto",
-    collect_frontier: bool = False,
-    metrics=None,
+    prune: str | bool,
+    record: bool,
+    metrics,
 ) -> tuple[ArraySearchResult, Optional[FrontierState]]:
-    """Run one full streamed search; optionally record the frontier."""
+    """Score ``plan``'s canonical rows under ``lim``; with ``record``, also
+    return the frontier.
+
+    With the prune on (``"auto"``: once the space spans more than
+    :data:`_AUTO_PRUNE_BLOCKS` blocks) the cluster-prefix scan runs first
+    through the same workspace, and its best ``T_c`` (plus slack) is the
+    threshold :func:`~repro.partition.collapse.iter_canonical_blocks`
+    prunes at.
+    """
     from repro.telemetry import NULL_REGISTRY
 
     registry = metrics if metrics is not None else NULL_REGISTRY
@@ -845,88 +775,79 @@ def _streamed_search(
         buckets=(64, 256, 1024, 4096, 8192),
         help="rows per streamed workspace block",
     )
-    space = 1
-    for lim in est.limits:
-        space *= int(lim) + 1
+    max_rows = est.workspace.max_rows
     if prune == "auto":
-        do_prune = space - 1 > _AUTO_PRUNE_BLOCKS * est.workspace.max_rows
-    else:
-        do_prune = bool(prune)
+        prune = plan.collapsed_space() - 1 > _AUTO_PRUNE_BLOCKS * max_rows
     best: Optional[tuple[int, ...]] = None
     best_t = np.inf
     evaluations = 0
     chunks = 0
     frontier_rows: list[np.ndarray] = []
     frontier_t: list[np.ndarray] = []
+
+    def take(n: int) -> float:
+        nonlocal best, best_t, evaluations, chunks
+        t = est.score_block(n)
+        evaluations += n
+        chunks += 1
+        m_block_rows.observe(n)
+        t_blk, counts_blk = est.block_best(n)
+        if _better(t_blk, counts_blk, best_t, best):
+            best_t, best = t_blk, counts_blk
+        if record:
+            frontier_rows.append(est.block_rows(n))
+            frontier_t.append(t[:n].copy())
+        return t_blk
+
     keep_at = np.inf
     with np.errstate(invalid="ignore", divide="ignore"):
-        if do_prune:
-            # Incumbent: the cluster-prefix scan, streamed through the
-            # same workspace.
-            prefix_rows = prefix_count_matrix(est.ordered)
+        if prune:
+            prefix_rows = prefix_count_matrix(lim)
             incumbent = np.inf
-            for start in range(0, prefix_rows.shape[0], est.workspace.max_rows):
-                block = prefix_rows[start : start + est.workspace.max_rows]
-                n = est.load_rows(block)
-                t = est.score_block(n)
-                evaluations += n
-                chunks += 1
-                m_block_rows.observe(n)
-                t_blk, counts_blk = est.block_best(n)
-                incumbent = min(incumbent, t_blk)
-                if _better(t_blk, counts_blk, best_t, best):
-                    best_t, best = t_blk, counts_blk
-                if collect_frontier:
-                    frontier_rows.append(est.block_rows(n))
-                    frontier_t.append(t[:n].copy())
+            for start in range(0, prefix_rows.shape[0], max_rows):
+                block = prefix_rows[start : start + max_rows]
+                incumbent = min(incumbent, take(est.load_rows(block)))
             keep_at = incumbent * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
-            block_iter = est.iter_pruned_blocks(incumbent)
-        else:
-            block_iter = est.iter_full_blocks()
-        for n in block_iter:
-            t = est.score_block(n)
-            evaluations += n
-            chunks += 1
-            m_block_rows.observe(n)
-            t_blk, counts_blk = est.block_best(n)
-            if _better(t_blk, counts_blk, best_t, best):
-                best_t, best = t_blk, counts_blk
-            if collect_frontier:
-                frontier_rows.append(est.block_rows(n))
-                frontier_t.append(t[:n].copy())
+        for n in collapse.iter_canonical_blocks(est, plan, keep_at):
+            take(n)
     if best is None:
         raise PartitionError("no candidate configurations")
     m_chunks.inc(chunks)
     m_rows.inc(evaluations)
     est.evaluations += evaluations
     frontier = None
-    if collect_frontier:
+    if record:
         frontier = FrontierState(
-            limits=est.limits_key(),
+            limits=tuple(int(v) for v in lim),
             rows=np.concatenate(frontier_rows, axis=0),
             t_cycle=np.concatenate(frontier_t),
             keep_at=float(keep_at),
         )
+    if plan.collapses:
+        method = "collapse-exact"
+    else:
+        method = "array-pruned" if prune else "array-scan"
     result = ArraySearchResult(
         counts=best,
         t_cycle_ms=best_t,
         evaluations=evaluations,
         chunks=chunks,
         frontier_hit=False,
-        method="array-pruned" if do_prune else "array-scan",
+        method=method,
     )
     return result, frontier
 
 
 class ArraySearchEngine:
-    """A persistent array engine: lowering + workspace + frontier, reused
-    across decides.
+    """The exact search engine: lowering + collapse plan + workspace +
+    frontier, reused across decides.
 
-    This is the object the decide hot path holds on to: construction pays
-    the lowering once; every :meth:`search` streams candidates through the
-    same buffers; and :meth:`decide_counts` first consults the incremental
-    frontier so an availability *shrink* (the supervisor's node-loss case)
-    costs a masked argmin instead of a search.
+    Construction lowers the pool once and detects its equivalence classes
+    (:func:`~repro.partition.collapse.detect_equivalence_classes`; the
+    trivial one-class-per-cluster plan when detection proves nothing).
+    :meth:`decide_counts` then answers each availability by one rule:
+    frontier, plan, level sweep, canonical stream.  :meth:`search` is the
+    ordered reference scan.
     """
 
     def __init__(
@@ -936,13 +857,16 @@ class ArraySearchEngine:
         cost_db: CostDatabase,
         *,
         startup_ms: float = 0.0,
-        max_rows: int = DEFAULT_MAX_ROWS,
         metrics=None,
     ) -> None:
         from repro.telemetry import NULL_REGISTRY
 
         self.estimator = ArrayCycleEstimator(
-            computation, resources, cost_db, startup_ms=startup_ms, max_rows=max_rows
+            computation, resources, cost_db, startup_ms=startup_ms
+        )
+        self._trivial = collapse.CollapsePlan.singletons(self.estimator.limits)
+        self.plan = (
+            collapse.detect_equivalence_classes(self.estimator) or self._trivial
         )
         self.metrics = metrics
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -954,32 +878,80 @@ class ArraySearchEngine:
         self._m_misses = registry.counter(
             "decide.array.frontier_misses",
             domain="host",
-            help="decides that ran a full streamed search",
+            help="decides that ran a search",
         )
+        self._m_savings = registry.counter(
+            "decide.collapse.symmetry_savings",
+            domain="host",
+            help="candidate configurations skipped via orbit symmetry (capped)",
+        )
+        registry.gauge(
+            "decide.collapse.logical_clusters",
+            domain="host",
+            help="equivalence classes the physical clusters collapsed to",
+        ).set(len(self.plan.classes))
+        multiplicity = registry.histogram(
+            "decide.collapse.class_multiplicity",
+            domain="host",
+            buckets=(1, 2, 4, 8, 16, 64, 256),
+            help="interchangeable clusters per equivalence class",
+        )
+        for cls in self.plan.classes:
+            multiplicity.observe(cls.multiplicity)
         self.frontier: Optional[FrontierState] = None
 
+    def compatible(
+        self, ordered: Sequence[ClusterResources], startup_ms: float
+    ) -> bool:
+        """Whether this engine's lowering is still valid for the pool:
+        same clusters in the same order, availability within the lowered
+        bounds (shrinks reuse; growth needs fresh speed prefixes)."""
+        est = self.estimator
+        if est.startup_ms != startup_ms or len(est.ordered) != len(ordered):
+            return False
+        for built, now in zip(est.ordered, ordered):
+            if built.name != now.name or built.load_adjusted != now.load_adjusted:
+                return False
+        limits = np.array([r.n_available for r in ordered], dtype=np.int64)
+        return bool(np.all(limits <= est.limits))
+
     def search(self, *, prune: str | bool = "auto") -> ArraySearchResult:
-        """One full streamed search (never consults the frontier)."""
-        result, _ = _streamed_search(
-            self.estimator, prune=prune, metrics=self.metrics
+        """The ordered scan at the lowered limits: the trivial plan
+        streamed in full (``prune=False``), pruned, or pruned past the
+        size cutoff (``"auto"``).  Never consults or records a frontier —
+        the reference the collapsed paths are checked against."""
+        est = self.estimator
+        result, _ = _stream_search(
+            est,
+            self._trivial,
+            est.limits,
+            prune=prune,
+            record=False,
+            metrics=self.metrics,
         )
         return result
 
     def decide_counts(
-        self,
-        limits: Optional[Sequence[int]] = None,
-        *,
-        prune: str | bool = "auto",
+        self, limits: Optional[Sequence[int]] = None
     ) -> ArraySearchResult:
-        """The optimum under ``limits`` (default: full availability),
-        incrementally when the frontier can prove it, else by full search.
+        """The optimum under ``limits`` (default: full availability).
+
+        1. **Frontier** — when a frontier exists and the plan that built
+           it is uniform at ``limits``, a masked argmin answers whenever
+           :meth:`FrontierState.shrink_best` can prove it.
+        2. **Plan** — the detected plan if uniform at ``limits``, else the
+           trivial plan, both at ``limits``.
+        3. **Level sweep** — when the plan's canonical space exceeds
+           :data:`EXACT_BUDGET` rows, unless a level-mode gate fails.
+        4. **Stream** — the plan's canonical rows through the kernels;
+           only this step at the lowered limits records the frontier.
         """
-        lim = (
-            self.estimator.limits
-            if limits is None
-            else np.asarray(limits, dtype=np.int64)
-        )
-        if self.frontier is not None:
+        est = self.estimator
+        lim = est.limits if limits is None else np.asarray(limits, dtype=np.int64)
+        if np.any(lim < 0) or np.any(lim > est.limits):
+            raise PartitionError("limits outside the lowered availability bounds")
+        uniform = self.plan.uniform(lim)
+        if self.frontier is not None and uniform:
             hit = self.frontier.shrink_best(lim)
             if hit is not None:
                 self._m_hits.inc()
@@ -993,63 +965,48 @@ class ArraySearchEngine:
                     method="array-frontier",
                 )
         self._m_misses.inc()
-        if limits is not None and np.any(lim != self.estimator.limits):
-            # Scoped search under reduced availability: stream the shrunk
-            # space (pruning bounds assume full availability, so scan).
-            result, _ = self._search_limited(lim)
-            return result
-        result, frontier = _streamed_search(
-            self.estimator,
-            prune=prune,
-            collect_frontier=True,
-            metrics=self.metrics,
+        plan = (self.plan if uniform else self._trivial).at_limits(lim)
+        if plan.collapsed_space() - 1 > EXACT_BUDGET:
+            level = collapse.level_search(est, plan, lim)
+            if level is not None:
+                counts, t, evaluations = level
+                self._record_savings(plan, evaluations)
+                return ArraySearchResult(
+                    counts=counts,
+                    t_cycle_ms=t,
+                    evaluations=evaluations,
+                    chunks=1,
+                    frontier_hit=False,
+                    method="collapse-level",
+                )
+        record = bool(np.array_equal(lim, est.limits))
+        result, frontier = _stream_search(
+            est, plan, lim, prune="auto", record=record, metrics=self.metrics
         )
-        self.frontier = frontier
+        if record:
+            self.frontier = frontier
+        if plan.collapses:
+            self._record_savings(plan, result.evaluations)
         return result
 
-    def _search_limited(
-        self, limits: np.ndarray
-    ) -> tuple[ArraySearchResult, None]:
-        est = self.estimator
-        best: Optional[tuple[int, ...]] = None
-        best_t = np.inf
-        evaluations = 0
-        chunks = 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for n in est.iter_full_blocks(limits):
-                est.score_block(n)
-                evaluations += n
-                chunks += 1
-                t_blk, counts_blk = est.block_best(n)
-                if _better(t_blk, counts_blk, best_t, best):
-                    best_t, best = t_blk, counts_blk
-        if best is None:
-            raise PartitionError("no candidate configurations")
-        est.evaluations += evaluations
-        return (
-            ArraySearchResult(
-                counts=best,
-                t_cycle_ms=best_t,
-                evaluations=evaluations,
-                chunks=chunks,
-                frontier_hit=False,
-                method="array-scan",
-            ),
-            None,
-        )
+    def _record_savings(self, plan: collapse.CollapsePlan, evaluations: int) -> None:
+        if plan.log10_full_space() > 18.5:
+            saved = _SAVINGS_CAP
+        else:
+            saved = min(_SAVINGS_CAP, max(0, plan.full_space() - 1 - evaluations))
+        self._m_savings.inc(saved)
 
 
-def array_exhaustive_search(
+def exact_search(
     computation: DataParallelComputation,
     ordered: Sequence[ClusterResources],
     cost_db: CostDatabase,
     *,
     startup_ms: float = 0.0,
-    prune: str | bool = "auto",
     cache=None,
     metrics=None,
 ) -> ArraySearchResult:
-    """Streamed exhaustive optimum over the ordered clusters.
+    """The exact optimum over the ordered clusters.
 
     With a :class:`~repro.partition.warmstart.SearchCache`, the engine and
     its frontier persist across calls under the cache's estimate
@@ -1057,39 +1014,17 @@ def array_exhaustive_search(
     answered from the frontier with zero fresh evaluations, exactly equal
     to a cold search (see :class:`FrontierState`).
     """
-    if cache is not None:
-        namespace = cache.estimate_namespace(ordered)
-        engine = cache.array_engine(namespace)
+    if cache is None:
+        return ArraySearchEngine(
+            computation, ordered, cost_db, startup_ms=startup_ms, metrics=metrics
+        ).decide_counts()
+    namespace = cache.estimate_namespace(ordered)
+    engine = cache.array_engine(namespace)
+    if engine is not None and engine.compatible(ordered, startup_ms):
         limits = np.array([r.n_available for r in ordered], dtype=np.int64)
-        if engine is not None and engine_compatible(engine, ordered, startup_ms):
-            return engine.decide_counts(limits, prune=prune)
-        engine = ArraySearchEngine(
-            computation,
-            ordered,
-            cost_db,
-            startup_ms=startup_ms,
-            metrics=metrics,
-        )
-        cache.store_array_engine(namespace, engine)
-        return engine.decide_counts(prune=prune)
-    est = ArrayCycleEstimator(computation, ordered, cost_db, startup_ms=startup_ms)
-    result, _ = _streamed_search(est, prune=prune, metrics=metrics)
-    return result
-
-
-def engine_compatible(
-    engine: ArraySearchEngine,
-    ordered: Sequence[ClusterResources],
-    startup_ms: float,
-) -> bool:
-    """Whether a cached engine's lowering is still valid for this pool:
-    same clusters in the same order, availability within the lowered
-    bounds (shrinks reuse; growth needs fresh speed prefixes)."""
-    est = engine.estimator
-    if est.startup_ms != startup_ms or len(est.ordered) != len(ordered):
-        return False
-    for built, now in zip(est.ordered, ordered):
-        if built.name != now.name or built.load_adjusted != now.load_adjusted:
-            return False
-    limits = np.array([r.n_available for r in ordered], dtype=np.int64)
-    return bool(np.all(limits <= est.limits))
+        return engine.decide_counts(limits)
+    engine = ArraySearchEngine(
+        computation, ordered, cost_db, startup_ms=startup_ms, metrics=metrics
+    )
+    cache.store_array_engine(namespace, engine)
+    return engine.decide_counts()

@@ -12,9 +12,10 @@ boundary instead of each caller re-threading ``partition()`` /
 * :meth:`DecisionEngine.decide` — the §5 heuristic (the supervisor's
   path), probed through the scalar estimator, with warm-start seeding and
   the shared cache;
-* :meth:`DecisionEngine.decide_exact` — the streamed array-engine oracle
-  (the server's path), with a per-tenant decision memo layered over the
-  tenant-agnostic estimate/frontier reuse.
+* :meth:`DecisionEngine.decide_exact` — the exact array-engine search
+  (the server's path; it collapses interchangeable clusters, so wide-area
+  pools decide in milliseconds), with a per-tenant decision memo layered
+  over the tenant-agnostic engine/frontier reuse.
 
 Both paths return decisions bit-identical to calling the underlying
 search functions directly with the same inputs: the facade adds memo
@@ -181,10 +182,9 @@ class DecisionEngine:
         self,
         resources: Sequence[ClusterResources],
         *,
-        collapse: bool = False,
         tenant: Optional[str] = None,
     ) -> PartitionDecision:
-        """The unrestricted optimum via the streamed array engine.
+        """The unrestricted optimum via the exact array engine.
 
         Identical to :func:`~repro.partition.heuristic.exhaustive_partition`
         on the same inputs; with a cache attached, repeat pools are
@@ -207,7 +207,6 @@ class DecisionEngine:
             startup_ms=self.startup_ms,
             cache=self.cache,
             metrics=self.metrics,
-            collapse=collapse,
         )
         self.remember_exact(ordered, decision, tenant=tenant)
         return decision

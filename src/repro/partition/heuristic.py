@@ -16,7 +16,8 @@ Two oracles validate it:
   restricted (cluster-prefix) configuration space;
 * :func:`exhaustive_partition` — every combination of per-cluster counts,
   the unrestricted optimum of the estimator's objective, searched by the
-  array engine (:mod:`repro.partition.arrayengine`).
+  one exact engine (:mod:`repro.partition.arrayengine`), which collapses
+  interchangeable clusters (:mod:`repro.partition.collapse`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import PartitionError
 from repro.model.vector import PartitionVector
+from repro.partition.arrayengine import exact_search
 from repro.partition.available import ClusterResources
 from repro.partition.config import ProcessorConfiguration
 from repro.partition.estimator import CycleEstimate, CycleEstimator
@@ -383,48 +385,32 @@ def exhaustive_partition(
     cost_db,
     *,
     startup_ms: float = 0.0,
-    prune: bool = True,
     cache=None,
     metrics=None,
-    collapse: bool = False,
 ) -> PartitionDecision:
     """Minimum of the objective over *all* per-cluster count combinations.
 
-    Exponential in the cluster count, so the space is streamed through the
-    array engine's preallocated workspace (see
-    :mod:`repro.partition.arrayengine`).  With ``prune=True`` a
-    branch-and-bound cut discards every count prefix whose ``T_comp``
-    lower bound already exceeds the best cluster-prefix candidate, once
-    the space is large enough for the cut to pay; the result stays exact.
+    Exponential in the cluster count, so the space goes to the one exact
+    engine (:class:`~repro.partition.arrayengine.ArraySearchEngine`): it
+    detects equivalence classes of interchangeable clusters and streams
+    one canonical member per orbit through a preallocated workspace, with
+    a branch-and-bound cut once the space is large enough for the cut to
+    pay, or sweeps per-class Eq 1 levels when the canonical space is
+    astronomic (:mod:`repro.partition.collapse`).  Every path is exact.
     Given a ``cache`` (:class:`~repro.partition.warmstart.SearchCache`),
     the lowered engine and its incremental frontier persist across calls,
     so an availability *shrink* is answered in O(delta) with zero fresh
     evaluations.
-
-    ``collapse=True`` detects equivalence classes of interchangeable
-    clusters and searches one canonical member per orbit
-    (:mod:`repro.partition.collapse`) — the wide-area path.  The returned
-    decision is identical to ``collapse=False``; pools with no duplicate
-    clusters simply fall through to the plain streamed scan.
     """
-    if collapse:
-        from repro.partition.collapse import collapsed_exhaustive_search
-
-        search = collapsed_exhaustive_search
-    else:
-        from repro.partition.arrayengine import array_exhaustive_search
-
-        search = array_exhaustive_search
     kind = computation.dominant_computation_phase().op_kind
     ordered = order_by_power(resources, kind)
     if not ordered:
         raise PartitionError("no available processors in any cluster")
-    result = search(
+    result = exact_search(
         computation,
         ordered,
         cost_db,
         startup_ms=startup_ms,
-        prune="auto" if prune else False,
         cache=cache,
         metrics=metrics,
     )

@@ -18,8 +18,11 @@ Timing methodology per engine:
 ArraySearchEngine` is constructed *outside* the timed window (like the
   cost database is for both engines) because its operating point is the
   steady-state decide loop: lower once, search many times.  Each repeat
-  times one full streamed search; the incremental frontier is never used,
-  so every repeat does the complete space's work.
+  times one :meth:`~repro.partition.arrayengine.ArraySearchEngine.search`
+  — the ordered scan, which never consults or records a frontier — so
+  every repeat scores the complete space (a space that fits one
+  workspace block stays loaded between repeats, as it does in any
+  repeated search).
 """
 
 from __future__ import annotations

@@ -21,12 +21,12 @@ memos across :func:`~repro.partition.heuristic.partition` calls:
   are pure functions of the pool and stay shared across tenants, but one
   tenant's memoized decision is never served from another tenant's key.
 
-It also carries the **array engine slot** for the streamed oracle
-(:mod:`repro.partition.arrayengine`): a lowered
-:class:`~repro.partition.arrayengine.ArraySearchEngine` — workspace plus
-incremental frontier — keyed by the same estimate namespace, so a repeat
-exhaustive search under shrunk availability is answered from the frontier
-in O(delta) instead of re-streaming the space.
+It also carries the **engine slot** for the exact search
+(:mod:`repro.partition.arrayengine`): one lowered
+:class:`~repro.partition.arrayengine.ArraySearchEngine` — workspace,
+equivalence-class plan and incremental frontier — per estimate namespace,
+so a repeat exhaustive search under shrunk availability is answered from
+the frontier in O(delta) instead of re-streaming the space.
 
 Both memos are exact: a warm-started search returns the *identical*
 decision a cold search would (same config, same vector), only with fewer

@@ -3,10 +3,11 @@
 Shared by the ``repro bench-widearea`` CLI subcommand and
 ``benchmarks/test_bench_widearea_perf.py``: builds deterministic
 :func:`~repro.hardware.presets.wide_area_network` pools at several sizes,
-lowers each into a :class:`~repro.partition.collapse.CollapsedSearchEngine`
-(outside the timed window — the operating point is the steady-state decide
-loop, like the array engine in :mod:`repro.partition.perfbench`), then
-times repeated decisions.  The numbers ``BENCH_widearea_perf.json`` tracks
+lowers each into an :class:`~repro.partition.arrayengine.ArraySearchEngine`
+(lowering and equivalence-class detection happen outside the timed window
+— the operating point is the steady-state decide loop, like the array
+engine in :mod:`repro.partition.perfbench`), then times repeated
+decisions.  The numbers ``BENCH_widearea_perf.json`` tracks
 across PRs:
 
 * wall time per decision at each pool size, against the committed
@@ -15,9 +16,9 @@ across PRs:
 * configurations *considered* (the log10 of the full ordered space — at
   wide-area scale the count itself does not fit in a float) versus
   *evaluated* (what the collapsed engine actually scored);
-* a small-instance parity block: the collapsed engine's decision must be
-  bit-identical (counts and ``T_c``) to the uncollapsed array engine on
-  pools small enough to scan exhaustively.
+* a small-instance parity block: the engine's collapsed decision and a
+  forced level sweep must be bit-identical (counts and ``T_c``) to its
+  ordered scan on pools small enough to scan exhaustively.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from repro.benchmarking.perfgate import metric, record
 from repro.benchmarking.timing import time_calls
 from repro.errors import PartitionError
 from repro.hardware.presets import wide_area_cost_database, wide_area_network
+from repro.partition.arrayengine import ArraySearchEngine
 from repro.partition.available import gather_available_resources
-from repro.partition.collapse import CollapsedSearchEngine
+from repro.partition.collapse import level_search
 from repro.partition.heuristic import order_by_power
 from repro.units import seconds_to_msec
 
@@ -126,30 +128,27 @@ def _decide_workload(n: int):
 
 
 def _parity_check(n: int, *, metrics=None) -> int:
-    """Collapsed vs uncollapsed bit-parity on small pools; returns the
-    instance count, raises :class:`PartitionError` on any mismatch."""
-    from repro.partition.arrayengine import ArraySearchEngine
-
+    """Collapsed decision and forced level sweep vs the ordered scan, bit
+    for bit, on small pools; returns the instance count, raises
+    :class:`PartitionError` on any mismatch."""
     comp = _decide_workload(n)
     for seed in _PARITY_SEEDS:
         net = wide_area_network(_PARITY_SITES, seed=seed)
         db = wide_area_cost_database(net)
         ordered = order_by_power(gather_available_resources(net), "fp")
-        reference = ArraySearchEngine(comp, ordered, db).decide_counts()
-        for exact_budget in (200_000, 0):  # exact mode, then level mode
-            engine = CollapsedSearchEngine(
-                comp, ordered, db, metrics=metrics, exact_budget=exact_budget
-            )
-            outcome = engine.decide_counts()
-            if (
-                outcome.counts != reference.counts
-                or outcome.t_cycle_ms != reference.t_cycle_ms
-            ):
+        engine = ArraySearchEngine(comp, ordered, db, metrics=metrics)
+        scan = engine.search()
+        want = (scan.counts, scan.t_cycle_ms)
+        level = level_search(engine.estimator, engine.plan, engine.estimator.limits)
+        decided = engine.decide_counts()
+        for method, got in (
+            (decided.method, (decided.counts, decided.t_cycle_ms)),
+            ("collapse-level", level and level[:2]),
+        ):
+            if got != want:
                 raise PartitionError(
-                    f"collapsed/{outcome.method} decision diverged from the "
-                    f"array engine on seed {seed}: "
-                    f"{outcome.counts} @ {outcome.t_cycle_ms!r} != "
-                    f"{reference.counts} @ {reference.t_cycle_ms!r}"
+                    f"{method} decision diverged from the ordered scan on "
+                    f"seed {seed}: {got!r} != {want!r}"
                 )
     return len(_PARITY_SEEDS) * 2
 
@@ -168,8 +167,8 @@ def run_widearea(
     Per size, everything a deployment does once — building the pool,
     the fitted database, lowering, equivalence detection — happens outside
     the timed window; each repeat then times one cold ``decide_counts``
-    call (the engine keeps no frontier between full-limit decides, so no
-    repeat is cheaper than the first).
+    call (a level-mode decide records no frontier, so no repeat is
+    cheaper than the first).
     """
     if repeat < 1:
         raise PartitionError(f"repeat must be >= 1, got {repeat}")
@@ -182,10 +181,10 @@ def run_widearea(
         net = wide_area_network(int(k_clusters), seed=seed)
         db = wide_area_cost_database(net)
         ordered = order_by_power(gather_available_resources(net), "fp")
-        engine = CollapsedSearchEngine(comp, ordered, db, metrics=metrics)
+        engine = ArraySearchEngine(comp, ordered, db, metrics=metrics)
         setup_s = time.perf_counter() - setup_start
         plan = engine.plan
-        if plan is None:
+        if not plan.collapses:
             raise PartitionError(
                 f"wide-area pool of {k_clusters} sites did not collapse"
             )
@@ -271,7 +270,7 @@ def widearea_report(bench: WideAreaBench) -> str:
     )
     if bench.parity_ok is not None:
         table += (
-            f"\ncollapsed vs array parity: "
+            f"\ncollapsed and level vs ordered-scan parity: "
             f"{'OK' if bench.parity_ok else 'BROKEN'} "
             f"({bench.parity_instances} instances)"
         )

@@ -11,9 +11,14 @@ tick to :class:`Coalescer.run`.  Coalescing happens at two levels:
   <repro.partition.engine.DecisionEngine.remember_exact>`);
 * **compatible requests** — same workload, different pools — run through
   the *same* cached :class:`~repro.partition.arrayengine.ArraySearchEngine`
-  (one lowering, shared estimate memo, incremental frontier), so a batch
-  of N distinct shrinking availabilities costs far less than N cold
-  searches.
+  (one lowering and collapse plan, shared estimate memo, incremental
+  frontier), so a batch of N distinct shrinking availabilities costs far
+  less than N cold searches.
+
+Failures stay inside their request group: an unservable pool or workload
+is a ``bad-request`` reply, any other exception (a search that runs out
+of memory, a bug) an ``internal`` reply, and the tick's other groups are
+served as usual.
 
 The coalescing ratio the bench reports is
 ``requests / fresh searches`` — how many answers each streamed search
@@ -208,8 +213,10 @@ class Coalescer:
         """Serve every item; returns ``(item, reply object)`` pairs.
 
         Never raises for a single bad request — engine failures become
-        typed error replies so one tenant's impossible pool cannot poison
-        the rest of the tick.
+        typed error replies scoped to the request group that hit them
+        (``bad-request`` for an unservable pool or workload, ``internal``
+        for anything else), so one group's failure cannot poison the rest
+        of the tick.
         """
         self.stats.batches += 1
         self.stats.batch_sizes.append(len(items))
@@ -225,7 +232,17 @@ class Coalescer:
             groups.setdefault(key, []).append(item)
         outcomes: list[tuple[BatchItem, dict]] = []
         for members in groups.values():
-            outcomes.extend(self._serve_group(members))
+            try:
+                outcomes.extend(self._serve_group(members))
+            except Exception as exc:
+                # A server fault (say, a search that ran out of memory)
+                # fails its own group, never the rest of the tick.
+                self.stats.errors += len(members)
+                detail = f"{type(exc).__name__}: {exc}"
+                outcomes.extend(
+                    (item, error_reply(item.request.id, "internal", detail))
+                    for item in members
+                )
         self.stats.requests += len(items)
         self._m_requests.inc(len(items))
         return outcomes

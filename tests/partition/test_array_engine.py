@@ -6,10 +6,11 @@ Two implementations of the Eq 3-6 objective exist — the scalar reference
 the identical decision: same winning counts (lex-smallest on exact ties),
 same ``T_cycle`` (bit for bit once the winner is re-estimated, within
 1e-9 ms for raw kernel values).  Exact decisions are checked three ways:
-the scalar product loop, the streamed array search, and the collapsed
-array search.  The second half exercises the incremental frontier: after
-arbitrary availability deltas, a decision served from
-:class:`FrontierState` must equal a cold search from scratch.
+the scalar product loop, the ordered scan (:meth:`ArraySearchEngine.search`),
+and the engine's own decision, which collapses interchangeable clusters.
+The second half exercises the incremental frontier: after arbitrary
+availability deltas, a decision served from :class:`FrontierState` must
+equal a cold search from scratch.
 """
 
 import importlib
@@ -43,12 +44,15 @@ from repro.partition import (
     partition,
     prefix_scan_partition,
 )
-from repro.partition import arrayengine
+from repro.partition import arrayengine, collapse
 from repro.partition.arrayengine import (
     ArrayCycleEstimator,
     ArraySearchEngine,
+    _stream_search,
     prefix_count_matrix,
 )
+from repro.partition.collapse import CollapsePlan
+from repro.partition.perfbench import synthetic_database, synthetic_network
 from repro.partition.heuristic import _scalar_exhaustive_partition
 from repro.partition.warmstart import SearchCache
 from tests.partition.test_fastpath_equivalence import (
@@ -86,14 +90,15 @@ def assert_oracles_agree(comp, res, db):
     array side is a raw kernel value, within 1e-9 ms of the scalar one.
     """
     ref = _scalar_exhaustive_partition(comp, res, db)
-    for collapse in (False, True):
-        got = exhaustive_partition(comp, res, db, collapse=collapse)
-        assert got.counts_by_name() == ref.counts_by_name(), collapse
-        assert got.t_cycle_ms == ref.t_cycle_ms, collapse
+    got = exhaustive_partition(comp, res, db)
+    assert got.counts_by_name() == ref.counts_by_name()
+    assert got.t_cycle_ms == ref.t_cycle_ms
+    ordered_scan = ArraySearchEngine(comp, list(ref.config.resources), db).search()
+    assert ordered_scan.counts == tuple(ref.config.counts)
     scan = prefix_scan_partition(comp, res, db)
     ordered = list(scan.config.resources)
     est = ArrayCycleEstimator(comp, ordered, db)
-    t_best, counts = array_block_best(est, prefix_count_matrix(ordered))
+    t_best, counts = array_block_best(est, prefix_count_matrix(est.limits))
     assert counts == tuple(scan.config.counts)
     assert abs(t_best - scan.t_cycle_ms) < TOL_MS
 
@@ -157,6 +162,29 @@ def test_unknown_engine_rejected():
         DecisionEngine(comp, db, engine="array")
     with pytest.raises(TypeError, match="prune"):
         DecisionEngine(comp, db).decide_exact(res, prune=False)
+    # One exact engine: no collapse, prune, budget or block-size knob left.
+    with pytest.raises(TypeError, match="collapse"):
+        exhaustive_partition(comp, res, db, collapse=True)
+    with pytest.raises(TypeError, match="prune"):
+        exhaustive_partition(comp, res, db, prune=False)
+    with pytest.raises(TypeError, match="collapse"):
+        DecisionEngine(comp, db).decide_exact(res, collapse=True)
+    ordered = order_by_power(res)
+    with pytest.raises(TypeError, match="max_rows"):
+        ArraySearchEngine(comp, ordered, db, max_rows=64)
+    engine = ArraySearchEngine(comp, ordered, db)
+    for knob in ("prune", "exact_budget", "collapse"):
+        with pytest.raises(TypeError, match=knob):
+            engine.decide_counts(**{knob: False})
+    with pytest.raises(TypeError, match="rtol"):
+        collapse.detect_equivalence_classes(engine.estimator, rtol=0.0)
+    for gone in ("CollapsedSearchEngine", "collapsed_exhaustive_search"):
+        assert not hasattr(collapse, gone)
+    for gone in ("array_exhaustive_search", "engine_compatible", "_streamed_search"):
+        assert not hasattr(arrayengine, gone)
+    for gone in ("iter_full_blocks", "iter_pruned_blocks", "limits_key"):
+        assert not hasattr(ArrayCycleEstimator, gone)
+    assert not hasattr(collapse, "_limited_prefix_rows")
     with pytest.raises(TypeError, match="engine"):
         RuntimePolicy(engine="array")
     for grid in (resilience_grid, resilience_report):
@@ -207,9 +235,11 @@ def test_lexicographic_tie_break_parity():
     res = gather_available_resources(net)
     comp = stencil_computation(300, overlap=False)
     ref = _scalar_exhaustive_partition(comp, res, db)
-    got = exhaustive_partition(comp, res, db, prune=False)
+    got = exhaustive_partition(comp, res, db)
     # The mirror of the winner really does tie (the scenario is symmetric).
     ordered = order_by_power(res)
+    unpruned = ArraySearchEngine(comp, ordered, db).search(prune=False)
+    assert unpruned.counts == tuple(ref.config.counts)
     counts = tuple(ref.config.counts)
     if counts != counts[::-1]:
         est = CycleEstimator(comp, db)
@@ -315,6 +345,34 @@ def test_frontier_decisions_match_cold(seed):
     assert frontier_hits >= 1  # seeds are fixed; the fast path really ran
 
 
+def test_shrunk_limit_miss_keeps_the_ordered_frontier():
+    """The decision server's zero-evaluation share rests on this: on a
+    pool with no duplicate cluster the frontier is recorded once, at full
+    availability; a shrink it cannot prove streams the shrunk space
+    without replacing it, so later provable shrinks are still answered
+    from it — every answer equal to a cold scan of the shrunk pool."""
+    net = synthetic_network((32, 32, 32))
+    db = synthetic_database(["c0", "c1", "c2"])
+    comp = stencil_computation(600, overlap=False)
+    ordered = order_by_power(gather_available_resources(net))
+    engine = ArraySearchEngine(comp, ordered, db)
+    assert engine.decide_counts().method == "array-pruned"
+    frontier = engine.frontier
+    limits = engine.estimator.limits
+    rng = np.random.default_rng(32)
+    outcomes = []
+    for _ in range(24):
+        lim = rng.integers(1, limits + 1)
+        got = engine.decide_counts(lim)
+        assert engine.frontier is frontier
+        outcomes.append(got.frontier_hit)
+        cold = ArraySearchEngine(comp, _shrunk(ordered, lim), db).search()
+        assert got.counts == cold.counts
+        assert got.t_cycle_ms == cold.t_cycle_ms
+    first_miss = outcomes.index(False)
+    assert any(outcomes[first_miss:])  # a hit after a miss
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_array_oracle_tracks_availability_deltas(seed):
     """exhaustive_partition(cache=...) over arbitrary delta sequences —
@@ -353,9 +411,11 @@ def test_shrink_best_is_exact_or_abstains(seed, prune):
     rng, comp, res, db = _small_random_case(8500 + seed)
     kind = CycleEstimator(comp, db).op_kind
     ordered = order_by_power(res, kind)
-    engine = ArraySearchEngine(comp, ordered, db)
-    engine.decide_counts(prune=prune)
-    frontier = engine.frontier
+    est = ArrayCycleEstimator(comp, ordered, db)
+    plan = CollapsePlan.singletons(est.limits)
+    _, frontier = _stream_search(
+        est, plan, est.limits, prune=prune, record=True, metrics=None
+    )
     assert frontier is not None
     matrix = full_count_matrix(ordered)
     t_all = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]

@@ -4,15 +4,17 @@ Equivalence-class collapsing (:mod:`repro.partition.collapse`) scores one
 canonical member per permutation orbit of interchangeable clusters.  Its
 whole value rests on one claim: the decision — winning counts (the shared
 lex-smallest tie-break) *and* ``T_cycle``, bit-for-bit — is identical to
-the uncollapsed engines on every instance small enough to scan.  These
-tests pin that claim on randomized duplicate-class instances and the
-wide-area presets, in both collapsed modes (the exact canonical scan and
-the analytic level sweep), plus the plan mechanics the modes rely on:
-detection, canonical expansion, frontier reuse, and the fallbacks when a
-collapse stops being sound.
+the ordered scan (:meth:`ArraySearchEngine.search`) on every instance
+small enough to scan.  These tests pin that claim on randomized
+duplicate-class instances and the wide-area presets, in both collapsed
+modes (the exact canonical stream and the analytic level sweep, forced
+through :func:`level_search`), plus the plan mechanics the modes rely on:
+detection, canonical expansion, the engine's dispatch rule, frontier
+reuse, and the fallbacks when a collapse stops being sound.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,21 +37,22 @@ from repro.hardware.presets import (
 from repro.model.computation import DataParallelComputation
 from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.partition import exhaustive_partition, gather_available_resources
-from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
+from repro.partition.arrayengine import (
+    ArrayCycleEstimator,
+    ArraySearchEngine,
+    exact_search,
+)
 from repro.partition.collapse import (
-    CollapsedSearchEngine,
     CollapsePlan,
     EquivalenceClass,
-    collapsed_exhaustive_search,
+    _score_row_analytic,
     detect_equivalence_classes,
+    level_search,
 )
+from repro.partition.config import ProcessorConfiguration
+from repro.partition.estimator import CycleEstimator
 from repro.partition.heuristic import _scalar_exhaustive_partition, order_by_power
 from repro.partition.warmstart import SearchCache
-
-#: Both collapsed modes: the default budget runs the exact canonical scan
-#: on these small instances; budget 0 forces the level sweep (or its
-#: fallback when a gate rejects the instance).
-BUDGETS = (200_000, 0)
 
 _SPECS = (SPARC2, IPC, HP9000)
 _COEFFS = (
@@ -119,6 +122,31 @@ def _wide_area_case(n_sites: int, *, seed: int, n: int = 600):
     return stencil_computation(n, overlap=False), ordered, db
 
 
+def _both_modes(comp, ordered, db):
+    """The engine's own decision and a forced level sweep (left out when a
+    level-mode gate rejects the instance), as ``(method, counts, t)``."""
+    engine = ArraySearchEngine(comp, ordered, db)
+    decided = engine.decide_counts()
+    outcomes = [(decided.method, decided.counts, decided.t_cycle_ms)]
+    level = level_search(engine.estimator, engine.plan, engine.estimator.limits)
+    if level is not None:
+        outcomes.append(("collapse-level",) + level[:2])
+    return outcomes
+
+
+def _shrunk(resources, limits):
+    """Resources with availability cut to ``limits`` (same cluster objects)."""
+    return [
+        replace(res, available=res.available[: int(m)])
+        for res, m in zip(resources, limits)
+    ]
+
+
+def _scalar_t(comp, ordered, db, counts) -> float:
+    """The scalar reference's ``T_cycle`` for one ordered counts row."""
+    return CycleEstimator(comp, db).t_cycle(ProcessorConfiguration(ordered, counts))
+
+
 # -- bit-exact parity with the uncollapsed engines -------------------------------
 
 
@@ -128,30 +156,29 @@ def test_randomized_duplicate_class_parity(seed):
     ``T_cycle`` to the bit — the collapsed set contains every orbit's
     lex-smallest member, so even ties must resolve identically."""
     comp, ordered, db = _duplicate_class_case(9200 + seed)
-    reference = ArraySearchEngine(comp, ordered, db).decide_counts()
-    for budget in BUDGETS:
-        engine = CollapsedSearchEngine(comp, ordered, db, exact_budget=budget)
-        got = engine.decide_counts()
-        assert got.counts == reference.counts, (budget, got.method)
-        assert got.t_cycle_ms == reference.t_cycle_ms, (budget, got.method)
+    reference = ArraySearchEngine(comp, ordered, db).search()
+    for method, counts, t in _both_modes(comp, ordered, db):
+        assert counts == reference.counts, method
+        assert t == reference.t_cycle_ms, method
 
 
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_wide_area_parity_all_engines(seed):
-    """On small wide-area pools the collapsed oracle matches both engines:
-    the scalar reference loop and the plain array scan."""
+    """On small wide-area pools the collapsed oracle matches both
+    references: the scalar reference loop and the ordered array scan."""
     comp, ordered, db = _wide_area_case(3, seed=seed, n=400)
     res = gather_available_resources(
         wide_area_network(3, seed=seed)
     )
-    collapsed = exhaustive_partition(comp, res, db, collapse=True)
+    collapsed = exhaustive_partition(comp, res, db)
+    scan = ArraySearchEngine(comp, ordered, db).search()
     references = {
-        "scalar": _scalar_exhaustive_partition(comp, res, db),
-        "array": exhaustive_partition(comp, res, db),
+        "scalar": _scalar_exhaustive_partition(comp, res, db).config.counts,
+        "array": scan.counts,
     }
-    for engine, ref in references.items():
-        assert collapsed.counts_by_name() == ref.counts_by_name(), engine
-        assert collapsed.t_cycle_ms == ref.t_cycle_ms, engine
+    for engine, counts in references.items():
+        assert tuple(collapsed.config.counts) == tuple(counts), engine
+        assert collapsed.t_cycle_ms == _scalar_t(comp, ordered, db, counts), engine
 
 
 def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit():
@@ -159,45 +186,48 @@ def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit():
     replay of the kernel fallback's arithmetic; the two agree to the bit on
     sparse, crossing and dense rows alike."""
     comp, ordered, db = _wide_area_case(40, seed=7)
-    engine = CollapsedSearchEngine(comp, ordered, db)
-    est = engine.estimator
+    est = ArrayCycleEstimator(comp, ordered, db)
     rng = np.random.default_rng(40)
     for _ in range(60):
         active = rng.random(len(ordered)) < rng.choice([0.05, 0.3, 1.0])
         row = (rng.integers(1, est.limits + 1) * active).astype(np.int64)
         if not row.any():
             continue
-        replay = engine._score_row_analytic(row)
+        replay = _score_row_analytic(est, row)
         assert replay is not None
         n = est.load_rows(row[None, :])
         assert replay == float(est.score_block(n)[0]), row
 
 
 def test_level_mode_matches_exact_mode_on_wide_area_pool():
-    """Forcing the analytic sweep (budget 0) reproduces the exact canonical
-    scan bit-for-bit on a pool where both are feasible."""
+    """Forcing the analytic sweep reproduces the exact canonical stream
+    bit-for-bit on a pool where both are feasible."""
     comp, ordered, db = _wide_area_case(5, seed=11)
-    exact = CollapsedSearchEngine(comp, ordered, db).decide_counts()
-    level = CollapsedSearchEngine(comp, ordered, db, exact_budget=0).decide_counts()
+    engine = ArraySearchEngine(comp, ordered, db)
+    exact = engine.decide_counts()
+    level = level_search(engine.estimator, engine.plan, engine.estimator.limits)
     assert exact.method == "collapse-exact"
-    assert level.method == "collapse-level"
-    assert level.counts == exact.counts
-    assert level.t_cycle_ms == exact.t_cycle_ms
+    assert level is not None
+    counts, t, _ = level
+    assert counts == exact.counts
+    assert t == exact.t_cycle_ms
 
 
 def test_overlapped_instances_never_use_level_mode():
     """Overlap makes ``T_c = max(T_comp, T_comm)``: comm-bound optima form
     plateaus whose lex-min the off/one/all pattern sweep cannot represent,
-    so the level gate must reject and the fallback must stay bit-exact."""
+    so the level gate must reject and the stream must stay bit-exact."""
     rejected = 0
     for seed in range(40):
         comp, ordered, db = _duplicate_class_case(9600 + seed)
         if not comp.communication_phases[0].overlap:
             continue
-        engine = CollapsedSearchEngine(comp, ordered, db, exact_budget=0)
+        engine = ArraySearchEngine(comp, ordered, db)
+        limits = engine.estimator.limits
+        assert level_search(engine.estimator, engine.plan, limits) is None
         got = engine.decide_counts()
         assert got.method != "collapse-level"
-        reference = ArraySearchEngine(comp, ordered, db).decide_counts()
+        reference = ArraySearchEngine(comp, ordered, db).search()
         assert got.counts == reference.counts
         assert got.t_cycle_ms == reference.t_cycle_ms
         rejected += 1
@@ -211,9 +241,9 @@ def test_wide_area_pool_collapses_to_templates():
     """A 48-site pool stamped from 6 templates detects at most 6 classes,
     partitioning all sites with uniform limits per class."""
     comp, ordered, db = _wide_area_case(48, seed=7)
-    engine = CollapsedSearchEngine(comp, ordered, db)
+    engine = ArraySearchEngine(comp, ordered, db)
     plan = engine.plan
-    assert plan is not None
+    assert plan.collapses
     assert len(plan.classes) <= len(WIDE_AREA_SITE_TEMPLATES)
     assert sum(cls.multiplicity for cls in plan.classes) == 48
     covered = sorted(i for cls in plan.classes for i in cls.indices)
@@ -231,9 +261,7 @@ def test_detection_splits_on_asymmetric_crossing_costs():
     """An explicit router entry that breaks one pair's symmetry must split
     the would-be class (refinement leaves no unsound grouping behind)."""
     comp, ordered, db = _duplicate_class_case(4242)
-    base = detect_equivalence_classes(
-        CollapsedSearchEngine(comp, ordered, db).estimator
-    )
+    base = detect_equivalence_classes(ArrayCycleEstimator(comp, ordered, db))
     assert base is not None
     multi = [cls for cls in base.classes if cls.multiplicity > 1]
     if not multi:
@@ -247,17 +275,15 @@ def test_detection_splits_on_asymmetric_crossing_costs():
     db.add_router(
         LinearByteCost(victim, other, "router", intercept_ms=50.0, slope_ms_per_byte=0.01)
     )
-    split = detect_equivalence_classes(
-        CollapsedSearchEngine(comp, ordered, db).estimator
-    )
+    split = detect_equivalence_classes(ArrayCycleEstimator(comp, ordered, db))
     if split is not None:
         poisoned = next(
             cls for cls in split.classes if multi[0].indices[0] in cls.indices
         )
         assert poisoned.multiplicity < multi[0].multiplicity
     # Either way the decision stays bit-exact.
-    reference = ArraySearchEngine(comp, ordered, db).decide_counts()
-    got = CollapsedSearchEngine(comp, ordered, db).decide_counts()
+    reference = ArraySearchEngine(comp, ordered, db).search()
+    got = ArraySearchEngine(comp, ordered, db).decide_counts()
     assert got.counts == reference.counts
     assert got.t_cycle_ms == reference.t_cycle_ms
 
@@ -284,12 +310,12 @@ def test_heterogeneous_clusters_detect_as_singletons():
     )
     comp = stencil_computation(200, overlap=False)
     ordered = order_by_power(gather_available_resources(net), "fp")
-    plan = detect_equivalence_classes(
-        CollapsedSearchEngine(comp, ordered, db).estimator
-    )
+    plan = detect_equivalence_classes(ArrayCycleEstimator(comp, ordered, db))
     assert plan is not None
     assert all(cls.multiplicity == 1 for cls in plan.classes)
     assert plan.collapsed_space() == plan.full_space()
+    # ... which is the trivial plan the engine would have used anyway.
+    assert plan == CollapsePlan.singletons([r.n_available for r in ordered])
 
 
 def test_expand_places_ascending_counts_at_ascending_positions():
@@ -313,8 +339,8 @@ def test_expand_places_ascending_counts_at_ascending_positions():
 
 
 def test_uniform_shrink_reuses_frontier_and_matches_cold_search():
-    comp, ordered, db = _wide_area_case(4, seed=3)
-    engine = CollapsedSearchEngine(comp, ordered, db)
+    comp, ordered, db = _wide_area_case(5, seed=11)
+    engine = ArraySearchEngine(comp, ordered, db)
     full = engine.decide_counts()
     assert full.method == "collapse-exact"
     lim = np.maximum(engine.estimator.limits - 1, 0)
@@ -323,31 +349,150 @@ def test_uniform_shrink_reuses_frontier_and_matches_cold_search():
     assert warm.counts == cold.counts
     assert warm.t_cycle_ms == cold.t_cycle_ms
     if warm.frontier_hit:
-        assert warm.evaluations == 0 and warm.method == "collapse-frontier"
+        assert warm.evaluations == 0 and warm.method == "array-frontier"
 
 
 def test_nonuniform_shrink_falls_back_to_uncollapsed_scan():
     """Shrinking one member of a class breaks interchangeability; the
-    engine must notice and answer through the ordered scan, still exact."""
+    engine must notice and answer through the ordered scan, still exact
+    against the scalar oracle on the restricted pool."""
     comp, ordered, db = _duplicate_class_case(9301)
-    engine = CollapsedSearchEngine(comp, ordered, db)
+    engine = ArraySearchEngine(comp, ordered, db)
     plan = engine.plan
-    assert plan is not None
+    assert plan.collapses
     multi = [cls for cls in plan.classes if cls.multiplicity > 1]
-    if not multi:
-        pytest.skip("seed produced no duplicate class")
     lim = engine.estimator.limits.copy()
     lim[multi[0].indices[0]] = max(0, lim[multi[0].indices[0]] - 1)
     got = engine.decide_counts(lim)
     assert got.method == "array-scan"
-    cold = ArraySearchEngine(comp, ordered, db).decide_counts(lim)
-    assert got.counts == cold.counts
-    assert got.t_cycle_ms == cold.t_cycle_ms
+    cold = _scalar_exhaustive_partition(comp, _shrunk(ordered, lim), db)
+    got_counts = {r.name: c for r, c in zip(ordered, got.counts) if c}
+    assert got_counts == {n: c for n, c in cold.counts_by_name().items() if c}
+    assert _scalar_t(comp, ordered, db, got.counts) == cold.t_cycle_ms
+
+
+# -- the engine's dispatch rule ---------------------------------------------------
+
+
+def test_shrunk_limit_miss_keeps_the_full_frontier():
+    """Only a stream at the lowered limits records the frontier: a
+    shrunk-limit search the frontier cannot answer leaves it in place, so
+    a later shrink it can prove is still a zero-evaluation hit."""
+    comp, ordered, db = _wide_area_case(5, seed=11)
+    engine = ArraySearchEngine(comp, ordered, db)
+    assert engine.decide_counts().method == "collapse-exact"
+    frontier = engine.frontier
+    assert frontier is not None
+    limits = engine.estimator.limits
+    member = next(cls for cls in engine.plan.classes if cls.multiplicity > 1)
+    for shrink in (1, 2):  # non-uniform: streamed over the trivial plan
+        lim = limits.copy()
+        lim[member.indices[0]] -= shrink
+        miss = engine.decide_counts(lim)
+        assert miss.frontier_hit is False and miss.evaluations > 0
+        assert engine.frontier is frontier
+    uniform = limits.copy()
+    uniform[list(member.indices)] -= 1
+    for lim in (uniform, limits):
+        again = engine.decide_counts(lim)
+        assert again.frontier_hit and again.evaluations == 0
+        assert again.method == "array-frontier"
+
+
+def test_detected_frontier_never_answers_a_nonuniform_shrink():
+    """A frontier of canonical rows is sound only while classes stay
+    interchangeable: a non-uniform shrink is never a frontier hit, and its
+    answer is the scalar oracle's on the restricted pool."""
+    comp, ordered, db = _wide_area_case(5, seed=11)
+    engine = ArraySearchEngine(comp, ordered, db)
+    engine.decide_counts()
+    assert engine.frontier is not None
+    for member in (cls for cls in engine.plan.classes if cls.multiplicity > 1):
+        lim = engine.estimator.limits.copy()
+        lim[member.indices[-1]] -= 1
+        got = engine.decide_counts(lim)
+        assert got.frontier_hit is False
+        cold = _scalar_exhaustive_partition(comp, _shrunk(ordered, lim), db)
+        got_counts = {r.name: c for r, c in zip(ordered, got.counts) if c}
+        assert got_counts == {n: c for n, c in cold.counts_by_name().items() if c}
+        assert _scalar_t(comp, ordered, db, got.counts) == cold.t_cycle_ms
+
+
+def test_level_gate_failure_streams_the_canonical_space():
+    """Overlapped STEN-1 on 8 wide-area sites: the canonical space is over
+    the budget, the level gate rejects overlap, so the engine streams the
+    *canonical* rows (not the ordered space) — fewer evaluations than the
+    canonical space itself, and the ordered scan's decision."""
+    net = wide_area_network(8, seed=7)
+    db = wide_area_cost_database(net)
+    ordered = order_by_power(gather_available_resources(net), "fp")
+    comp = stencil_computation(600, overlap=True)
+    engine = ArraySearchEngine(comp, ordered, db)
+    limits = engine.estimator.limits
+    assert engine.plan.collapsed_space() == 207_900  # over the 200k budget
+    assert level_search(engine.estimator, engine.plan, limits) is None
+    got = engine.decide_counts()
+    assert got.method == "collapse-exact"
+    assert got.evaluations < 207_900
+    scan = ArraySearchEngine(comp, ordered, db).search()
+    assert got.counts == scan.counts
+    assert got.t_cycle_ms == scan.t_cycle_ms
+
+
+def _crossed_router_case():
+    """Two pairs of identical clusters whose routers cross:
+    a1-b1 = a2-b2 != a1-b2 = a2-b1.  Each member sees both crossing values
+    toward the other pair, so refinement cannot split them and no uniform
+    class-pair crossing exists: detection proves nothing."""
+    net = HeterogeneousNetwork(
+        seed=1, ethernet=ETHERNET_10MBPS, router_params=PAPER_ROUTER
+    )
+    db = CostDatabase()
+    for name, spec, coeffs in (
+        ("a1", SPARC2, _COEFFS[0]),
+        ("a2", SPARC2, _COEFFS[0]),
+        ("b1", IPC, _COEFFS[1]),
+        ("b2", IPC, _COEFFS[1]),
+    ):
+        net.add_cluster(name, spec, count=3)
+        c1, c2, c3, c4 = coeffs
+        db.add_comm(
+            CommCostFunction(
+                cluster=name, topology="1-D", c1=c1, c2=c2, c3=c3, c4=c4,
+                abs_bandwidth_quirk=False,
+            )
+        )
+    net.validate(strict=False)
+    db.set_router_default(
+        LinearByteCost("*", "*", "router", intercept_ms=0.9, slope_ms_per_byte=0.0008)
+    )
+    for a, b, intercept in (
+        ("a1", "b1", 0.5), ("a2", "b2", 0.5), ("a1", "b2", 2.5), ("a2", "b1", 2.5)
+    ):
+        db.add_router(
+            LinearByteCost(a, b, "router", intercept_ms=intercept, slope_ms_per_byte=0.001)
+        )
+    comp = stencil_computation(300, overlap=False)
+    return comp, gather_available_resources(net), db
+
+
+def test_undetectable_pool_decides_through_the_trivial_plan():
+    comp, res, db = _crossed_router_case()
+    ordered = order_by_power(res, "fp")
+    assert detect_equivalence_classes(ArrayCycleEstimator(comp, ordered, db)) is None
+    engine = ArraySearchEngine(comp, ordered, db)
+    assert engine.plan == CollapsePlan.singletons([r.n_available for r in ordered])
+    got = engine.decide_counts()
+    assert got.method == "array-scan"
+    scalar = _scalar_exhaustive_partition(comp, res, db)
+    assert got.counts == tuple(scalar.config.counts)
+    assert _scalar_t(comp, ordered, db, got.counts) == scalar.t_cycle_ms
+    assert exhaustive_partition(comp, res, db).t_cycle_ms == scalar.t_cycle_ms
 
 
 def test_limits_outside_bounds_rejected():
     comp, ordered, db = _wide_area_case(3, seed=5)
-    engine = CollapsedSearchEngine(comp, ordered, db)
+    engine = ArraySearchEngine(comp, ordered, db)
     too_big = engine.estimator.limits + 1
     with pytest.raises(PartitionError):
         engine.decide_counts(too_big)
@@ -359,25 +504,26 @@ def test_collapse_requires_array_engine():
     comp, ordered, db = _wide_area_case(3, seed=5)
     res = gather_available_resources(wide_area_network(3, seed=5))
     with pytest.raises(TypeError, match="engine"):
-        exhaustive_partition(comp, res, db, engine="scalar", collapse=True)
+        exhaustive_partition(comp, res, db, engine="scalar")
     cache = SearchCache()
-    exhaustive_partition(comp, res, db, collapse=True, cache=cache)
-    engine = cache.array_engine(cache.estimate_namespace(ordered) + ("collapsed",))
-    assert isinstance(engine, CollapsedSearchEngine)
+    exhaustive_partition(comp, res, db, cache=cache)
+    engine = cache.array_engine(cache.estimate_namespace(ordered))
+    assert isinstance(engine, ArraySearchEngine)
     assert isinstance(engine.estimator, ArrayCycleEstimator)
 
 
 def test_collapsed_search_persists_engine_in_cache():
-    """Second decide through the cache reuses the lowered collapsed engine
-    (its namespace slot is distinct from the uncollapsed array engine's)."""
+    """Second decide through the cache reuses the lowered engine, in the
+    one slot per estimate namespace (no separate collapsed slot)."""
     comp, ordered, db = _wide_area_case(4, seed=9)
     cache = SearchCache()
-    first = collapsed_exhaustive_search(comp, ordered, db, cache=cache)
-    namespace = cache.estimate_namespace(ordered) + ("collapsed",)
+    first = exact_search(comp, ordered, db, cache=cache)
+    namespace = cache.estimate_namespace(ordered)
     engine = cache.array_engine(namespace)
-    assert isinstance(engine, CollapsedSearchEngine)
-    assert cache.array_engine(cache.estimate_namespace(ordered)) is None
-    second = collapsed_exhaustive_search(comp, ordered, db, cache=cache)
+    assert isinstance(engine, ArraySearchEngine)
+    assert cache.array_engine(namespace + ("collapsed",)) is None
+    second = exact_search(comp, ordered, db, cache=cache)
+    assert cache.array_engine(namespace) is engine
     assert second.counts == first.counts
     assert second.t_cycle_ms == first.t_cycle_ms
 
@@ -387,7 +533,7 @@ def test_collapse_metrics_are_recorded():
 
     comp, ordered, db = _wide_area_case(12, seed=2)
     registry = MetricsRegistry()
-    engine = CollapsedSearchEngine(comp, ordered, db, metrics=registry)
+    engine = ArraySearchEngine(comp, ordered, db, metrics=registry)
     engine.decide_counts()
     assert registry.gauge(
         "decide.collapse.logical_clusters", domain="host"

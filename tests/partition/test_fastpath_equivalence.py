@@ -39,7 +39,17 @@ from repro.partition import (
     order_by_power,
     prefix_scan_partition,
 )
-from repro.partition.arrayengine import ArrayCycleEstimator, prefix_count_matrix
+from repro.partition.arrayengine import (
+    _PRUNE_SLACK,
+    ArrayCycleEstimator,
+    ArraySearchEngine,
+    prefix_count_matrix,
+)
+from repro.partition.collapse import (
+    CollapsePlan,
+    EquivalenceClass,
+    iter_canonical_blocks,
+)
 from repro.partition.heuristic import _scalar_exhaustive_partition
 from repro.spmd.topology import Topology
 
@@ -164,28 +174,55 @@ def test_engine_decision_parity(seed):
     scan = prefix_scan_partition(comp, res, db)
     ordered = list(scan.config.resources)
     est = ArrayCycleEstimator(comp, ordered, db)
-    t_best, counts = array_block_best(est, prefix_count_matrix(ordered))
+    t_best, counts = array_block_best(est, prefix_count_matrix(est.limits))
     assert counts == tuple(scan.config.counts)
     assert abs(t_best - scan.t_cycle_ms) < TOL_MS
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_prune_is_exact(seed):
-    """The branch-and-bound stream yields the full-space minimum."""
+    """The branch-and-bound stream over the ordered (trivial) plan yields
+    the full-space minimum."""
     rng = np.random.default_rng(9000 + seed)
     net = random_network(rng)
     db = random_cost_database(net, rng)
     comp = random_computation(rng)
     ordered = order_by_power(gather_available_resources(net))
     est = ArrayCycleEstimator(comp, ordered, db)
-    incumbent = float(np.min(score_rows(est, prefix_count_matrix(ordered))[3]))
+    incumbent = float(np.min(score_rows(est, prefix_count_matrix(est.limits))[3]))
+    keep_at = incumbent * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
     pruned = []
     with np.errstate(invalid="ignore", divide="ignore"):
-        for n in est.iter_pruned_blocks(incumbent):
+        plan = CollapsePlan.singletons(est.limits)
+        for n in iter_canonical_blocks(est, plan, keep_at):
             pruned.append(est.score_block(n).copy())
     assert pruned
     t_full = float(np.min(score_rows(est, full_count_matrix(ordered))[3]))
     assert float(np.min(np.concatenate(pruned))) == t_full
+
+
+def test_canonical_blocks_fit_a_small_workspace():
+    """Every streamed block fits the workspace, even when one class has
+    more canonical entries than a block holds: through a 4-row workspace
+    the trivial plan still yields exactly the ordered space (lex order,
+    empty row skipped) and a two-member class exactly its multisets."""
+    _net, ordered = _two_cluster_env()
+    db = paper_cost_database()
+    comp = stencil_computation(300, overlap=False)
+    est = ArrayCycleEstimator(comp, ordered, db, max_rows=4)
+    cases = (
+        (CollapsePlan.singletons(est.limits), full_count_matrix(ordered)),
+        (
+            CollapsePlan((EquivalenceClass((0, 1), 3),), 2),
+            np.array([(a, b) for a in range(4) for b in range(a, 4)][1:]),
+        ),
+    )
+    for plan, want in cases:
+        blocks = []
+        for n in iter_canonical_blocks(est, plan, np.inf):
+            assert 1 <= n <= 4
+            blocks.append(est.block_rows(n))
+        assert np.array_equal(np.concatenate(blocks), want)
 
 
 def _allgather_computation(n: int) -> DataParallelComputation:
@@ -293,10 +330,11 @@ def test_count_matrix_validation():
         est.score_block(0)
     with pytest.raises(PartitionError, match="capacity"):
         est.score_block(5)
+    engine = ArraySearchEngine(comp, ordered, db)
     with pytest.raises(PartitionError, match="availability"):
-        list(est.iter_full_blocks(np.array([7, 0])))
+        engine.decide_counts(np.array([7, 0]))
     with pytest.raises(PartitionError, match="availability"):
-        list(est.iter_full_blocks(np.array([-1, 2])))
+        engine.decide_counts(np.array([-1, 2]))
     with pytest.raises(PartitionError, match="no clusters"):
         ArrayCycleEstimator(comp, [], db)
     # A block that fits is scored and argmin'd like any other.

@@ -127,6 +127,38 @@ def test_unservable_workload_errors_only_its_group():
     assert coalescer.stats.errors == 1
 
 
+def test_server_fault_fails_only_its_group(monkeypatch):
+    """A search that dies with something other than a typed error (here a
+    MemoryError) answers its own group ``internal``; the other workload in
+    the same tick still gets its decisions."""
+    base, db = _pool()
+    pool = EnginePool(db)
+    coalescer = Coalescer(pool)
+    doomed = pool.engine_for(WorkloadSpec(app="stencil", n=256))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("search workspace")
+
+    monkeypatch.setattr(doomed, "decide_exact", out_of_memory)
+    outcomes = coalescer.run(
+        [
+            _item("doomed-a", "a", n=256, base=base),
+            _item("fine", "a", n=300, base=base),
+            _item("doomed-b", "b", n=256, base=base),
+        ]
+    )
+    replies = {item.request.id: reply for item, reply in outcomes}
+    for rid in ("doomed-a", "doomed-b"):
+        assert replies[rid]["ok"] is False
+        assert replies[rid]["error"]["kind"] == "internal"
+        assert "MemoryError" in replies[rid]["error"]["message"]
+    assert replies["fine"]["ok"] is True
+    direct = exhaustive_partition(WorkloadSpec(app="stencil", n=300).build(), base, db)
+    assert replies["fine"]["t_cycle_ms"] == direct.t_cycle_ms
+    assert coalescer.stats.errors == 2
+    assert coalescer.stats.requests == 3
+
+
 def test_empty_restricted_pool_is_a_typed_error():
     base, db = _pool()
     coalescer = Coalescer(EnginePool(db))

@@ -8,6 +8,7 @@ from repro.partition.available import gather_available_resources
 from repro.partition.engine import EXACT_SEARCH_MODE, DecisionEngine
 from repro.partition.heuristic import exhaustive_partition, partition
 from repro.partition.warmstart import SearchCache
+from repro.server.service import resolve_pool
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -37,6 +38,20 @@ def test_decide_exact_matches_raw_exhaustive_array_bit_exactly():
     via = engine.decide_exact(resources)
     assert tuple(via.config.counts) == tuple(direct.config.counts)
     assert tuple(via.vector) == tuple(direct.vector)
+    assert via.t_cycle_ms == direct.t_cycle_ms
+
+
+def test_decide_exact_serves_a_wide_area_pool():
+    """The exact path collapses interchangeable clusters, so the served
+    24-site wide-area pool decides in milliseconds — the same decision as
+    exhaustive_partition on that pool."""
+    network, db = resolve_pool("wide:24")
+    resources = gather_available_resources(network)
+    comp = stencil_computation(600, overlap=False)
+    engine = DecisionEngine(comp, db, cache=SearchCache(max_entries=4096))
+    via = engine.decide_exact(resources, tenant="t0")
+    direct = exhaustive_partition(comp, resources, db)
+    assert tuple(via.config.counts) == tuple(direct.config.counts)
     assert via.t_cycle_ms == direct.t_cycle_ms
 
 
