@@ -389,27 +389,26 @@ class ArrayCycleEstimator:
                 phase.rounds_value(self.computation.problem, 0)
             )
         if self._b_const is not None and k_n <= _MAX_LUT_CLUSTERS:
+            # Subset-max doubling: lut[2^i + S] = max(lut[S], row[S]) with
+            # row[S] = max_{j in S} cost[j, i] (from -inf, NaN pairs only
+            # marked); ``row > lut`` keeps a max chain's +0.0 floor.
             size = 1 << k_n
-            self._cross_lut = np.zeros(size)
-            self._bad_lut = np.zeros(size, dtype=bool)
-            self._pop_lut = np.array(
-                [bin(p).count("1") for p in range(size)], dtype=np.int64
-            )
+            lut = self._cross_lut = np.zeros(size)
+            bad = self._bad_lut = np.zeros(size, dtype=bool)
+            pop = self._pop_lut = np.zeros(size, dtype=np.int64)
+            row, row_bad = np.empty(size), np.empty(size, dtype=bool)
             pair_cost = self._cross_intercept + self._cross_slope * self._b_const
-            for patt in range(size):
-                worst = 0.0
-                for i in range(k_n):
-                    if not patt >> i & 1:
-                        continue
-                    for j in range(i + 1, k_n):
-                        if not patt >> j & 1:
-                            continue
-                        cost = pair_cost[i, j]
-                        if np.isnan(cost):
-                            self._bad_lut[patt] = True
-                        else:
-                            worst = max(worst, cost)
-                self._cross_lut[patt] = worst
+            for i in range(k_n):
+                row[0], row_bad[0] = -np.inf, False
+                for j in range(i):
+                    cost, h = pair_cost[j, i], 1 << j
+                    nan = bool(np.isnan(cost))
+                    np.maximum(row[:h], -np.inf if nan else cost, out=row[h : 2 * h])
+                    np.logical_or(row_bad[:h], nan, out=row_bad[h : 2 * h])
+                h = 1 << i
+                lut[h : 2 * h] = np.where(row[:h] > lut[:h], row[:h], lut[:h])
+                bad[h : 2 * h] = bad[:h] | row_bad[:h]
+                pop[h : 2 * h] = pop[:h] + 1
 
     @property
     def vectorized_fast_path(self) -> bool:

@@ -55,8 +55,8 @@ lex tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from math import comb, log10
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, isnan, log10
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -172,19 +172,6 @@ class CollapsePlan:
         return tuple(row)
 
 
-def _pair_signature(
-    intercept: np.ndarray, slope: np.ndarray, k: int, members: np.ndarray
-) -> tuple:
-    """The set of (intercept, slope) crossing values cluster ``k`` sees
-    toward ``members`` (itself excluded); used by partition refinement."""
-    others = members[members != k]
-    if others.size == 0:
-        return ()
-    pairs = np.stack([intercept[k, others], slope[k, others]], axis=1)
-    uniq = np.unique(pairs, axis=0)
-    return tuple(map(tuple, uniq))
-
-
 def detect_equivalence_classes(est: ArrayCycleEstimator) -> Optional[CollapsePlan]:
     """Partition the lowered clusters into interchangeability classes.
 
@@ -198,49 +185,41 @@ def detect_equivalence_classes(est: ArrayCycleEstimator) -> Optional[CollapsePla
     uniform; the caller then searches the trivial plan.
     """
     k_n = len(est.ordered)
-    coeffs = np.stack([est._c1, est._c2, est._c3, est._c4], axis=1)
-    reps: list[dict] = []
+    # Groups of identical per-cluster inputs, numbered by first appearance.
+    # Keys compare floats by == (a missing fit's NaN coefficients as None).
+    coeffs = np.stack([est._c1, est._c2, est._c3, est._c4], axis=1).tolist()
+    groups: dict[tuple, int] = {}
     labels = np.empty(k_n, dtype=np.int64)
     for k in range(k_n):
-        rates = est._cluster_rates[k]
-        for g, rep in enumerate(reps):
-            if (
-                rep["limit"] == int(est.limits[k])
-                and rep["quirk"] == bool(est._quirk[k])
-                and rep["have_comm"] == bool(est._have_comm[k])
-                and np.array_equal(rep["rates"], rates)
-                and np.array_equal(rep["coeffs"], coeffs[k], equal_nan=True)
-            ):
-                labels[k] = g
-                break
-        else:
-            labels[k] = len(reps)
-            reps.append(
-                {
-                    "limit": int(est.limits[k]),
-                    "quirk": bool(est._quirk[k]),
-                    "have_comm": bool(est._have_comm[k]),
-                    "rates": rates,
-                    "coeffs": coeffs[k],
-                }
-            )
+        key = (
+            int(est.limits[k]),
+            bool(est._quirk[k]),
+            bool(est._have_comm[k]),
+            tuple(est._cluster_rates[k].tolist()),
+            tuple(None if isnan(c) else c for c in coeffs[k]),
+        )
+        labels[k] = groups.setdefault(key, len(groups))
+
+    # One integer id per distinct (intercept, slope) crossing pair, by
+    # float == on each field with NaN read as inf (a row-wise np.unique's
+    # equality, from two fast 1-D ones); -1 on the diagonal.
+    ids = np.zeros((k_n, k_n), dtype=np.int64)
+    for table in (est._cross_intercept, est._cross_slope):
+        _, field = np.unique(np.where(np.isnan(table), np.inf, table), return_inverse=True)
+        ids = ids * (k_n * k_n) + field.reshape(k_n, k_n)
+    ids = np.unique(ids, return_inverse=True)[1].reshape(k_n, k_n)
+    np.fill_diagonal(ids, -1)
 
     # Refine on crossing costs until stable: a cluster's signature is its
-    # current label plus, per class, the set of crossing values it sees
-    # toward that class.  Interchangeable members must see identical sets.
-    intercept = np.where(np.isnan(est._cross_intercept), np.inf, est._cross_intercept)
-    slope = np.where(np.isnan(est._cross_slope), np.inf, est._cross_slope)
+    # current label plus the set of (class, pair id) it sees toward every
+    # cluster.  Interchangeable members must see identical sets.
     for _ in range(k_n):
-        members_of = {
-            g: np.flatnonzero(labels == g) for g in np.unique(labels)
-        }
+        codes = labels[None, :] * (k_n * k_n) + ids
+        np.fill_diagonal(codes, -1)
         sig_to_label: dict[tuple, int] = {}
         new_labels = np.empty_like(labels)
-        for k in range(k_n):
-            sig = (int(labels[k]),) + tuple(
-                _pair_signature(intercept, slope, k, members_of[g])
-                for g in sorted(members_of)
-            )
+        for k, row in enumerate(codes.tolist()):
+            sig = (int(labels[k]), frozenset(row))
             new_labels[k] = sig_to_label.setdefault(sig, len(sig_to_label))
         if np.array_equal(new_labels, labels):
             break
@@ -251,13 +230,8 @@ def detect_equivalence_classes(est: ArrayCycleEstimator) -> Optional[CollapsePla
     members = [np.flatnonzero(labels == g) for g in np.unique(labels)]
     for a, idx_a in enumerate(members):
         for idx_b in members[a:]:
-            seen: set[tuple] = set()
-            for k in idx_a:
-                sig = _pair_signature(intercept, slope, int(k), idx_b)
-                if len(sig) > 1:
-                    return None
-                seen.update(sig)
-            if len(seen) > 1:
+            block = ids[np.ix_(idx_a, idx_b)]
+            if np.unique(block[block >= 0]).size > 1:
                 return None
 
     order = sorted(members, key=lambda idx: int(idx[0]))
@@ -476,66 +450,46 @@ def level_search(
             comp = comp_of(speeds[j], 0.0)
         f_solo = alpha[j] + beta[j] * ks
         comm = np.where(ks > 1, rounds * f_solo, 0.0)
-        t = np.maximum(comp, comm) if est.overlapped else comp + comm
+        t = comp + comm
         cells += int(ks.size)
         i = int(np.argmin(t))
         counts = (((0, 0),) * j) + ((1, int(ks[i])),) + (((0, 0),) * (n_cls - j - 1))
         consider(float(t[i]), counts)
 
-    # Multi-station patterns: σ_j ∈ {off, one member, all members}.
-    sigma_options = [(0, 1) if m == 1 else (0, 1, 2) for m in mult]
-    active_cache: dict[tuple[int, ...], tuple] = {}
-    for sigma in product(*sigma_options):
-        active = tuple(j for j in range(n_cls) if sigma[j])
-        if not active or any(limits[j] < 1 for j in active):
-            continue
-        stations = sum(1 if sigma[j] == 1 else int(mult[j]) for j in active)
-        if stations < 2:
-            continue  # single-station handled above
-        cached = active_cache.get(active)
-        if cached is None:
+    # Multi-station patterns: σ_j ∈ {off, one member, all members}, swept
+    # once per active class set as a (variants × levels) grid, one row per
+    # one/all choice with two stations or more.  Crossings clamp at +0.0
+    # like a max chain from 0.0, and speeds add in class order.
+    positive = np.where(cross > 0.0, cross, 0.0)
+    between = np.where(np.eye(n_cls, dtype=bool), 0.0, positive)  # cross symmetric
+    eligible = [j for j in range(n_cls) if limits[j] >= 1]
+    for size in range(1, len(eligible) + 1):
+        for active in combinations(eligible, size):
             levels = np.unique(np.concatenate([f_multi[j] for j in active]))
-            kmax = {
-                j: np.searchsorted(f_multi[j], levels, side="right")
-                for j in active
-            }
-            feasible = np.ones(levels.shape[0], dtype=bool)
-            speed_at = {}
-            for j in active:
-                feasible &= kmax[j] >= 1
-                speed_at[j] = prefixes[j][kmax[j]]
-            cached = (levels, kmax, speed_at, feasible)
-            active_cache[active] = cached
-        levels, kmax, speed_at, feasible = cached
-        if not feasible.any():
-            continue
-        crossing = 0.0
-        for ai, j1 in enumerate(active):
-            if sigma[j1] == 2:
-                crossing = max(crossing, cross[j1, j1])
-            for j2 in active[ai + 1 :]:
-                crossing = max(crossing, cross[j1, j2])
-        speed = np.zeros(levels.shape[0])
-        for j in active:
-            speed += speed_at[j] * (int(mult[j]) if sigma[j] == 2 else 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            comp = comp_of(speed, 0.0)
-        comm = rounds * (levels + crossing)
-        t = np.maximum(comp, comm) if est.overlapped else comp + comm
-        t = np.where(feasible, t, np.inf)
-        cells += int(feasible.sum())
-        i = int(np.argmin(t))
-        if not np.isfinite(t[i]):
-            continue
-        counts = tuple(
-            (
-                (int(mult[j]) if sigma[j] == 2 else 1, int(kmax[j][i]))
-                if j in active
-                else (0, 0)
+            kmax = [np.searchsorted(f_multi[j], levels, side="right") for j in active]
+            feasible = np.logical_and.reduce([k >= 1 for k in kmax])
+            weight = np.array(
+                list(product(*[sorted({1, int(mult[j])}) for j in active])),
+                dtype=np.int64,
             )
-            for j in range(n_cls)
-        )
-        consider(float(t[i]), counts)
+            weight = weight[weight.sum(axis=1) >= 2]
+            own = np.where(weight > 1, positive[active, active], 0.0).max(axis=1)
+            crossing = np.maximum(own, between[np.ix_(active, active)].max())
+            speed = np.zeros((weight.shape[0], levels.shape[0]))
+            for a, j in enumerate(active):
+                speed += prefixes[j][kmax[a]] * weight[:, a, None]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                comp = comp_of(speed, 0.0)
+            comm = rounds * (levels + crossing[:, None])
+            t = np.where(feasible, comp + comm, np.inf)
+            cells += int(feasible.sum()) * weight.shape[0]
+            at = np.argmin(t, axis=1)
+            t_min = t[np.arange(weight.shape[0]), at]
+            for r in np.flatnonzero(np.isfinite(t_min) & (t_min <= best_t)):
+                counts = [(0, 0)] * n_cls
+                for a, j in enumerate(active):
+                    counts[j] = (int(weight[r, a]), int(kmax[a][at[r]]))
+                consider(float(t_min[r]), tuple(counts))
 
     if not tied:
         raise PartitionError("no candidate configurations")

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,9 +213,10 @@ def transfer_plan(
 
     Both decompositions are contiguous by rank order; the plan is the
     pairwise intersection of old and new ownership intervals.  Returns
-    ``{(src, dst): n_pdus}`` with only non-zero, src≠dst entries — every
-    rank can compute the same plan locally from the two count vectors, so
-    no extra coordination is needed.
+    ``{(src, dst): n_pdus}`` with only non-zero, src≠dst entries in
+    ``(src, dst)`` order, from one O(ranks) sweep — every rank can compute
+    the same plan locally from the two count vectors, so no extra
+    coordination is needed.
     """
     if len(old_counts) != len(new_counts):
         raise PartitionError("rank count changed between decompositions")
@@ -222,17 +224,20 @@ def transfer_plan(
         raise PartitionError(
             f"totals differ: {sum(old_counts)} vs {sum(new_counts)}"
         )
-    old_bounds = np.concatenate([[0], np.cumsum(old_counts)])
-    new_bounds = np.concatenate([[0], np.cumsum(new_counts)])
+    old_bounds = list(accumulate(map(int, old_counts), initial=0))
+    new_bounds = list(accumulate(map(int, new_counts), initial=0))
     plan: dict[tuple[int, int], int] = {}
-    for src in range(len(old_counts)):
-        for dst in range(len(new_counts)):
-            if src == dst:
-                continue
-            lo = max(old_bounds[src], new_bounds[dst])
-            hi = min(old_bounds[src + 1], new_bounds[dst + 1])
-            if hi > lo:
-                plan[(src, dst)] = int(hi - lo)
+    src = dst = 0
+    while src < len(old_counts) and dst < len(new_counts):
+        old_end, new_end = old_bounds[src + 1], new_bounds[dst + 1]
+        overlap = min(old_end, new_end) - max(old_bounds[src], new_bounds[dst])
+        if overlap > 0 and src != dst:
+            plan[(src, dst)] = overlap
+        # The interval that ends first overlaps nothing further on.
+        if old_end <= new_end:
+            src += 1
+        else:
+            dst += 1
     return plan
 
 

@@ -34,7 +34,10 @@ reproducible in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import PartitionError
 from repro.hardware.network import HeterogeneousNetwork
@@ -358,8 +361,16 @@ def _pdu_value(epoch: int, pdu: int) -> int:
     return ((pdu * 2654435761) % 1000003 + 1) * (epoch + 1)
 
 
-def _block_value(epoch: int, start: int, count: int) -> int:
-    return sum(_pdu_value(epoch, i) for i in range(start, start + count))
+def _answer_prefix(num_pdus: int) -> np.ndarray:
+    """``P[i]``: Σ :func:`_pdu_value` at epoch 0 (its epoch-free factor)
+    over PDUs ``0..i-1``; exact in int64 below ~3.4e9 PDUs."""
+    weights = _pdu_value(0, np.arange(num_pdus, dtype=np.int64))
+    return np.concatenate(([0], np.cumsum(weights)))
+
+
+def _block_value(prefix: np.ndarray, epoch: int, start: int, count: int) -> int:
+    """Σ :func:`_pdu_value` over one block, O(1) from the run's table."""
+    return int(prefix[start + count] - prefix[start]) * (epoch + 1)
 
 
 class PartitionRuntime:
@@ -709,6 +720,7 @@ class PartitionRuntime:
         config_by_name = decision.counts_by_name()
 
         answer = 0
+        prefix = _answer_prefix(self.num_pdus)
         replayed_total = 0
         #: Best (smallest) epoch duration seen since the last full search —
         #: the incremental layer's self-calibrating reference for the
@@ -732,9 +744,7 @@ class PartitionRuntime:
 
             # Live ranks' contributions land immediately; dead ranks leave
             # their block missing for this epoch.
-            offsets = [0]
-            for c in counts:
-                offsets.append(offsets[-1] + c)
+            offsets = list(accumulate(counts, initial=0))
             missing: list[tuple[int, int]] = []
             dead_ranks: list[int] = []
             for rank, t in enumerate(measurements):
@@ -742,7 +752,7 @@ class PartitionRuntime:
                     missing.append((offsets[rank], counts[rank]))
                     dead_ranks.append(rank)
                 else:
-                    answer += _block_value(epoch, offsets[rank], counts[rank])
+                    answer += _block_value(prefix, epoch, offsets[rank], counts[rank])
 
             if dead_ranks:
                 # Replay the lost blocks on the survivors (recovered from
@@ -751,7 +761,7 @@ class PartitionRuntime:
                 # heuristic there.
                 replay_pdus = sum(c for _, c in missing)
                 for start, c in missing:
-                    answer += _block_value(epoch, start, c)
+                    answer += _block_value(prefix, epoch, start, c)
                 replayed_total += replay_pdus
                 live = [t for t in measurements if t is not None]
                 if live and replay_pdus:

@@ -18,7 +18,11 @@ across PRs:
   *evaluated* (what the collapsed engine actually scored);
 * a small-instance parity block: the engine's collapsed decision and a
   forced level sweep must be bit-identical (counts and ``T_c``) to its
-  ordered scan on pools small enough to scan exhaustively.
+  ordered scan on pools small enough to scan exhaustively;
+* a cold sweep across the crossing lookup table's 16-cluster cap: one
+  whole cold decision (engine construction, i.e. lowering and class
+  detection, plus ``decide_counts``) per :data:`COLD_SIZES` pool, each
+  held to the same budget.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "MAX_EVALUATIONS",
     "DEFAULT_SIZES",
     "QUICK_SIZES",
+    "COLD_SIZES",
     "SizeResult",
     "WideAreaBench",
     "run_widearea",
@@ -66,6 +71,9 @@ DEFAULT_SIZES = (64, 256, 1000)
 
 #: What ``repro bench-widearea --quick`` (the CI smoke job) runs.
 QUICK_SIZES = (64, 256)
+
+#: Pool sizes of the cold-decision sweep.
+COLD_SIZES = tuple(range(4, 25))
 
 #: Small-instance parity pools: sites and seeds kept tiny enough that the
 #: uncollapsed array engine can scan the full ordered space.
@@ -114,6 +122,8 @@ class WideAreaBench:
     seed: int
     parity_instances: int
     parity_ok: Optional[bool]  #: ``None`` when the parity block was skipped.
+    #: ``(sites, best ms)`` of one cold decision per :data:`COLD_SIZES`.
+    cold_ms: tuple[tuple[int, float], ...]
 
     def result(self, n_clusters: int) -> SizeResult:
         for r in self.sizes:
@@ -153,6 +163,21 @@ def _parity_check(n: int, *, metrics=None) -> int:
     return len(_PARITY_SEEDS) * 2
 
 
+def _cold_ms(n: int, seed: int, k_clusters: int, repeat: int) -> float:
+    """Best wall ms of one cold decision, each repeat on a fresh pool and
+    database built outside the timed window."""
+    comp = _decide_workload(n)
+
+    def fresh_pool():
+        net = wide_area_network(k_clusters, seed=seed)
+        return order_by_power(gather_available_resources(net), "fp"), wide_area_cost_database(net)
+
+    def decide(pool):
+        return ArraySearchEngine(comp, *pool).decide_counts()
+
+    return seconds_to_msec(time_calls(decide, repeat, setup=fresh_pool)[0])
+
+
 def run_widearea(
     sizes: Sequence[int] = DEFAULT_SIZES,
     *,
@@ -162,7 +187,8 @@ def run_widearea(
     parity: bool = True,
     metrics=None,
 ) -> WideAreaBench:
-    """Time the collapsed decision at each pool size (plus the parity block).
+    """Time the collapsed decision at each pool size (plus the parity block
+    and the cold sweep).
 
     Per size, everything a deployment does once — building the pool,
     the fitted database, lowering, equivalence detection — happens outside
@@ -217,6 +243,7 @@ def run_widearea(
         seed=seed,
         parity_instances=parity_instances,
         parity_ok=parity_ok,
+        cold_ms=tuple((k, _cold_ms(n, seed, k, repeat)) for k in COLD_SIZES),
     )
 
 
@@ -262,7 +289,10 @@ def widearea_report(bench: WideAreaBench) -> str:
             f"seed {bench.seed}, budget {DECISION_BUDGET_MS:g} ms"
         ),
     )
-    worst = max(r.decide_ms for r in bench.sizes)
+    table += "\n\ncold decision ms by sites: " + ", ".join(
+        f"{k}: {ms:.1f}" for k, ms in bench.cold_ms
+    )
+    worst = max([r.decide_ms for r in bench.sizes] + [ms for _, ms in bench.cold_ms])
     verdict = "within" if worst <= DECISION_BUDGET_MS else "OVER"
     table += (
         f"\n\nworst decision {worst:.2f} ms — {verdict} the "
@@ -293,6 +323,8 @@ def widearea_payload(bench: WideAreaBench) -> dict:
         absolute[f"{k}.decide_ms"] = metric(
             r.decide_ms, "lower", DECISION_BUDGET_MS
         )
+    for k, ms in bench.cold_ms:
+        absolute[f"cold.{k}.decide_ms"] = metric(ms, "lower", DECISION_BUDGET_MS)
     return record(
         "widearea",
         scenario={

@@ -8,6 +8,8 @@ PDUs).  All timing is driven by :class:`ManualClock`; nothing sleeps.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.stencil import stencil_computation
 from repro.errors import ManagerUnreachableError, PartitionError
@@ -23,6 +25,9 @@ from repro.partition.runtime import (
     PartitionRuntime,
     RuntimePolicy,
     SimulatedEpochExecutor,
+    _answer_prefix,
+    _block_value,
+    _pdu_value,
 )
 from repro.sim.failures import FailureSchedule
 
@@ -316,3 +321,22 @@ def test_deterministic_repeat_runs(clean):
     assert a.answer == b.answer
     assert a.elapsed_ms == b.elapsed_ms
     assert a.audit.to_records() == b.audit.to_records()
+
+
+@st.composite
+def answer_blocks(draw):
+    num_pdus = draw(st.integers(0, 20_000))
+    start = draw(st.integers(0, num_pdus))
+    count = draw(st.integers(0, num_pdus - start))
+    return num_pdus, draw(st.integers(0, 200)), start, count
+
+
+@settings(derandomize=True, max_examples=200)
+@given(block=answer_blocks())
+def test_block_value_from_the_prefix_table_is_the_pdu_sum(block):
+    """O(1) block checksums equal the per-PDU sum exactly, as Python ints,
+    empty blocks and the table's last entry included."""
+    num_pdus, epoch, start, count = block
+    got = _block_value(_answer_prefix(num_pdus), epoch, start, count)
+    assert type(got) is int
+    assert got == sum(_pdu_value(epoch, i) for i in range(start, start + count))

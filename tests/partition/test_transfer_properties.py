@@ -17,9 +17,14 @@ Three invariants are checked on every pair:
   ``transfer_plan(new, old) == {(d, s): n}``.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import PartitionError
 from repro.partition import (
     balanced_partition_vector,
     gather_available_resources,
@@ -98,3 +103,66 @@ def test_plan_symmetry_under_old_new_swap(pair):
 def test_plan_identity_is_empty(pair):
     old, _ = pair
     assert transfer_plan(old, old) == {}
+
+
+# -- the two-pointer sweep against the pairwise interval loop ----------------------
+
+
+def transfer_plan_oracle(old_counts, new_counts):
+    """Every (src, dst) pair's interval intersection, O(ranks²)."""
+    if len(old_counts) != len(new_counts):
+        raise PartitionError("rank count changed between decompositions")
+    if sum(old_counts) != sum(new_counts):
+        raise PartitionError(f"totals differ: {sum(old_counts)} vs {sum(new_counts)}")
+    old_bounds = np.concatenate([[0], np.cumsum(old_counts)])
+    new_bounds = np.concatenate([[0], np.cumsum(new_counts)])
+    plan = {}
+    for src in range(len(old_counts)):
+        for dst in range(len(new_counts)):
+            if src == dst:
+                continue
+            lo = max(old_bounds[src], new_bounds[dst])
+            hi = min(old_bounds[src + 1], new_bounds[dst + 1])
+            if hi > lo:
+                plan[(src, dst)] = int(hi - lo)
+    return plan
+
+
+@st.composite
+def count_pairs(draw):
+    """Same-length count vectors, zeros and a single rank included; the
+    new vector re-splits the old total at drawn cut points."""
+    old = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10))
+    total = sum(old)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=len(old) - 1,
+                                max_size=len(old) - 1)))
+    new = [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+    return old, new
+
+
+@settings(derandomize=True, max_examples=300)
+@given(pair=count_pairs())
+def test_sweep_equals_the_pairwise_loop_in_key_order(pair):
+    old, new = pair
+    plan = transfer_plan(old, new)
+    want = transfer_plan_oracle(old, new)
+    assert plan == want
+    assert list(plan) == list(want)
+    assert all(type(n) is int for n in plan.values())
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    old=st.lists(st.integers(0, 6), max_size=6),
+    new=st.lists(st.integers(0, 6), max_size=6),
+)
+def test_sweep_raises_exactly_where_the_loop_does(old, new):
+    """Unequal lengths and unequal totals raise the same error; anything
+    else (empty vectors included) gives the same plan."""
+    try:
+        want = transfer_plan_oracle(old, new)
+    except PartitionError as exc:
+        with pytest.raises(PartitionError, match=re.escape(str(exc))):
+            transfer_plan(old, new)
+        return
+    assert list(transfer_plan(old, new).items()) == list(want.items())

@@ -115,10 +115,15 @@ def test_bench_widearea_json(tmp_path, capsys):
     assert payload["bench"] == "widearea"
     assert payload["invariants"] == {"parity_ok": True}
     assert payload["exact"]["8.method"].startswith("collapse")
-    assert payload["absolute"]["8.decide_ms"]["bound"] == 100.0
-    # One cold repeat on a busy test runner says nothing about the 100 ms
-    # budget (the bench test gates it, best of 3); gate everything else.
-    del payload["absolute"]["8.decide_ms"]["bound"]
+    # The cold sweep covers every size across the 16-cluster table cap.
+    assert "cold decision ms by sites: 4: " in out
+    cold = [name for name in payload["absolute"] if name.startswith("cold.")]
+    assert cold == [f"cold.{k}.decide_ms" for k in range(4, 25)]
+    for name in ["8.decide_ms"] + cold:
+        assert payload["absolute"][name]["bound"] == 100.0
+        # One repeat on a busy test runner says nothing about the 100 ms
+        # budget (the bench test gates it, best of 3); gate everything else.
+        del payload["absolute"][name]["bound"]
     assert check(payload, payload) == []
 
 
