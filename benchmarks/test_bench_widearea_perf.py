@@ -5,7 +5,7 @@ and 1000 logical clusters the equivalence-class collapsed search decides
 in under ``DECISION_BUDGET_MS`` (100 ms) wall time — spaces of 10^50 to
 10^800 ordered configurations — while staying bit-identical to the
 uncollapsed array engine on pools small enough to scan.  A cold sweep
-over 4-24 sites holds one whole cold decision (lowering, class detection
+over 4-32 sites holds one whole cold decision (lowering, class detection
 and the search) to the same budget at every size, across the crossing
 lookup table's 16-cluster cap.  Writes the scaling table to
 ``benchmarks/out/widearea_perf.txt`` and the record to the repo root as

@@ -55,7 +55,7 @@ lex tie-break.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb, isnan, log10
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -79,10 +79,9 @@ __all__ = [
 #: itself stays interactive.
 _MAX_LEVEL_CLASSES = 8
 
-#: Above this many physical clusters the level-mode winner is re-scored
-#: through the closed-form replay instead of the kernel fallback (whose
-#: Python crossing loop is O(K²) per row).
-_ANALYTIC_MIN_CLUSTERS = 32
+#: Cells per block of level mode's (patterns × levels) grid, so eight
+#: large classes never hold 3^8 × levels floats at once.
+_LEVEL_GRID_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -346,12 +345,19 @@ def level_search(
     activation by the class's last member (lex).  Candidates reduce to
     activation patterns σ ∈ {off, one, all}^C with one count per
     class.  For a fixed pattern the crossing max is fixed; sweeping
-    the sorted union of per-class Eq 1 levels ``v`` (each class at its
-    largest count with ``f_j(k) <= v``) upper-bounds every candidate
-    and is tight at the optimum's own level, so the grid minimum's
-    expansion is a true optimum.  The winner is re-scored through the
-    real estimator, so the reported ``t_cycle`` is engine arithmetic,
-    not the sweep's.
+    its active classes' Eq 1 levels ``v`` (each class at its largest
+    count with ``f_j(k) <= v``) upper-bounds every candidate and is
+    tight at the optimum's own level, so the grid minimum's expansion
+    is a true optimum.
+
+    The multi-station patterns are scored as one array pass: a
+    ``(patterns × levels)`` grid over the sorted union of every class's
+    levels, each row masked to its own classes' levels, in blocks of
+    :data:`_LEVEL_GRID_CELLS` cells.  ``evaluations`` counts every live
+    cell, plus one for each single-station level and one for the
+    re-score.  Ties at the grid minimum resolve to the lex-smallest
+    expanded row.  The winner is re-scored through :func:`_score_row`,
+    so the reported ``t_cycle`` is engine arithmetic, not the sweep's.
     """
     classes = plan.classes
     n_cls = len(classes)
@@ -456,48 +462,64 @@ def level_search(
         counts = (((0, 0),) * j) + ((1, int(ks[i])),) + (((0, 0),) * (n_cls - j - 1))
         consider(float(t[i]), counts)
 
-    # Multi-station patterns: σ_j ∈ {off, one member, all members}, swept
-    # once per active class set as a (variants × levels) grid, one row per
-    # one/all choice with two stations or more.  Crossings clamp at +0.0
-    # like a max chain from 0.0, and speeds add in class order.
+    # Multi-station patterns: one row per σ ∈ {off, one member, all
+    # members}^C with two stations or more (its per-class member counts),
+    # one column per level of the sorted union of every class's Eq 1
+    # levels.  A cell is live when its level is one of the row's active
+    # classes' own levels and every active class reaches it (some count
+    # with f_j(k) <= v).  Speeds add class by class in class order, an
+    # inactive class adding an exact +0.0, and crossings clamp at +0.0
+    # like a max chain from 0.0, so every live cell is the arithmetic of
+    # sweeping its active class set alone.
+    choices = [sorted({0, 1, int(m)}) if n >= 1 else [0] for m, n in zip(mult, limits)]
+    weight = np.stack([g.ravel() for g in np.meshgrid(*choices, indexing="ij")], axis=1)
+    weight = weight[weight.sum(axis=1) >= 2]
+    active = weight > 0
+    levels = np.unique(np.concatenate(f_multi))
+    kmax = np.stack([np.searchsorted(f, levels, side="right") for f in f_multi])
+    own = np.stack([np.isin(levels, f) for f in f_multi])
+    speed_at = [prefixes[j][kmax[j]] for j in range(n_cls)]
     positive = np.where(cross > 0.0, cross, 0.0)
     between = np.where(np.eye(n_cls, dtype=bool), 0.0, positive)  # cross symmetric
-    eligible = [j for j in range(n_cls) if limits[j] >= 1]
-    for size in range(1, len(eligible) + 1):
-        for active in combinations(eligible, size):
-            levels = np.unique(np.concatenate([f_multi[j] for j in active]))
-            kmax = [np.searchsorted(f_multi[j], levels, side="right") for j in active]
-            feasible = np.logical_and.reduce([k >= 1 for k in kmax])
-            weight = np.array(
-                list(product(*[sorted({1, int(mult[j])}) for j in active])),
-                dtype=np.int64,
+    crossing = np.maximum(
+        np.where(weight > 1, np.diag(positive), 0.0).max(axis=1),
+        np.where(active[:, :, None] & active[:, None, :], between, 0.0).max(axis=(1, 2)),
+    )
+    step = max(1, _LEVEL_GRID_CELLS // levels.size)
+    for lo in range(0, weight.shape[0], step):
+        w, on = weight[lo : lo + step], active[lo : lo + step]
+        live = np.zeros((w.shape[0], levels.size), dtype=bool)
+        dead = np.zeros_like(live)
+        speed = np.zeros(live.shape)
+        for j in range(n_cls):
+            live |= on[:, j, None] & own[j]
+            dead |= on[:, j, None] & (kmax[j] == 0)
+            speed += speed_at[j] * w[:, j, None]
+        live &= ~dead
+        with np.errstate(invalid="ignore", divide="ignore"):
+            comp = comp_of(speed, 0.0)
+        comm = rounds * (levels + crossing[lo : lo + step, None])
+        t = np.where(live, comp + comm, np.inf)
+        cells += int(live.sum())
+        at = np.argmin(t, axis=1)
+        t_min = t[np.arange(w.shape[0]), at]
+        low = float(t_min.min())
+        if not np.isfinite(low) or low > best_t:
+            continue
+        for r in np.flatnonzero(t_min == low):
+            level = int(at[r])
+            consider(
+                low,
+                tuple((int(n), int(kmax[j, level]) if n else 0) for j, n in enumerate(w[r])),
             )
-            weight = weight[weight.sum(axis=1) >= 2]
-            own = np.where(weight > 1, positive[active, active], 0.0).max(axis=1)
-            crossing = np.maximum(own, between[np.ix_(active, active)].max())
-            speed = np.zeros((weight.shape[0], levels.shape[0]))
-            for a, j in enumerate(active):
-                speed += prefixes[j][kmax[a]] * weight[:, a, None]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                comp = comp_of(speed, 0.0)
-            comm = rounds * (levels + crossing[:, None])
-            t = np.where(feasible, comp + comm, np.inf)
-            cells += int(feasible.sum()) * weight.shape[0]
-            at = np.argmin(t, axis=1)
-            t_min = t[np.arange(weight.shape[0]), at]
-            for r in np.flatnonzero(np.isfinite(t_min) & (t_min <= best_t)):
-                counts = [(0, 0)] * n_cls
-                for a, j in enumerate(active):
-                    counts[j] = (int(weight[r, a]), int(kmax[a][at[r]]))
-                consider(float(t_min[r]), tuple(counts))
 
     if not tied:
         raise PartitionError("no candidate configurations")
     best = min(
         plan.expand(
             [
-                [count] * active + [0] * (int(mult[j]) - active)
-                for j, (active, count) in enumerate(class_counts)
+                [count] * members + [0] * (int(mult[j]) - members)
+                for j, (members, count) in enumerate(class_counts)
             ]
         )
         for class_counts in tied
@@ -505,23 +527,21 @@ def level_search(
     # Honest objective: the grid value upper-bounds the expanded row's
     # true T_c and is tight at the optimum level; report the engine's
     # own arithmetic for the winner.
-    t_true = _score_row(est, np.array(best, dtype=np.int64), analytic=True)
+    t_true = _score_row(est, np.array(best, dtype=np.int64))
     return best, t_true, cells + 1
 
 
-def _score_row(
-    est: ArrayCycleEstimator, row: np.ndarray, *, analytic: bool = False
-) -> float:
-    """One row through the array kernels (exact engine arithmetic).
+def _score_row(est: ArrayCycleEstimator, row: np.ndarray) -> float:
+    """One row through the engine's own arithmetic.
 
-    ``analytic=True`` (the level-mode winner) allows a closed-form
-    replay of the same arithmetic when the kernel fallback's Python
-    pair loop would dominate — at a thousand clusters the O(K²)
-    crossing sweep inside
-    :meth:`ArrayCycleEstimator._score_block_fallback` costs seconds,
-    which is the whole decision budget.
+    Where :meth:`ArrayCycleEstimator.score_block` would take
+    :meth:`ArrayCycleEstimator._score_block_fallback` (no folded fast
+    path: more than ``_MAX_LUT_CLUSTERS`` clusters), the row goes
+    through :func:`_score_row_analytic`, which performs the fallback's
+    IEEE operations in the same order as array operations, without the
+    fallback's O(K²) Python pair loop (seconds at a thousand clusters).
     """
-    if analytic and len(est.ordered) > _ANALYTIC_MIN_CLUSTERS:
+    if not est.vectorized_fast_path:
         t = _score_row_analytic(est, row)
         if t is not None:
             return t

@@ -19,10 +19,10 @@ across PRs:
 * a small-instance parity block: the engine's collapsed decision and a
   forced level sweep must be bit-identical (counts and ``T_c``) to its
   ordered scan on pools small enough to scan exhaustively;
-* a cold sweep across the crossing lookup table's 16-cluster cap: one
-  whole cold decision (engine construction, i.e. lowering and class
-  detection, plus ``decide_counts``) per :data:`COLD_SIZES` pool, each
-  held to the same budget.
+* a cold sweep across the crossing lookup table's 16-cluster cap and on
+  to 32 sites: one whole cold decision (engine construction, i.e.
+  lowering and class detection, plus ``decide_counts``) per
+  :data:`COLD_SIZES` pool, each held to the same budget.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ DEFAULT_SIZES = (64, 256, 1000)
 #: What ``repro bench-widearea --quick`` (the CI smoke job) runs.
 QUICK_SIZES = (64, 256)
 
-#: Pool sizes of the cold-decision sweep.
-COLD_SIZES = tuple(range(4, 25))
+#: Pool sizes of the cold-decision sweep: across the crossing table's
+#: 16-cluster cap, through 32 sites.
+COLD_SIZES = tuple(range(4, 33))
 
 #: Small-instance parity pools: sites and seeds kept tiny enough that the
 #: uncollapsed array engine can scan the full ordered space.

@@ -181,13 +181,19 @@ def test_wide_area_parity_all_engines(seed):
         assert collapsed.t_cycle_ms == _scalar_t(comp, ordered, db, counts), engine
 
 
-def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit():
-    """Above 32 clusters the level-mode winner is re-scored by a closed-form
-    replay of the kernel fallback's arithmetic; the two agree to the bit on
-    sparse, crossing and dense rows alike."""
-    comp, ordered, db = _wide_area_case(40, seed=7)
+@pytest.mark.parametrize(
+    "sites, extra_station", [(17, True), (24, True), (32, True), (40, True), (32, False)]
+)
+def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit(sites, extra_station):
+    """Above 16 clusters the kernels fall back to per-row scoring, and the
+    level-mode winner is re-scored by a closed-form replay of that
+    fallback's arithmetic; the two agree to the bit on sparse, crossing
+    and dense rows alike, with and without the router's extra station."""
+    comp, ordered, db = _wide_area_case(sites, seed=7)
+    db.router_extra_station = extra_station
     est = ArrayCycleEstimator(comp, ordered, db)
-    rng = np.random.default_rng(40)
+    assert not est.vectorized_fast_path
+    rng = np.random.default_rng(sites)
     for _ in range(60):
         active = rng.random(len(ordered)) < rng.choice([0.05, 0.3, 1.0])
         row = (rng.integers(1, est.limits + 1) * active).astype(np.int64)
