@@ -2,11 +2,12 @@
 
 The tentpole claim of the array engine, on the 3-cluster 24-processor
 reference scenario: the preallocated streamed search is at least
-``ARRAY_SPEEDUP_FLOOR`` (100x) the scalar reference loop in configs/s,
-both making the identical decision, with a smaller transient allocation
-peak.  Writes the comparison to ``benchmarks/out/partition_perf.txt`` and
-the record to the repo root as ``BENCH_partition_perf.json``; the gate's
-within-run verdict enforces the floor and the invariants.
+``ARRAY_SPEEDUP_FLOOR`` (100x) the scalar reference's cold probes in
+configs/s, both making the identical decision, with a smaller transient
+allocation peak.  Writes the comparison to
+``benchmarks/out/partition_perf.txt`` and the record to the repo root as
+``BENCH_partition_perf.json``; the gate's within-run verdict enforces the
+floor and the invariants.
 """
 
 from repro.partition.perfbench import perf_payload, perf_report, run_perf

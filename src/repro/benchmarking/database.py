@@ -10,13 +10,14 @@ implements the paper's composition rules:
 * overall (Eq 2): the max over participating clusters for non
   bandwidth-limited topologies; bandwidth-limited ones pool all processors.
 
+:class:`TopologyComposition` evaluates Eq 2 for one ``(topology, b)``, so a
+search that probes many configurations of one phase sets it up once.
 :func:`build_cost_database` runs the whole offline phase on a workbench.
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -50,17 +51,11 @@ class CostDatabase:
     #: §6 worked composition omits the extra station; databases replicating
     #: the published constants set this to False.
     router_extra_station: bool = True
-    #: Keyed LRU over :meth:`topology_cost` compositions (hot path: every
-    #: ``T_c`` probe funnels through one of these).  Capped so long sweeps
-    #: over distinct (b, counts) keys cannot grow without bound.
-    topology_cache_max: int = 65_536
 
     def __post_init__(self) -> None:
-        self._topo_cache: OrderedDict[tuple, float] = OrderedDict()
         self._coeff_cache: dict[tuple[str, str], tuple] = {}
 
     def _invalidate_caches(self) -> None:
-        self._topo_cache.clear()
         self._coeff_cache.clear()
 
     # -- registration ----------------------------------------------------------
@@ -167,57 +162,11 @@ class CostDatabase:
         messages.  Bandwidth-limited topologies (broadcast) are charged at
         the *total* processor count on the dominant cluster's function.
         """
-        active = {c: p for c, p in processors_per_cluster.items() if p > 0}
+        active = [(c, p) for c, p in processors_per_cluster.items() if p > 0]
         if not active:
             return 0.0
-        topo = Topology(topology) if not isinstance(topology, Topology) else topology
-        total = sum(active.values())
-        if total <= 1:
-            return 0.0
-        key = (str(topo), float(b), tuple(sorted(active.items())))
-        cache = self._topo_cache
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return cached
-        cost = self._topology_cost_uncached(topo, b, active, total)
-        cache[key] = cost
-        if len(cache) > self.topology_cache_max:
-            cache.popitem(last=False)
-        return cost
-
-    def _topology_cost_uncached(
-        self, topo: Topology, b: float, active: dict[str, int], total: int
-    ) -> float:
-        names = list(active)
-        if topo.bandwidth_limited:
-            # Offered load scales with the total processor count regardless
-            # of segment placement (paper: broadcast gains nothing from
-            # extra segments).
-            per_cluster = [self.comm_cost(c, topo, b, total) for c in names]
-            cost = max(per_cluster)
-        else:
-            per_cluster = []
-            extra = 1 if (len(active) > 1 and self.router_extra_station) else 0
-            for c, p in active.items():
-                p_eff = p + extra
-                if len(active) > 1:
-                    # A cluster whose lone processor communicates across the
-                    # router still exchanges messages: it sees at least a
-                    # 2-station pattern (its partner arrives via the router).
-                    p_eff = max(p_eff, 2)
-                per_cluster.append(self.comm_cost(c, topo, b, p_eff))
-            cost = max(per_cluster)
-        if len(active) > 1:
-            crossing = 0.0
-            for i, a in enumerate(names):
-                for c in names[i + 1 :]:
-                    crossing = max(
-                        crossing,
-                        self.router_cost(a, c, b) + self.coerce_cost(a, c, b),
-                    )
-            cost += crossing
-        return cost
+        names, counts = zip(*active)
+        return TopologyComposition(self, topology, b).cost(names, counts)
 
     # -- serialization ---------------------------------------------------------------
 
@@ -247,6 +196,66 @@ class CostDatabase:
         if "router_default" in data:
             db.set_router_default(LinearByteCost.from_dict(data["router_default"]))
         return db
+
+
+class TopologyComposition:
+    """Eq 2 for one ``(topology, b)`` of one database.
+
+    A search keeps one per communication phase: the topology is parsed and
+    its table key formed once, and each probe passes the names and counts
+    of its active clusters in configuration order.  A database with a
+    backbone router and no per-pair router or coercion entry (the
+    wide-area one) prices every crossing pair alike, so its crossing takes
+    one step instead of a walk over every pair.
+    """
+
+    __slots__ = ("db", "b", "_key", "_pooled")
+
+    def __init__(self, db: CostDatabase, topology: Topology | str, b: float) -> None:
+        topo = topology if isinstance(topology, Topology) else Topology(topology)
+        self.db = db
+        self.b = b
+        #: The comm-table key: the same lookups, without the enum's str().
+        self._key = str(topo)
+        self._pooled = topo.bandwidth_limited
+
+    def cost(self, names: Sequence[str], counts: Sequence[int]) -> float:
+        """``T_comm[τ]`` for distinct active clusters ``names`` holding
+        ``counts`` processors each (all positive)."""
+        total = sum(counts)
+        if total <= 1:
+            return 0.0
+        db, key, b = self.db, self._key, self.b
+        if len(names) == 1:
+            return db.comm_cost(names[0], key, b, counts[0])
+        if self._pooled:
+            # Offered load scales with the total processor count regardless
+            # of segment placement (paper: broadcast gains nothing from
+            # extra segments).
+            per_cluster = [db.comm_cost(c, key, b, total) for c in names]
+        else:
+            # One more contending station for the router; a cluster whose
+            # lone processor communicates across the router still sees a
+            # 2-station pattern (its partner arrives via the router).
+            extra = 1 if db.router_extra_station else 0
+            per_cluster = [
+                db.comm_cost(c, key, b, max(p + extra, 2)) for c, p in zip(names, counts)
+            ]
+        return max(per_cluster) + self._crossing(names)
+
+    def _crossing(self, names: Sequence[str]) -> float:
+        """The max router+coercion penalty over every pair of ``names``;
+        raises for the first pair, in loop order, with no router cost."""
+        db, b = self.db, self.b
+        if not db.router and not db.coerce and db.router_default is not None:
+            # Every pair costs the backbone router alone, and folding
+            # equal costs from 0.0 is one step.
+            return max(0.0, db.router_default.evaluate(b) + 0.0)
+        crossing = 0.0
+        for i, a in enumerate(names):
+            for c in names[i + 1 :]:
+                crossing = max(crossing, db.router_cost(a, c, b) + db.coerce_cost(a, c, b))
+        return crossing
 
 
 def build_cost_database(

@@ -54,10 +54,8 @@ class ProcessorConfiguration:
     def counts_by_name(self) -> dict[str, int]:
         """Cluster name → ``P_i`` mapping (includes zero entries).
 
-        Built once per (frozen) configuration and cached: every
-        ``topology_cost`` probe consults it, so rebuilding the dict per
-        call dominated the scalar estimator's profile.  Treat the returned
-        dict as read-only.
+        Built once per (frozen) configuration and cached.  Treat the
+        returned dict as read-only.
         """
         cached = self.__dict__.get("_counts_by_name")
         if cached is None:

@@ -13,17 +13,27 @@ elapsed-time estimate ``T_c`` the partitioner minimizes:
 and ``T_elapsed = I·T_c + T_startup``.  Every ``T_c`` computation counts as
 one "recompute of Equations 3 and 6" toward the paper's ``K·log₂P``
 overhead claim.
+
+An estimator serves one search, so it keeps what the search's probes
+share: it reads each node's rate once, on the first probe that uses the
+node, and sets up one
+:class:`~repro.benchmarking.database.TopologyComposition` per
+communication phase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Optional
 
-from repro.benchmarking.database import CostDatabase
+import numpy as np
+
+from repro.benchmarking.database import CostDatabase, TopologyComposition
 from repro.errors import PartitionError
 from repro.model.computation import DataParallelComputation
 from repro.model.vector import PartitionVector
+from repro.partition.available import ClusterResources
 from repro.partition.config import ProcessorConfiguration
 from repro.partition.decompose import balanced_partition_vector, balanced_shares
 from repro.units import ops_time_ms
@@ -91,24 +101,60 @@ class CycleEstimator:
         self._memo: dict[tuple[int, ...], CycleEstimate] = (
             memo if memo is not None else {}
         )
+        #: The pool whose rates ``_rates`` holds, recognised by identity:
+        #: a search builds every configuration on one ordered tuple.
+        self._pool: Optional[tuple[ClusterResources, ...]] = None
+        #: Cluster position → its effective ``S_i``, read so far for the
+        #: first ``len(rates)`` nodes.
+        self._rates: dict[int, list[float]] = {}
+        #: The pool's cluster names, in pool order.
+        self._names: tuple[str, ...] = ()
+        #: One Eq 2 composition per communication phase, keyed by its name.
+        self._eq2: dict[str, TopologyComposition] = {}
+
+    def _bind(self, config: ProcessorConfiguration) -> tuple[ClusterResources, ...]:
+        """The configuration's pool; a new pool drops what was read from the
+        last one."""
+        pool = config.resources
+        if pool is not self._pool:
+            self._pool, self._rates = pool, {}
+            self._names = tuple([res.name for res in pool])
+        return pool
+
+    def _config_rates(self, config: ProcessorConfiguration) -> list[float]:
+        """Effective ``S_i`` per chosen node, in placement order (what
+        :meth:`ProcessorConfiguration.per_processor_rates` reads)."""
+        pool = self._bind(config)
+        rates: list[float] = []
+        for k, count in enumerate(config.counts):
+            if count:
+                known = self._rates.setdefault(k, [])
+                if count > len(known):
+                    res = pool[k]
+                    known += [res.rate_of(p, self.op_kind) for p in res.take(count)[len(known) :]]
+                rates += known[:count]
+        return rates
 
     # -- decomposition (Eq 3) ----------------------------------------------------
 
     def partition_vector(self, config: ProcessorConfiguration) -> PartitionVector:
         """The integer load-balanced partition vector for this configuration."""
-        rates = config.per_processor_rates(self.op_kind)
-        return balanced_partition_vector(rates, self.num_pdus)
+        return balanced_partition_vector(self._config_rates(config), self.num_pdus)
 
     # -- component estimates ---------------------------------------------------------
 
     def t_comp(self, config: ProcessorConfiguration) -> float:
         """Eq 4 with the real-valued balanced shares (equal on every node)."""
-        rates = config.per_processor_rates(self.op_kind)
-        if not rates:
+        if config.total < 1:
             raise PartitionError("configuration has no processors")
-        shares = balanced_shares(rates, self.num_pdus)
-        # Load balanced: S_i · complexity · A_i is the same for all i.
-        return ops_time_ms(self.comp_complexity * shares[0], rates[0])
+        rates = self._config_rates(config)
+        # Eq 3's share of the first node, from the speeds array
+        # balanced_shares builds and sums: the same bits, without the
+        # other shares.  Load balanced: S_i · complexity · A_i is the same
+        # for all i.
+        speeds = 1.0 / np.array(rates, dtype=float)
+        share = 1.0 / rates[0] / float(speeds.sum()) * self.num_pdus
+        return ops_time_ms(self.comp_complexity * share, rates[0])
 
     def t_comp_with_vector(
         self, config: ProcessorConfiguration, vector: PartitionVector
@@ -118,7 +164,7 @@ class CycleEstimator:
         Completion is governed by the slowest node: the max over processors.
         Used to cost the equal-decomposition baseline.
         """
-        rates = config.per_processor_rates(self.op_kind)
+        rates = self._config_rates(config)
         if vector.size != len(rates):
             raise PartitionError(
                 f"vector has {vector.size} entries for {len(rates)} processors"
@@ -136,15 +182,21 @@ class CycleEstimator:
         """
         problem = self.computation.problem
         if phase.per_config_complexity is not None:
-            rates = config.per_processor_rates(self.op_kind)
-            shares = balanced_shares(rates, self.num_pdus)
+            shares = balanced_shares(self._config_rates(config), self.num_pdus)
             b = phase.complexity_for_shares(problem, shares)
+            eq2 = TopologyComposition(self.cost_db, phase.topology, b)
         else:
-            b = phase.complexity_value(problem)
+            eq2 = self._eq2.get(phase.name)
+            if eq2 is None:
+                b = phase.complexity_value(problem)
+                eq2 = self._eq2[phase.name] = TopologyComposition(
+                    self.cost_db, phase.topology, b
+                )
         rounds = phase.rounds_value(problem, config.total)
-        return rounds * self.cost_db.topology_cost(
-            phase.topology, b, config.counts_by_name()
-        )
+        self._bind(config)
+        counts = config.counts
+        names = compress(self._names, counts)
+        return rounds * eq2.cost(tuple(names), tuple(filter(None, counts)))
 
     def t_comm(self, config: ProcessorConfiguration) -> float:
         """Eq 5 for the dominant phase — or, with ``all_phases``, the sum of
@@ -234,7 +286,7 @@ class CycleEstimator:
         if not has_profile:
             return self.t_elapsed(config)
         problem = self.computation.problem
-        rates = config.per_processor_rates(self.op_kind)
+        rates = self._config_rates(config)
         if not rates:
             raise PartitionError("configuration has no processors")
         shares = balanced_shares(rates, self.num_pdus)

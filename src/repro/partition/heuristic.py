@@ -186,8 +186,10 @@ def partition(
         help="clusters whose previous count was still the local minimum",
     )
     probe_kind = computation.dominant_computation_phase().op_kind
-    ordered = (
-        list(cluster_order)
+    # One tuple for every probe's configuration: the estimator recognises
+    # the pool by identity and reuses the node rates it read from it.
+    ordered = tuple(
+        cluster_order
         if cluster_order is not None
         else order_by_power(resources, probe_kind)
     )
@@ -364,7 +366,7 @@ def prefix_scan_partition(
     through the scalar reference estimator.
     """
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
-    ordered = order_by_power(resources, estimator.op_kind)
+    ordered = tuple(order_by_power(resources, estimator.op_kind))
     if not ordered:
         raise PartitionError("no available processors in any cluster")
     configs = []
@@ -437,7 +439,7 @@ def _scalar_exhaustive_partition(
     :func:`itertools.product` order.  Only the parity tests and the
     partition throughput bench use it."""
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
-    ordered = order_by_power(resources, estimator.op_kind)
+    ordered = tuple(order_by_power(resources, estimator.op_kind))
     if not ordered:
         raise PartitionError("no available processors in any cluster")
     ranges = [range(0, r.n_available + 1) for r in ordered]
