@@ -5,9 +5,10 @@ and 1000 logical clusters the equivalence-class collapsed search decides
 in under ``DECISION_BUDGET_MS`` (100 ms) wall time — spaces of 10^50 to
 10^800 ordered configurations — while staying bit-identical to the
 uncollapsed array engine on pools small enough to scan.  A cold sweep
-over 4-32 sites holds one whole cold decision (lowering, class detection
-and the search) to the same budget at every size, across the crossing
-lookup table's 16-cluster cap.  Writes the scaling table to
+over 4-32 sites and 48, 64, 128 and 256 sites holds one whole cold
+decision (lowering, class detection and the search) to the same budget
+at every size, across the crossing lookup table's 16-cluster cap and
+through the wide strata.  Writes the scaling table to
 ``benchmarks/out/widearea_perf.txt`` and the record to the repo root as
 ``BENCH_widearea_perf.json``; the gate's within-run verdict enforces the
 parity invariant, the decision budget and the evaluation ceiling at every

@@ -11,8 +11,10 @@ implements the paper's composition rules:
   bandwidth-limited topologies; bandwidth-limited ones pool all processors.
 
 :class:`TopologyComposition` evaluates Eq 2 for one ``(topology, b)``, so a
-search that probes many configurations of one phase sets it up once.
-:func:`build_cost_database` runs the whole offline phase on a workbench.
+search that probes many configurations of one phase sets it up once;
+:meth:`CostDatabase.crossing_matrices` lays every pair's crossing penalty
+out as arrays for the array engine.  :func:`build_cost_database` runs the
+whole offline phase on a workbench.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.fitting import fit_comm_cost, fit_linear_byte_cost
@@ -145,6 +149,28 @@ class CostDatabase:
         fn = self._pair_cost(self.coerce, cluster_a, cluster_b)
         return fn.evaluate(b) if fn is not None else 0.0
 
+    def crossing_matrices(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The router + coercion penalty between every two of ``names``, as
+        symmetric ``(K, K)`` ``(intercept_ms, slope_ms_per_byte)`` matrices.
+
+        Built from the tables' entries, not one lookup per pair: the
+        router matrices start at :attr:`router_default` (NaN without one),
+        the coercion ones at 0.0, explicit entries between two of ``names``
+        are scattered over them with :meth:`_pair_cost`'s precedence, and
+        each cell is ``router + coerce`` in one IEEE addition.  NaN marks a
+        pair with no router cost, and the diagonal.
+        """
+        pos = {name: k for k, name in enumerate(names)}
+        if len(pos) != len(names):
+            raise ValueError(f"cluster names must be unique: {list(names)}")
+        default = self.router_default
+        fill = (np.nan, np.nan) if default is None else (
+            default.intercept_ms, default.slope_ms_per_byte
+        )
+        total = _pair_fields(self.router, pos, fill) + _pair_fields(self.coerce, pos, (0.0, 0.0))
+        total.reshape(2, -1)[:, :: len(names) + 1] = np.nan
+        return total[0], total[1]
+
     # -- composition (paper §3, Eq 2) -----------------------------------------------
 
     def topology_cost(
@@ -196,6 +222,38 @@ class CostDatabase:
         if "router_default" in data:
             db.set_router_default(LinearByteCost.from_dict(data["router_default"]))
         return db
+
+
+def _pair_fields(
+    table: dict[tuple[str, str], LinearByteCost],
+    pos: dict[str, int],
+    fill: tuple[float, float],
+) -> np.ndarray:
+    """``(intercept_ms, slope_ms_per_byte)`` of ``table``'s entries between
+    two distinct clusters of ``pos``, as a ``(2, K, K)`` stack of symmetric
+    matrices holding ``fill`` elsewhere.  A forward entry (source earlier
+    in ``pos``) wins over the reverse one, as ``get((a, b)) or get((b,
+    a))`` does."""
+    cells: dict[tuple[int, int], LinearByteCost] = {}
+    for (src, dst), fn in table.items():
+        i, j = pos.get(src), pos.get(dst)
+        if i is None or j is None or i == j:
+            continue
+        if i < j:
+            cells[i, j] = fn
+        else:
+            cells.setdefault((j, i), fn)
+    k_n = len(pos)
+    fields = np.empty((2, k_n, k_n))
+    fields[0], fields[1] = fill
+    if cells:
+        rows, cols = np.array(list(cells), dtype=np.intp).T
+        values = np.array(
+            [(fn.intercept_ms, fn.slope_ms_per_byte) for fn in cells.values()], dtype=float
+        ).T
+        fields[:, rows, cols] = values
+        fields[:, cols, rows] = values
+    return fields
 
 
 class TopologyComposition:

@@ -54,7 +54,9 @@ pins decision parity and frontier-vs-cold equality, and
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -286,25 +288,39 @@ class ArrayCycleEstimator:
         self.evaluations = 0
 
         # -- Eq 3/4 lowering: per-cluster speed prefix sums -------------------
+        # One flat rate array over every available node; cluster k owns
+        # rates[ends[k] - N_k : ends[k]] and, after a leading 0.0, the
+        # prefix slots shifted by k.
+        k_n = len(self.ordered)
         self.limits = np.array([r.n_available for r in self.ordered], dtype=np.int64)
-        self._speed_prefix: list[np.ndarray] = []
-        self._cluster_rates: list[np.ndarray] = []
-        for res in self.ordered:
-            rates = np.array(
-                [res.rate_of(proc, self.op_kind) for proc in res.take(res.n_available)],
-                dtype=float,
+        rates = np.array(
+            [
+                res.rate_of(proc, self.op_kind)
+                for res in self.ordered
+                for proc in res.take(res.n_available)
+            ],
+            dtype=float,
+        )
+        sizes = self.limits.tolist()
+        ends = list(accumulate(sizes))
+        starts = [end - size for end, size in zip(ends, sizes)]
+        bad = rates <= 0
+        if bad.any():
+            k = bisect_right(ends, int(np.argmax(bad)))
+            raise PartitionError(
+                f"instruction rates must be positive: {rates[starts[k] : ends[k]].tolist()}"
             )
-            if np.any(rates <= 0):
-                raise PartitionError(
-                    f"instruction rates must be positive: {rates.tolist()}"
-                )
-            self._cluster_rates.append(rates)
-            self._speed_prefix.append(
-                np.concatenate(([0.0], np.cumsum(1.0 / rates)))
-            )
+        speeds = 1.0 / rates
+        prefix = np.zeros(rates.size + k_n)
+        for k, (start, end) in enumerate(zip(starts, ends)):
+            np.add.accumulate(speeds[start:end], out=prefix[start + k + 1 : end + k + 1])
+        self._cluster_rates = [rates[start:end] for start, end in zip(starts, ends)]
+        self._speed_prefix = [
+            prefix[start + k : end + k + 1]
+            for k, (start, end) in enumerate(zip(starts, ends))
+        ]
 
         # -- Eq 1 lowering: per-cluster coefficients for the dominant topology
-        k_n = len(self.ordered)
         self._c1 = np.full(k_n, np.nan)
         self._c2 = np.full(k_n, np.nan)
         self._c3 = np.full(k_n, np.nan)
@@ -326,25 +342,11 @@ class ArrayCycleEstimator:
                 self._quirk[k] = quirk
                 self._have_comm[k] = True
 
-        # -- crossing lowering: pairwise router+coercion linear penalties -----
-        self._cross_intercept = np.full((k_n, k_n), np.nan)
-        self._cross_slope = np.full((k_n, k_n), np.nan)
-        for i in range(k_n):
-            for j in range(i + 1, k_n):
-                a, b_name = self.ordered[i].name, self.ordered[j].name
-                router = cost_db._pair_cost(cost_db.router, a, b_name)
-                if router is None:
-                    continue  # NaN marker: raise only if a candidate needs it
-                coerce = cost_db._pair_cost(cost_db.coerce, a, b_name)
-                intercept = router.intercept_ms + (
-                    coerce.intercept_ms if coerce is not None else 0.0
-                )
-                slope = router.slope_ms_per_byte + (
-                    coerce.slope_ms_per_byte if coerce is not None else 0.0
-                )
-                self._cross_intercept[i, j] = intercept
-                self._cross_slope[j, i] = self._cross_slope[i, j] = slope
-                self._cross_intercept[j, i] = intercept
+        # -- crossing lowering: pairwise router+coercion linear penalties;
+        # NaN marks a missing router fit, raised only if a candidate needs it.
+        self._cross_intercept, self._cross_slope = cost_db.crossing_matrices(
+            [res.name for res in self.ordered]
+        )
 
         self.workspace = ArrayWorkspace(k_n, max_rows)
         #: ``(plan, keep_at, n)`` when the workspace holds a plan's whole

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, isnan, log10
+from math import comb, log10
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -186,60 +186,76 @@ def detect_equivalence_classes(est: ArrayCycleEstimator) -> Optional[CollapsePla
     k_n = len(est.ordered)
     # Groups of identical per-cluster inputs, numbered by first appearance.
     # Keys compare floats by == (a missing fit's NaN coefficients as None).
-    coeffs = np.stack([est._c1, est._c2, est._c3, est._c4], axis=1).tolist()
+    coeffs = np.stack([est._c1, est._c2, est._c3, est._c4], axis=1)
+    keys = zip(
+        est.limits.tolist(),
+        est._quirk.tolist(),
+        est._have_comm.tolist(),
+        (tuple(rates.tolist()) for rates in est._cluster_rates),
+        map(tuple, np.where(np.isnan(coeffs), None, coeffs).tolist()),
+    )
     groups: dict[tuple, int] = {}
-    labels = np.empty(k_n, dtype=np.int64)
-    for k in range(k_n):
-        key = (
-            int(est.limits[k]),
-            bool(est._quirk[k]),
-            bool(est._have_comm[k]),
-            tuple(est._cluster_rates[k].tolist()),
-            tuple(None if isnan(c) else c for c in coeffs[k]),
-        )
-        labels[k] = groups.setdefault(key, len(groups))
+    labels = np.array([groups.setdefault(key, len(groups)) for key in keys], dtype=np.int64)
 
     # One integer id per distinct (intercept, slope) crossing pair, by
     # float == on each field with NaN read as inf (a row-wise np.unique's
-    # equality, from two fast 1-D ones); -1 on the diagonal.
-    ids = np.zeros((k_n, k_n), dtype=np.int64)
-    for table in (est._cross_intercept, est._cross_slope):
-        _, field = np.unique(np.where(np.isnan(table), np.inf, table), return_inverse=True)
-        ids = ids * (k_n * k_n) + field.reshape(k_n, k_n)
-    ids = np.unique(ids, return_inverse=True)[1].reshape(k_n, k_n)
-    np.fill_diagonal(ids, -1)
+    # equality), over the upper triangle of the symmetric tables: pairs
+    # sorted lexicographically, a new id wherever a field changes; -1 on
+    # the diagonal.
+    rows, cols = np.nonzero(np.arange(k_n)[:, None] < np.arange(k_n))
+    pairs = np.stack([est._cross_intercept[rows, cols], est._cross_slope[rows, cols]])
+    pairs[np.isnan(pairs)] = np.inf
+    order = np.lexsort(pairs)
+    ranked = pairs[:, order]
+    fresh = np.ones(order.size, dtype=bool)
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=fresh[1:])
+    pair_ids = np.empty(order.size, dtype=np.int64)
+    pair_ids[order] = np.cumsum(fresh) - 1
+    n_ids = max(int(np.count_nonzero(fresh)), 1)
+    ids = np.full((k_n, k_n), -1, dtype=np.int64)
+    ids[rows, cols] = pair_ids
+    ids[cols, rows] = pair_ids
 
     # Refine on crossing costs until stable: a cluster's signature is its
-    # current label plus the set of (class, pair id) it sees toward every
-    # cluster.  Interchangeable members must see identical sets.
+    # current label plus, toward each current class, the set of pair ids
+    # it sees.  Interchangeable members must see identical sets.  Each
+    # row's (class, pair id) codes are sorted; the first code of each run
+    # is one set element (the diagonal's -1 sorts first and is dropped).
     for _ in range(k_n):
-        codes = labels[None, :] * (k_n * k_n) + ids
-        np.fill_diagonal(codes, -1)
+        codes = labels[None, :] * n_ids + ids
+        codes.ravel()[:: k_n + 1] = -1
+        codes.sort(axis=1)
+        seen = codes[:, 1:]
+        first = np.ones(seen.shape, dtype=bool)
+        np.not_equal(seen[:, 1:], seen[:, :-1], out=first[:, 1:])
+        elements = seen[first].tobytes()
+        bounds = np.concatenate(([0], np.cumsum(first.sum(axis=1)))) * seen.itemsize
         sig_to_label: dict[tuple, int] = {}
-        new_labels = np.empty_like(labels)
-        for k, row in enumerate(codes.tolist()):
-            sig = (int(labels[k]), frozenset(row))
-            new_labels[k] = sig_to_label.setdefault(sig, len(sig_to_label))
-        if np.array_equal(new_labels, labels):
+        new_labels = np.array(
+            [
+                sig_to_label.setdefault((label, elements[lo:hi]), len(sig_to_label))
+                for label, lo, hi in zip(labels.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
+            ],
+            dtype=np.int64,
+        )
+        if (new_labels == labels).all():
             break
         labels = new_labels
 
-    # Stability check: every within- and cross-class block must now be a
-    # single crossing value (otherwise members are *not* interchangeable).
-    members = [np.flatnonzero(labels == g) for g in np.unique(labels)]
-    for a, idx_a in enumerate(members):
-        for idx_b in members[a:]:
-            block = ids[np.ix_(idx_a, idx_b)]
-            if np.unique(block[block >= 0]).size > 1:
-                return None
+    # Stability check: every set must hold at most one pair id (otherwise
+    # members are *not* interchangeable): no two distinct codes of one row
+    # may name the same class.
+    same_class = seen[:, 1:] // n_ids == seen[:, :-1] // n_ids
+    if np.any(first[:, 1:] & same_class):
+        return None
 
-    order = sorted(members, key=lambda idx: int(idx[0]))
+    members = [np.flatnonzero(labels == g) for g in range(int(labels.max()) + 1)]
     classes = tuple(
         EquivalenceClass(
-            indices=tuple(int(i) for i in idx),
+            indices=tuple(idx.tolist()),
             limit=int(est.limits[idx[0]]),
         )
-        for idx in order
+        for idx in members
     )
     return CollapsePlan(classes=classes, n_clusters=k_n)
 

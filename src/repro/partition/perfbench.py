@@ -22,10 +22,14 @@ Timing methodology per engine:
 ArraySearchEngine` is constructed *outside* the timed window (like the
   cost database is for both engines) because its operating point is the
   steady-state decide loop: lower once, search many times.  Each repeat
-  times one :meth:`~repro.partition.arrayengine.ArraySearchEngine.search`
-  — the ordered scan, which never consults or records a frontier — so
-  every repeat scores the complete space (a space that fits one
-  workspace block stays loaded between repeats, as it does in any
+  times a window of back-to-back
+  :meth:`~repro.partition.arrayengine.ArraySearchEngine.search` calls
+  lasting at least :data:`~repro.benchmarking.timing.WINDOW_S`, and
+  reports the window over its call count: one search of the 3×8 space
+  takes a few tenths of a millisecond, too short to time alone.  The
+  search is the ordered scan, which never consults or records a
+  frontier, so every call scores the complete space (a space that fits
+  one workspace block stays loaded between calls, as it does in any
   repeated search).
 """
 
@@ -41,7 +45,7 @@ from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
 from repro.benchmarking.perfgate import metric, record
-from repro.benchmarking.timing import time_calls
+from repro.benchmarking.timing import time_windows
 from repro.errors import PartitionError
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.processor import ProcessorSpec
@@ -226,12 +230,13 @@ def run_perf(
     product-loop oracle.
     The array engine is timed at its operating point instead: the
     persistent engine (lowering + workspace) is built outside the window
-    and each repeat times one full streamed search — the frontier is not
-    consulted, so no repeat is cheaper than a cold search of the space.
-    ``prune`` applies to the array engine only; the scalar oracle always
-    scans every configuration.  Reports the best and mean wall time over
-    ``repeat`` runs, plus a ``tracemalloc`` allocation sample per engine
-    unless ``alloc_sample`` is off.
+    and each repeat times a window of full streamed searches, at least
+    :data:`~repro.benchmarking.timing.WINDOW_S` long, per search — the
+    frontier is not consulted, so no search is cheaper than a cold search
+    of the space.  ``prune`` applies to the array engine only; the scalar
+    oracle always scans every configuration.  Reports the best and mean
+    wall time over ``repeat`` runs, plus a ``tracemalloc`` allocation
+    sample per engine unless ``alloc_sample`` is off.
     """
     if repeat < 1:
         raise PartitionError(f"repeat must be >= 1, got {repeat}")
@@ -271,7 +276,7 @@ def run_perf(
         comp, order_by_power(resources), synthetic_database(names)
     )
     search_prune = "auto" if prune else False
-    best_s, mean_s, outcome = time_calls(
+    best_s, mean_s, outcome = time_windows(
         lambda: searcher.search(prune=search_prune), repeat
     )
     sample = (

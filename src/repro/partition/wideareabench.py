@@ -20,7 +20,7 @@ across PRs:
   forced level sweep must be bit-identical (counts and ``T_c``) to its
   ordered scan on pools small enough to scan exhaustively;
 * a cold sweep across the crossing lookup table's 16-cluster cap and on
-  to 32 sites: one whole cold decision (engine construction, i.e.
+  to 256 sites: one whole cold decision (engine construction, i.e.
   lowering and class detection, plus ``decide_counts``) per
   :data:`COLD_SIZES` pool, each held to the same budget.
 """
@@ -72,9 +72,10 @@ DEFAULT_SIZES = (64, 256, 1000)
 #: What ``repro bench-widearea --quick`` (the CI smoke job) runs.
 QUICK_SIZES = (64, 256)
 
-#: Pool sizes of the cold-decision sweep: across the crossing table's
-#: 16-cluster cap, through 32 sites.
-COLD_SIZES = tuple(range(4, 33))
+#: Pool sizes of the cold-decision sweep: every size across the crossing
+#: table's 16-cluster cap through 32 sites, then the wide strata up to 256
+#: sites, whose cold decisions pay the O(K²) crossing set-up.
+COLD_SIZES = tuple(range(4, 33)) + (48, 64, 128, 256)
 
 #: Small-instance parity pools: sites and seeds kept tiny enough that the
 #: uncollapsed array engine can scan the full ordered space.

@@ -107,6 +107,11 @@ def test_topology_cost_empty_or_single_is_zero(db):
     assert db.topology_cost("1-D", 100, {"sparc2": 1}) == 0.0
 
 
+def test_crossing_matrices_need_unique_names():
+    with pytest.raises(ValueError, match="unique"):
+        CostDatabase().crossing_matrices(["a", "b", "a"])
+
+
 def test_json_roundtrip(db):
     restored = CostDatabase.from_json(db.to_json())
     assert restored.comm.keys() == db.comm.keys()

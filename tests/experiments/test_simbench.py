@@ -38,3 +38,25 @@ def test_report_and_payload_shapes(cmp):
 def test_repeat_validation():
     with pytest.raises(SimulationError):
         run_sim_perf(repeat=0, grid=False)
+
+
+@pytest.mark.parametrize("drift_at", [None, 2, 4])
+def test_grid_is_best_of_repeat_passes_with_parity_on_every_pass(monkeypatch, drift_at):
+    """Each mode runs ``repeat`` grid passes; one pass whose signatures
+    differ from the first event pass breaks parity, whichever mode ran it."""
+    from types import SimpleNamespace
+
+    from repro.experiments import resilience, simbench
+
+    modes = []
+
+    def grid(**kwargs):
+        modes.append(kwargs["validate_mode"])
+        signature = "drift" if len(modes) == drift_at else "same"
+        return [SimpleNamespace(scenario="s", validation_signature=signature)]
+
+    monkeypatch.setattr(resilience, "resilience_grid", grid)
+    timing = simbench._time_grid(n=8, epochs=1, validate_cycles=1, workers=None, repeat=2)
+    assert modes == ["event", "event", "fast", "fast"]
+    assert timing.repeats == 2 and timing.rows == 1
+    assert timing.parity_ok is (drift_at is None)

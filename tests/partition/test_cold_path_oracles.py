@@ -1,32 +1,37 @@
 """The cold exact-decision path against its loop-form oracles, bit for bit.
 
-Three array recurrences do the work of a cold decision: the crossing
-lookup tables of :class:`~repro.partition.arrayengine.ArrayCycleEstimator`
-(a subset-max doubling), the crossing refinement of
+Array code does the work of a cold decision: the lowering of
+:class:`~repro.partition.arrayengine.ArrayCycleEstimator` (crossing
+matrices scattered from the database's entries, node rates and speed
+prefixes in one pass), its crossing lookup tables (a subset-max
+doubling), the crossing refinement of
 :func:`~repro.partition.collapse.detect_equivalence_classes` (sets of
 pair ids) and the ``(patterns × levels)`` grid of
 :func:`~repro.partition.collapse.level_search`.  Each is checked here
 against the loop it replaced, kept below as an oracle, over generated
-pools: the tables must be bitwise-equal (the float table through its
-int64 view), the plans ``==``, and the level sweep's ``(counts,
-t_cycle_ms, evaluations)`` ``==`` to one sweep per active class set whose
-winner the kernels score.  A digest of a decision grid's ``(counts,
-t_cycle_ms, evaluations)``, recorded with the per-pattern loop, pins all
-three end to end.
+pools: the lowered arrays and the tables must be bitwise-equal (float
+arrays through their int64 views, so NaN and signed zeros sit in the
+same cells), errors must carry the same text, the plans ``==``, and the
+level sweep's ``(counts, t_cycle_ms, evaluations)`` ``==`` to one sweep
+per active class set whose winner the kernels score.  A digest of a
+decision grid's ``(counts, t_cycle_ms, evaluations)``, recorded with the
+per-pattern loop, pins all of them end to end.
 """
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
+from repro.errors import PartitionError
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.presets import (
     ETHERNET_10MBPS,
@@ -38,7 +43,7 @@ from repro.model.computation import DataParallelComputation
 from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
 from repro.partition import collapse
-from repro.partition.available import gather_available_resources
+from repro.partition.available import ClusterResources, gather_available_resources
 from repro.partition.collapse import (
     _MAX_LEVEL_CLASSES,
     CollapsePlan,
@@ -64,6 +69,47 @@ _LEVEL = settings(derandomize=True, deadline=None, max_examples=200)
 
 
 # -- the oracles: the loops the array recurrences replaced ------------------------
+
+
+def crossing_oracle(est: ArrayCycleEstimator):
+    """``(intercept, slope)`` crossing matrices by the pairwise loop: two
+    :meth:`CostDatabase._pair_cost` lookups per pair, router + coercion
+    (0.0 without one) per field, NaN where no router exists and on the
+    diagonal."""
+    cost_db = est.cost_db
+    k_n = len(est.ordered)
+    intercept = np.full((k_n, k_n), np.nan)
+    slope = np.full((k_n, k_n), np.nan)
+    for i in range(k_n):
+        for j in range(i + 1, k_n):
+            a, b_name = est.ordered[i].name, est.ordered[j].name
+            router = cost_db._pair_cost(cost_db.router, a, b_name)
+            if router is None:
+                continue
+            coerce = cost_db._pair_cost(cost_db.coerce, a, b_name)
+            intercept[i, j] = intercept[j, i] = router.intercept_ms + (
+                coerce.intercept_ms if coerce is not None else 0.0
+            )
+            slope[i, j] = slope[j, i] = router.slope_ms_per_byte + (
+                coerce.slope_ms_per_byte if coerce is not None else 0.0
+            )
+    return intercept, slope
+
+
+def rates_oracle(ordered, op_kind):
+    """``(per-cluster rates, per-cluster speed prefixes)`` by the
+    per-cluster loop, raising for the first cluster with a non-positive
+    rate."""
+    rates_of, prefixes = [], []
+    for res in ordered:
+        rates = np.array(
+            [res.rate_of(proc, op_kind) for proc in res.take(res.n_available)], dtype=float
+        )
+        if np.any(rates <= 0):
+            raise PartitionError(f"instruction rates must be positive: {rates.tolist()}")
+        rates_of.append(rates)
+        prefixes.append(np.concatenate(([0.0], np.cumsum(1.0 / rates))))
+    return rates_of, prefixes
 
 
 def lut_oracle(est: ArrayCycleEstimator):
@@ -406,11 +452,133 @@ def level_cases(draw):
     return est, plan.at_limits(lim), lim, gate
 
 
+#: Crossing field values, signed zeros included: ``-0.0 + 0.0`` is +0.0.
+_FIELD_VALUES = (0.5, 0.9, 2.5, 0.0, -0.0)
+
+
+@st.composite
+def lowering_pools(draw):
+    """``(ordered resources, database)``: 1-8 clusters of 1-4 nodes, some
+    loaded or failed (a cluster may have no available node), gathered
+    with or without load adjustment; router and coercion entries in
+    either direction, some pairs in both with different values, some
+    naming a cluster outside the pool or pairing a cluster with itself;
+    with or without a router default."""
+    n_sites = draw(st.integers(1, 8))
+    net = HeterogeneousNetwork(seed=1, ethernet=ETHERNET_10MBPS, router_params=PAPER_ROUTER)
+    names = [f"s{i}" for i in range(n_sites)]
+    for name in names:
+        spec, count = draw(st.sampled_from(_SPECS)), draw(st.integers(1, 4))
+        cluster = net.add_cluster(name, spec, count=count)
+        for proc in cluster.processors:
+            proc.set_load(draw(st.sampled_from((0.0, 0.0, 0.25, 0.5))))
+            if draw(st.integers(0, 5)) == 0:
+                proc.fail()
+    net.validate(strict=False)
+    db = CostDatabase()
+    endpoint = st.sampled_from(names + ["outside"])
+    entry = st.tuples(
+        endpoint, endpoint, st.sampled_from(_FIELD_VALUES), st.sampled_from(_FIELD_VALUES)
+    )
+    for kind, add in (("router", db.add_router), ("coerce", db.add_coerce)):
+        entries = draw(st.lists(entry, max_size=2 * n_sites))
+        for src, dst, intercept, slope in list(entries):
+            if draw(st.booleans()):
+                # The same pair the other way round, priced differently.
+                entries.append((dst, src, intercept + 1.0, slope + 1.0))
+        for src, dst, intercept, slope in entries:
+            add(LinearByteCost(src, dst, kind, intercept_ms=intercept, slope_ms_per_byte=slope))
+    if draw(st.booleans()):
+        db.set_router_default(
+            LinearByteCost(
+                "*", "*", "router",
+                intercept_ms=draw(st.sampled_from(_FIELD_VALUES)),
+                slope_ms_per_byte=draw(st.sampled_from(_FIELD_VALUES)),
+            )
+        )
+    resources = gather_available_resources(net, load_adjusted=draw(st.booleans()))
+    # Fastest first, like order_by_power, but empty clusters stay.
+    return sorted(resources, key=lambda res: res.instruction_rate("fp")), db
+
+
+@dataclass(frozen=True)
+class _RatedResources(ClusterResources):
+    """A cluster whose nodes report the given rates, by rank, whatever
+    their spec says (specs reject non-positive rates)."""
+
+    rates: tuple[float, ...] = ()
+
+    def rate_of(self, proc, kind="fp"):
+        return self.rates[proc.rank_in_cluster]
+
+
+def assert_lowering_matches(est: ArrayCycleEstimator) -> None:
+    intercept, slope = crossing_oracle(est)
+    assert np.array_equal(est._cross_intercept.view(np.int64), intercept.view(np.int64))
+    assert np.array_equal(est._cross_slope.view(np.int64), slope.view(np.int64))
+    rates, prefixes = rates_oracle(est.ordered, est.op_kind)
+    assert len(est._cluster_rates) == len(est._speed_prefix) == len(est.ordered)
+    for k in range(len(est.ordered)):
+        assert np.array_equal(est._cluster_rates[k].view(np.int64), rates[k].view(np.int64))
+        assert np.array_equal(est._speed_prefix[k].view(np.int64), prefixes[k].view(np.int64))
+
+
 def assert_luts_match(est: ArrayCycleEstimator) -> None:
     lut, bad, pop = lut_oracle(est)
     assert np.array_equal(est._cross_lut.view(np.int64), lut.view(np.int64))
     assert np.array_equal(est._bad_lut, bad)
     assert np.array_equal(est._pop_lut, pop)
+
+
+# -- lowering ---------------------------------------------------------------------------
+
+
+@_PROPERTY
+@given(
+    sites=st.one_of(st.integers(1, 16), st.integers(17, 64), st.integers(65, 256)),
+    seed=st.integers(0, 10_000),
+)
+def test_wide_area_lowering_equals_the_loops(sites, seed):
+    assert_lowering_matches(_wide_area_estimator(sites, seed))
+
+
+@_SYNTHETIC
+@given(pool=lowering_pools(), n=st.sampled_from((200, 600)))
+def test_synthetic_lowering_equals_the_loops(pool, n):
+    ordered, db = pool
+    comp = stencil_computation(n, overlap=False)
+    assert_lowering_matches(ArrayCycleEstimator(comp, ordered, db))
+
+
+@_PROPERTY
+@given(
+    rates=st.lists(
+        st.lists(st.sampled_from((0.3, 0.6, 1.7, 0.0, -0.5, math.nan)), min_size=1, max_size=4),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_rate_lowering_raises_like_the_loop(rates):
+    """Non-positive rates raise the loop's text for the first bad cluster;
+    NaN rates pass both."""
+    net = HeterogeneousNetwork(seed=1, ethernet=ETHERNET_10MBPS, router_params=PAPER_ROUTER)
+    ordered = []
+    for i, cluster_rates in enumerate(rates):
+        cluster = net.add_cluster(f"r{i}", _SPECS[0], count=len(cluster_rates))
+        ordered.append(
+            _RatedResources(
+                cluster=cluster, available=tuple(cluster.processors), rates=tuple(cluster_rates)
+            )
+        )
+    comp = stencil_computation(600, overlap=False)
+    try:
+        rates_oracle(ordered, "fp")
+    except PartitionError as exc:
+        with pytest.raises(PartitionError) as got:
+            ArrayCycleEstimator(comp, ordered, CostDatabase())
+        assert str(got.value) == str(exc)
+    else:
+        assert_lowering_matches(ArrayCycleEstimator(comp, ordered, CostDatabase()))
 
 
 # -- crossing lookup tables -----------------------------------------------------------
@@ -463,6 +631,103 @@ def test_crossed_routers_are_rejected_by_both_refinements():
     est = ArrayCycleEstimator(comp, order_by_power(res, "fp"), db)
     assert detect_oracle(est) is None
     assert detect_equivalence_classes(est) is None
+
+
+def _explicit_estimator(templates, crossing, slope=lambda i, j: 0.0008) -> ArrayCycleEstimator:
+    """Clusters ``s0, s1, ...`` stamped from ``templates`` (indices into
+    the shared specs and fits), one explicit router entry per pair with
+    intercept ``crossing(i, j)`` and slope ``slope(i, j)`` for ``i < j`` in
+    that order, and no default."""
+    net = HeterogeneousNetwork(seed=1, ethernet=ETHERNET_10MBPS, router_params=PAPER_ROUTER)
+    db = CostDatabase()
+    names = [f"s{i}" for i in range(len(templates))]
+    for name, t in zip(names, templates):
+        net.add_cluster(name, _SPECS[t], count=2)
+        c1, c2, c3, c4 = _COEFFS[t]
+        db.add_comm(
+            CommCostFunction(
+                cluster=name, topology="1-D", c1=c1, c2=c2, c3=c3, c4=c4,
+                abs_bandwidth_quirk=False,
+            )
+        )
+    net.validate(strict=False)
+    for i, j in combinations(range(len(names)), 2):
+        db.add_router(
+            LinearByteCost(names[i], names[j], "router",
+                           intercept_ms=float(crossing(i, j)), slope_ms_per_byte=slope(i, j))
+        )
+    ordered = order_by_power(gather_available_resources(net), "fp")
+    return ArrayCycleEstimator(stencil_computation(600, overlap=False), ordered, db)
+
+
+def test_sets_with_equal_min_and_max_still_split():
+    """x sees {1, 2, 3} toward c1-c3 and y, z see {1, 3}; each c sees
+    values 1 to 3 toward x, y, z.  Every cluster has the same min and max
+    toward the other template, so only the id sets tell them apart; set
+    refinement splits both templates down to singletons."""
+    values = {(0, 3): 1, (0, 4): 2, (0, 5): 3, (1, 3): 3, (1, 4): 1, (1, 5): 1,
+              (2, 3): 3, (2, 4): 3, (2, 5): 1}
+    est = _explicit_estimator(
+        (0, 0, 0, 1, 1, 1), lambda i, j: values.get((i, j), 5 if j < 3 else 6)
+    )
+    plan = detect_equivalence_classes(est)
+    assert plan == detect_oracle(est)
+    assert plan == CollapsePlan.singletons(est.limits)
+
+
+def test_crossings_that_differ_only_in_slope_split():
+    """Every router intercept is equal; the slopes alone (one within
+    s0-s2, another within s3-s4, a third across) split the pool."""
+    est = _explicit_estimator(
+        (0,) * 5,
+        lambda i, j: 0.9,
+        slope=lambda i, j: 0.0008 if j < 3 else (0.0009 if i >= 3 else 0.001),
+    )
+    plan = detect_equivalence_classes(est)
+    assert plan == detect_oracle(est)
+    assert [cls.indices for cls in plan.classes] == [(0, 1, 2), (3, 4)]
+
+
+@st.composite
+def many_valued_estimators(draw):
+    """2-40 clusters of one template whose explicit routers price a
+    planted partition: one value per pair of planted groups, drawn from
+    a wide range (so a pool can hold far more than 62 distinct
+    crossings), with a few pairs perturbed to fresh values."""
+    k_n = draw(st.integers(2, 40))
+    groups = draw(st.lists(st.integers(0, 11), min_size=k_n, max_size=k_n))
+    value = st.integers(1, 10_000)
+    planted = {
+        (g, h): draw(value) for g in range(12) for h in range(g, 12)
+        if g in groups and h in groups
+    }
+    pair = st.tuples(st.integers(0, k_n - 1), st.integers(0, k_n - 1))
+    perturbed = {tuple(sorted(p)): draw(value) for p in draw(st.lists(pair, max_size=4))}
+    def crossing(i, j):
+        g, h = sorted((groups[i], groups[j]))
+        return perturbed.get((i, j), planted[g, h])
+
+    return _explicit_estimator((0,) * k_n, crossing)
+
+
+@_PROPERTY
+@given(est=many_valued_estimators())
+def test_many_valued_detection_equals_float_pair_refinement(est):
+    assert detect_equivalence_classes(est) == detect_oracle(est)
+
+
+def test_more_than_62_pair_ids_collapse_like_the_oracle():
+    """Twelve planted groups of two: 78 distinct crossings, and every
+    group is a class."""
+    groups = [k // 2 for k in range(24)]
+    est = _explicit_estimator(
+        (0,) * 24,
+        lambda i, j: 1 + 12 * min(groups[i], groups[j]) + max(groups[i], groups[j]),
+    )
+    assert np.unique(est._cross_intercept[~np.isnan(est._cross_intercept)]).size == 78
+    plan = detect_equivalence_classes(est)
+    assert plan == detect_oracle(est)
+    assert [cls.multiplicity for cls in plan.classes] == [2] * 12
 
 
 # -- the level sweep --------------------------------------------------------------------

@@ -115,10 +115,11 @@ def test_bench_widearea_json(tmp_path, capsys):
     assert payload["bench"] == "widearea"
     assert payload["invariants"] == {"parity_ok": True}
     assert payload["exact"]["8.method"].startswith("collapse")
-    # The cold sweep covers every size across the 16-cluster table cap.
+    # The cold sweep covers every size across the 16-cluster table cap,
+    # then the wide strata up to 256 sites.
     assert "cold decision ms by sites: 4: " in out
     cold = [name for name in payload["absolute"] if name.startswith("cold.")]
-    assert cold == [f"cold.{k}.decide_ms" for k in range(4, 33)]
+    assert cold == [f"cold.{k}.decide_ms" for k in (*range(4, 33), 48, 64, 128, 256)]
     for name in ["8.decide_ms"] + cold:
         assert payload["absolute"][name]["bound"] == 100.0
         # One repeat on a busy test runner says nothing about the 100 ms
