@@ -8,7 +8,8 @@ uncollapsed array engine on pools small enough to scan.  A cold sweep
 over 4-32 sites and 48, 64, 128 and 256 sites holds one whole cold
 decision (lowering, class detection and the search) to the same budget
 at every size, across the crossing lookup table's 16-cluster cap and
-through the wide strata.  Writes the scaling table to
+through the wide strata, and on three load-adjusted pools of 11-21
+classes.  Writes the scaling table to
 ``benchmarks/out/widearea_perf.txt`` and the record to the repo root as
 ``BENCH_widearea_perf.json``; the gate's within-run verdict enforces the
 parity invariant, the decision budget and the evaluation ceiling at every

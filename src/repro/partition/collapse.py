@@ -40,11 +40,14 @@ This module holds the pieces; the one exact engine,
   member / all members) plus per-class counts, and for a fixed pattern the
   comm term depends only on the max per-cluster Eq 1 value ``v``.
   Sweeping the sorted per-class Eq-1 levels ``v`` and taking each class's
-  largest count with ``f_j(k) <= v`` yields an upper-bounding grid whose
-  minimum provably equals the true optimum value (the bound is tight at
-  the optimum's own level).  Cost: ``O(3^C · levels)`` for ``C`` classes —
+  largest count with ``f_j(k) <= v`` yields an upper bound whose minimum
+  provably equals the true optimum value (the bound is tight at the
+  optimum's own level).  Cost: ``O(C · levels)`` for ``C`` classes when
+  every crossing is one value (one row per level), else ``O(rows ·
+  levels)`` over at most :data:`_MAX_LEVEL_ROWS` activation patterns —
   independent of the physical cluster count, which is what turns the
-  1000-cluster decision interactive.
+  1000-cluster decision interactive.  ``evaluations`` counts the cells
+  actually scored.
 
 The expansion back to a physical decision vector places ascending counts
 at ascending member positions (σ=1 activates the *last* member), so every
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb, log10
+from math import comb, log10, prod
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,12 +78,14 @@ __all__ = [
     "level_search",
 ]
 
-#: Level mode enumerates 3^C activation patterns; cap C so the sweep
-#: itself stays interactive.
-_MAX_LEVEL_CLASSES = 8
+#: Most activation patterns level mode's grid may enumerate: the product
+#: of per-class choices (3 for off / one member / all members, 2 for a
+#: one-member class, 1 for a class with no processor).  3^8 is the most
+#: the grid took when it was capped at eight classes.
+_MAX_LEVEL_ROWS = 3**8
 
-#: Cells per block of level mode's (patterns × levels) grid, so eight
-#: large classes never hold 3^8 × levels floats at once.
+#: Cells per block of level mode's (patterns × levels) grid, so a large
+#: grid never holds every pattern × level float at once.
 _LEVEL_GRID_CELLS = 1 << 16
 
 
@@ -363,22 +368,33 @@ def level_search(
     class.  For a fixed pattern the crossing max is fixed; sweeping
     its active classes' Eq 1 levels ``v`` (each class at its largest
     count with ``f_j(k) <= v``) upper-bounds every candidate and is
-    tight at the optimum's own level, so the grid minimum's expansion
-    is a true optimum.
+    tight at the optimum's own level, so the minimum's expansion is a
+    true optimum.
 
-    The multi-station patterns are scored as one array pass: a
-    ``(patterns × levels)`` grid over the sorted union of every class's
-    levels, each row masked to its own classes' levels, in blocks of
-    :data:`_LEVEL_GRID_CELLS` cells.  ``evaluations`` counts every live
-    cell, plus one for each single-station level and one for the
-    re-score.  Ties at the grid minimum resolve to the lex-smallest
-    expanded row.  The winner is re-scored through :func:`_score_row`,
-    so the reported ``t_cycle`` is engine arithmetic, not the sweep's.
+    The multi-station patterns are swept one of two ways over the sorted
+    union of every class's levels:
+
+    * **one row per level** when every crossing a multi-station pattern
+      can read is one value (the wide-area backbone): every live pattern
+      at a level then pays the same comm term, and the pattern with every
+      class that reaches the level, all members on, has the largest speed
+      sum, so it is the level's minimum (:func:`_row_sweep`).  Cost
+      ``O(C · levels)``.
+    * **the ``(patterns × levels)`` grid** for mixed crossings, and when
+      the row's minimum is tied (:func:`_grid_sweep`), in blocks of
+      :data:`_LEVEL_GRID_CELLS` cells.  Cost ``O(rows · levels)``, and
+      more than :data:`_MAX_LEVEL_ROWS` rows return ``None``.
+
+    ``evaluations`` counts the cells actually scored: one per
+    single-station level, plus the row sweep's levels with two stations
+    or more and its tie-check variants, or else the grid's live cells,
+    plus one for the re-score.  Ties at the minimum resolve to the
+    lex-smallest expanded row.  The winner is re-scored through
+    :func:`_score_row`, so the reported ``t_cycle`` is engine arithmetic,
+    not the sweep's.
     """
     classes = plan.classes
     n_cls = len(classes)
-    if n_cls > _MAX_LEVEL_CLASSES:
-        return None
     if int(sum(cls.limit * cls.multiplicity for cls in classes)) < 1:
         raise PartitionError("no candidate configurations")
     phase = est.comm_phase
@@ -403,9 +419,9 @@ def level_search(
     if not bool(np.all(est._beta >= 0.0)):
         return None
 
-    reps = [cls.indices[0] for cls in classes]
-    alpha = np.array([est._alpha[r] for r in reps])
-    beta = np.array([est._beta[r] for r in reps])
+    reps = np.array([cls.indices[0] for cls in classes], dtype=np.int64)
+    alpha = est._alpha[reps]
+    beta = est._beta[reps]
     mult = np.array([cls.multiplicity for cls in classes], dtype=np.int64)
     limits = np.array([cls.limit for cls in classes], dtype=np.int64)
     prefixes = [est._speed_prefix[r] for r in reps]
@@ -413,25 +429,22 @@ def level_search(
     rounds = est._rounds_const
     extra_station = bool(est.cost_db.router_extra_station)
 
-    # Class-pair crossing costs at the folded message size; a missing
-    # fit anywhere the sweep could activate disables level mode (the
-    # streamed search would raise on those rows, and falling back keeps
-    # the two paths' behaviour aligned).
-    cross = np.zeros((n_cls, n_cls))
-    for a in range(n_cls):
-        for c in range(a, n_cls):
-            if a == c:
-                if mult[a] < 2:
-                    continue
-                i, j = classes[a].indices[0], classes[a].indices[1]
-            else:
-                i, j = reps[a], reps[c]
-            intercept = est._cross_intercept[i, j]
-            if np.isnan(intercept):
-                return None
-            cross[a, c] = cross[c, a] = (
-                intercept + est._cross_slope[i, j] * b
-            )
+    # Class-pair crossing costs at the folded message size, read at the
+    # representatives from the upper triangle (classes are in search
+    # order); a multi-member class's own cell from its first two members.
+    # A missing fit anywhere the sweep could activate disables level mode
+    # (the streamed search would raise on those rows, and falling back
+    # keeps the two paths' behaviour aligned).
+    lo = np.minimum.outer(reps, reps)
+    hi = np.maximum.outer(reps, reps)
+    hi[np.diag_indices(n_cls)] = [cls.indices[min(1, cls.multiplicity - 1)] for cls in classes]
+    pair = ~np.eye(n_cls, dtype=bool) | np.diag(mult >= 2)
+    intercept = est._cross_intercept[lo, hi]
+    if np.isnan(intercept[pair]).any():
+        return None
+    cross = np.where(pair, intercept + est._cross_slope[lo, hi] * b, 0.0)
+    # Crossings clamp at +0.0 like a max chain from 0.0.
+    positive = np.where(cross > 0.0, cross, 0.0)
 
     # Per class: Eq 1 levels for a *multi*-cluster pattern (p_eff has
     # the router extra station, floor 2) at counts 1..N, plus speed.
@@ -446,8 +459,8 @@ def level_search(
 
     # Candidates are kept as per-class (active members, count) tuples;
     # expansion to a K-length physical row is deferred to the min-t
-    # ties only — at a thousand clusters, expanding all ~3^C patterns
-    # costs more than the whole sweep.
+    # ties only — at a thousand clusters, expanding every pattern costs
+    # more than the whole sweep.
     best_t = np.inf
     tied: list[tuple[tuple[int, int], ...]] = []
     cells = 0
@@ -478,56 +491,34 @@ def level_search(
         counts = (((0, 0),) * j) + ((1, int(ks[i])),) + (((0, 0),) * (n_cls - j - 1))
         consider(float(t[i]), counts)
 
-    # Multi-station patterns: one row per σ ∈ {off, one member, all
-    # members}^C with two stations or more (its per-class member counts),
-    # one column per level of the sorted union of every class's Eq 1
-    # levels.  A cell is live when its level is one of the row's active
-    # classes' own levels and every active class reaches it (some count
-    # with f_j(k) <= v).  Speeds add class by class in class order, an
-    # inactive class adding an exact +0.0, and crossings clamp at +0.0
-    # like a max chain from 0.0, so every live cell is the arithmetic of
-    # sweeping its active class set alone.
-    choices = [sorted({0, 1, int(m)}) if n >= 1 else [0] for m, n in zip(mult, limits)]
-    weight = np.stack([g.ravel() for g in np.meshgrid(*choices, indexing="ij")], axis=1)
-    weight = weight[weight.sum(axis=1) >= 2]
-    active = weight > 0
+    # Multi-station patterns, over the sorted union of every class's Eq 1
+    # levels: per class and level, the largest count with f_j(k) <= v
+    # (0: the class does not reach v), whether v is one of the class's
+    # own levels, and the class's speed at that count.
     levels = np.unique(np.concatenate(f_multi))
     kmax = np.stack([np.searchsorted(f, levels, side="right") for f in f_multi])
-    own = np.stack([np.isin(levels, f) for f in f_multi])
-    speed_at = [prefixes[j][kmax[j]] for j in range(n_cls)]
-    positive = np.where(cross > 0.0, cross, 0.0)
-    between = np.where(np.eye(n_cls, dtype=bool), 0.0, positive)  # cross symmetric
-    crossing = np.maximum(
-        np.where(weight > 1, np.diag(positive), 0.0).max(axis=1),
-        np.where(active[:, :, None] & active[:, None, :], between, 0.0).max(axis=(1, 2)),
+    own = np.stack(
+        [np.concatenate(([np.nan], f))[k] == levels for f, k in zip(f_multi, kmax)]
     )
-    step = max(1, _LEVEL_GRID_CELLS // levels.size)
-    for lo in range(0, weight.shape[0], step):
-        w, on = weight[lo : lo + step], active[lo : lo + step]
-        live = np.zeros((w.shape[0], levels.size), dtype=bool)
-        dead = np.zeros_like(live)
-        speed = np.zeros(live.shape)
-        for j in range(n_cls):
-            live |= on[:, j, None] & own[j]
-            dead |= on[:, j, None] & (kmax[j] == 0)
-            speed += speed_at[j] * w[:, j, None]
-        live &= ~dead
-        with np.errstate(invalid="ignore", divide="ignore"):
-            comp = comp_of(speed, 0.0)
-        comm = rounds * (levels + crossing[lo : lo + step, None])
-        t = np.where(live, comp + comm, np.inf)
-        cells += int(live.sum())
-        at = np.argmin(t, axis=1)
-        t_min = t[np.arange(w.shape[0]), at]
-        low = float(t_min.min())
-        if not np.isfinite(low) or low > best_t:
-            continue
-        for r in np.flatnonzero(t_min == low):
-            level = int(at[r])
-            consider(
-                low,
-                tuple((int(n), int(kmax[j, level]) if n else 0) for j, n in enumerate(w[r])),
-            )
+    speed_at = np.stack([prefix[k] for prefix, k in zip(prefixes, kmax)])
+    sweep = (levels, kmax, own, speed_at, mult, rounds, comp_of)
+
+    has = limits >= 1
+    readable = positive[pair & has[:, None] & has[None, :]]
+    row = None
+    if readable.size == 0 or bool(np.all(readable == readable[0])):
+        x = readable[0] if readable.size else 0.0
+        row = _row_sweep(sweep, x, best_t)
+    if row is not None:
+        row_cells, winner = row
+        cells += row_cells
+        if winner is not None:
+            consider(*winner)
+    else:
+        grid_cells = _grid_sweep(sweep, positive, limits, consider)
+        if grid_cells is None:
+            return None
+        cells += grid_cells
 
     if not tied:
         raise PartitionError("no candidate configurations")
@@ -540,11 +531,133 @@ def level_search(
         )
         for class_counts in tied
     )
-    # Honest objective: the grid value upper-bounds the expanded row's
+    # Honest objective: the sweep value upper-bounds the expanded row's
     # true T_c and is tight at the optimum level; report the engine's
     # own arithmetic for the winner.
     t_true = _score_row(est, np.array(best, dtype=np.int64))
     return best, t_true, cells + 1
+
+
+def _row_sweep(sweep, x, best_t):
+    """The multi-station minimum when every crossing a multi-station
+    pattern can read is ``x``: ``(cells, (t, class_counts) or None)``, or
+    ``None`` when the grid must decide.  ``sweep`` is
+    :func:`level_search`'s ``(levels, kmax, own, speed_at, mult, rounds,
+    comp_of)``; ``best_t`` is the best single-station value.
+
+    At level ``v`` every live pattern pays ``rounds · (v + x)``, and each
+    class term ``speed_at · w`` grows with the class weight ``w``, as do
+    IEEE addition and division.  The all-reachable row (every class with
+    ``f_j(1) <= v``, all members) summed class by class in class order
+    therefore has the largest speed sum and the smallest ``T_c`` of every
+    live pattern at ``v``; its cells are the grid's own arithmetic for
+    that row.  The grid's answer is the lex-min expansion over *every*
+    pattern at the minimum, so the row's winner stands only when it is
+    unique: no other level's row equals it, and no live one-step-down
+    variant at its level does (one class from all members to one, or a
+    one-member class off — every live sub-pattern is dominated by one of
+    these).  Otherwise, and when a speed or value is not finite (NaN or
+    infinite node rates, overflow), the monotone argument does not hold
+    and the grid decides.
+    """
+    levels, kmax, own, speed_at, mult, rounds, comp_of = sweep
+    reach = kmax > 0
+    if not np.all(~reach | ((speed_at > 0.0) & (speed_at < np.inf))):
+        return None
+    weight = np.where(reach, mult[:, None], 0)
+    multi = np.flatnonzero(weight.sum(axis=0) >= 2)
+    if multi.size == 0:
+        return 0, None
+    weight = weight[:, multi]
+    speed = np.zeros(multi.size)
+    for j in range(len(mult)):
+        speed += speed_at[j, multi] * weight[j]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        t = comp_of(speed, 0.0) + rounds * (levels[multi] + x)
+    if not np.all(np.isfinite(t)):
+        return None
+    at = int(np.argmin(t))
+    low = t[at]
+    if low > best_t:
+        return multi.size, None  # a single station wins outright
+    if np.count_nonzero(t == low) > 1:
+        return None
+    v = multi[at]
+    full = weight[:, at]
+    on = np.flatnonzero(full)
+    variants = np.tile(full, (on.size, 1))
+    variants[np.arange(on.size), on] = np.where(full[on] > 1, 1, 0)
+    live = (variants.sum(axis=1) >= 2) & np.any((variants > 0) & own[:, v], axis=1)
+    variants = variants[live]
+    speed = np.zeros(variants.shape[0])
+    for j in range(len(mult)):
+        speed += speed_at[j, v] * variants[:, j]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        t_variant = comp_of(speed, 0.0) + rounds * (levels[v] + x)
+    if np.any(t_variant == low):
+        return None
+    counts = tuple((int(m), int(kmax[j, v]) if m else 0) for j, m in enumerate(full))
+    return multi.size + variants.shape[0], (float(low), counts)
+
+
+def _grid_sweep(sweep, positive, limits, consider) -> Optional[int]:
+    """Every multi-station pattern at every level, fed to ``consider``:
+    the live cell count, or ``None`` past :data:`_MAX_LEVEL_ROWS` rows.
+
+    One row per σ ∈ {off, one member, all members}^C with two stations or
+    more (its per-class member counts), one column per level.  A cell is
+    live when its level is one of the row's active classes' own levels
+    and every active class reaches it.  Speeds add class by class in
+    class order (a class without a processor is never active and would
+    add an exact +0.0), so every live cell is the arithmetic of sweeping
+    its active class set alone.
+    """
+    levels, kmax, own, speed_at, mult, rounds, comp_of = sweep
+    free = np.flatnonzero(limits >= 1)
+    choices = [sorted({0, 1, int(mult[j])}) for j in free]
+    if prod(len(c) for c in choices) > _MAX_LEVEL_ROWS:
+        return None
+    weight = np.stack(
+        [g.ravel() for g in np.meshgrid(*choices, indexing="ij")], axis=1
+    ).reshape(-1, free.size)
+    weight = weight[weight.sum(axis=1) >= 2]
+    active = weight > 0
+    sub = positive[np.ix_(free, free)]
+    between = np.where(np.eye(free.size, dtype=bool), 0.0, sub)  # symmetric
+    crossing = np.maximum(
+        np.where(weight > 1, np.diag(sub), 0.0).max(axis=1),
+        np.where(active[:, :, None] & active[:, None, :], between, 0.0).max(axis=(1, 2)),
+    )
+    cells = 0
+    step = max(1, _LEVEL_GRID_CELLS // levels.size)
+    for lo in range(0, weight.shape[0], step):
+        w, on = weight[lo : lo + step], active[lo : lo + step]
+        live = np.zeros((w.shape[0], levels.size), dtype=bool)
+        dead = np.zeros_like(live)
+        speed = np.zeros(live.shape)
+        for a, j in enumerate(free):
+            live |= on[:, a, None] & own[j]
+            dead |= on[:, a, None] & (kmax[j] == 0)
+            speed += speed_at[j] * w[:, a, None]
+        live &= ~dead
+        with np.errstate(invalid="ignore", divide="ignore"):
+            comp = comp_of(speed, 0.0)
+        comm = rounds * (levels + crossing[lo : lo + step, None])
+        t = np.where(live, comp + comm, np.inf)
+        cells += int(live.sum())
+        at = np.argmin(t, axis=1)
+        t_min = t[np.arange(w.shape[0]), at]
+        low = float(t_min.min())
+        if not np.isfinite(low):
+            continue
+        for r in np.flatnonzero(t_min == low):
+            level = int(at[r])
+            counts = [(0, 0)] * len(mult)
+            for a, j in enumerate(free):
+                n = int(w[r, a])
+                counts[j] = (n, int(kmax[j, level]) if n else 0)
+            consider(low, tuple(counts))
+    return cells
 
 
 def _score_row(est: ArrayCycleEstimator, row: np.ndarray) -> float:

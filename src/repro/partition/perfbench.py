@@ -13,7 +13,7 @@ Timing methodology per engine:
 * ``scalar`` — cold probes of the reference
   :class:`~repro.partition.estimator.CycleEstimator`: per configuration
   of the space, one fresh estimator, built outside the timed window, and
-  one ``t_cycle`` timed, over one cost database per repeat.  That is the
+  one ``t_cycle`` timed, over one cost database per pass.  That is the
   scalar reference where it re-estimates an exact winner (one estimator
   per decision on a long-lived database), and it does not get cheaper
   when a search's probes share work.  The product-loop oracle still
@@ -21,20 +21,25 @@ Timing methodology per engine:
 * ``array`` — the persistent :class:`~repro.partition.arrayengine.\
 ArraySearchEngine` is constructed *outside* the timed window (like the
   cost database is for both engines) because its operating point is the
-  steady-state decide loop: lower once, search many times.  Each repeat
-  times a window of back-to-back
-  :meth:`~repro.partition.arrayengine.ArraySearchEngine.search` calls
-  lasting at least :data:`~repro.benchmarking.timing.WINDOW_S`, and
-  reports the window over its call count: one search of the 3×8 space
-  takes a few tenths of a millisecond, too short to time alone.  The
-  search is the ordered scan, which never consults or records a
-  frontier, so every call scores the complete space (a space that fits
-  one workspace block stays loaded between calls, as it does in any
-  repeated search).
+  steady-state decide loop: lower once, search many times.  Each window
+  times back-to-back
+  :meth:`~repro.partition.arrayengine.ArraySearchEngine.search` calls,
+  as many as make one untimed window last at least
+  :data:`~repro.benchmarking.timing.WINDOW_S`, and reports the window
+  over its call count: one search of the 3×8 space takes a tenth of a
+  millisecond, too short to time alone.  The search is the ordered scan,
+  which never consults or records a frontier, so every call scores the
+  complete space (a space that fits one workspace block stays loaded
+  between calls, as it does in any repeated search).
+
+The sides run in interleaved pairs, one scalar pass and then one array
+window back to back, so a slow phase of the host moves both sides of a
+pair; the speedup is the median of the per-pair ratios.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -45,7 +50,7 @@ from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
 from repro.benchmarking.perfgate import metric, record
-from repro.benchmarking.timing import time_windows
+from repro.benchmarking.timing import window_calls
 from repro.errors import PartitionError
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.processor import ProcessorSpec
@@ -145,6 +150,8 @@ class PerfComparison:
     cluster_sizes: tuple[int, ...]
     n: int
     results: tuple[EngineResult, ...]
+    #: Array over scalar throughput in each interleaved pair.
+    pair_speedups: tuple[float, ...]
 
     def result(self, engine: str) -> EngineResult:
         for r in self.results:
@@ -154,16 +161,14 @@ class PerfComparison:
 
     @property
     def speedup_array_over_scalar(self) -> float:
-        """Array-engine throughput over scalar throughput, in configs/s.
+        """Array-engine throughput over scalar throughput, in configs/s:
+        the median over the interleaved pairs.
 
         A throughput (not wall-time) ratio because the engines may visit
         different candidate counts (the scalar oracle scans the whole
         space; the array engine prunes above its size cutoff).
         """
-        scalar, array = self.result("scalar"), self.result("array")
-        if scalar.configs_per_s <= 0:
-            return float("inf")
-        return array.configs_per_s / scalar.configs_per_s
+        return statistics.median(self.pair_speedups)
 
 
 def _alloc_sample(fn: Callable[[], object]) -> tuple[int, float]:
@@ -188,30 +193,26 @@ def _alloc_sample(fn: Callable[[], object]) -> tuple[int, float]:
     return blocks, (peak - current0) / 1024.0
 
 
-def _cold_probe_walls(
+def _cold_probe_wall(
     computation: DataParallelComputation,
     configs: Sequence[ProcessorConfiguration],
     cluster_names: Sequence[str],
-    repeat: int,
-) -> list[float]:
-    """Per repeat, the summed wall time of one ``t_cycle`` per
-    configuration, each on a fresh estimator built outside the timed
-    windows, all over one :func:`synthetic_database` per repeat."""
-    walls = []
-    for _ in range(repeat):
-        db = synthetic_database(cluster_names)
-        wall = 0.0
-        for start in range(0, len(configs), _COLD_CHUNK):
-            probes = [
-                (CycleEstimator(computation, db), cfg)
-                for cfg in configs[start : start + _COLD_CHUNK]
-            ]
-            t0 = time.perf_counter()
-            for estimator, cfg in probes:
-                estimator.t_cycle(cfg)
-            wall += time.perf_counter() - t0
-        walls.append(wall)
-    return walls
+) -> float:
+    """The summed wall time of one ``t_cycle`` per configuration, each on
+    a fresh estimator built outside the timed windows, all over one fresh
+    :func:`synthetic_database`."""
+    db = synthetic_database(cluster_names)
+    wall = 0.0
+    for start in range(0, len(configs), _COLD_CHUNK):
+        probes = [
+            (CycleEstimator(computation, db), cfg)
+            for cfg in configs[start : start + _COLD_CHUNK]
+        ]
+        t0 = time.perf_counter()
+        for estimator, cfg in probes:
+            estimator.t_cycle(cfg)
+        wall += time.perf_counter() - t0
+    return wall
 
 
 def run_perf(
@@ -225,18 +226,20 @@ def run_perf(
     """Time the exhaustive oracle on both engines on one scenario.
 
     The scalar reference is timed as cold probes, one fresh estimator per
-    configuration over one cost database per repeat (see the module
+    configuration over one cost database per pass (see the module
     docstring); its decision and allocation sample come from the
     product-loop oracle.
     The array engine is timed at its operating point instead: the
     persistent engine (lowering + workspace) is built outside the window
-    and each repeat times a window of full streamed searches, at least
+    and each window times full streamed searches, at least
     :data:`~repro.benchmarking.timing.WINDOW_S` long, per search — the
     frontier is not consulted, so no search is cheaper than a cold search
-    of the space.  ``prune`` applies to the array engine only; the scalar
-    oracle always scans every configuration.  Reports the best and mean
-    wall time over ``repeat`` runs, plus a ``tracemalloc`` allocation
-    sample per engine unless ``alloc_sample`` is off.
+    of the space.  ``repeat`` pairs run interleaved, one scalar pass then
+    one array window.  ``prune`` applies to the array engine only; the
+    scalar oracle always scans every configuration.  Reports the best and
+    mean wall time per engine and the speedup of every pair, plus a
+    ``tracemalloc`` allocation sample per engine unless ``alloc_sample``
+    is off.
     """
     if repeat < 1:
         raise PartitionError(f"repeat must be >= 1, got {repeat}")
@@ -251,8 +254,23 @@ def run_perf(
         for combo in product(*(range(r.n_available + 1) for r in ordered))
         if sum(combo) >= 1
     ]
-    walls = _cold_probe_walls(comp, configs, names, repeat)
-    best_s, mean_s = min(walls), sum(walls) / repeat
+    searcher = ArraySearchEngine(
+        comp, order_by_power(resources), synthetic_database(names)
+    )
+    search_prune = "auto" if prune else False
+
+    def search():
+        return searcher.search(prune=search_prune)
+
+    calls = window_calls(search)
+    scalar_walls, array_walls = [], []
+    for _ in range(repeat):
+        scalar_walls.append(_cold_probe_wall(comp, configs, names))
+        start = time.perf_counter()
+        for _ in range(calls):
+            outcome = search()
+        array_walls.append((time.perf_counter() - start) / calls)
+
     db = synthetic_database(names)
     decision = _scalar_exhaustive_partition(comp, resources, db)
     sample = (
@@ -263,32 +281,20 @@ def run_perf(
     scalar = EngineResult(
         engine="scalar",
         repeats=repeat,
-        best_wall_s=best_s,
-        mean_wall_s=mean_s,
+        best_wall_s=min(scalar_walls),
+        mean_wall_s=sum(scalar_walls) / repeat,
         configs_evaluated=len(configs),
         counts=tuple(decision.config.counts),
         t_cycle_ms=decision.t_cycle_ms,
         alloc_blocks=sample[0] if sample else None,
         alloc_peak_kib=sample[1] if sample else None,
     )
-
-    searcher = ArraySearchEngine(
-        comp, order_by_power(resources), synthetic_database(names)
-    )
-    search_prune = "auto" if prune else False
-    best_s, mean_s, outcome = time_windows(
-        lambda: searcher.search(prune=search_prune), repeat
-    )
-    sample = (
-        _alloc_sample(lambda: searcher.search(prune=search_prune))
-        if alloc_sample
-        else None
-    )
+    sample = _alloc_sample(search) if alloc_sample else None
     array = EngineResult(
         engine="array",
         repeats=repeat,
-        best_wall_s=best_s,
-        mean_wall_s=mean_s,
+        best_wall_s=min(array_walls),
+        mean_wall_s=sum(array_walls) / repeat,
         configs_evaluated=outcome.evaluations,
         counts=outcome.counts,
         t_cycle_ms=outcome.t_cycle_ms,
@@ -299,6 +305,10 @@ def run_perf(
         cluster_sizes=tuple(int(s) for s in cluster_sizes),
         n=n,
         results=(scalar, array),
+        pair_speedups=tuple(
+            outcome.evaluations * scalar_s / (len(configs) * array_s)
+            for scalar_s, array_s in zip(scalar_walls, array_walls)
+        ),
     )
 
 
@@ -339,7 +349,8 @@ def perf_report(cmp: PerfComparison) -> str:
         title=title,
     )
     return table + (
-        f"\n\narray speedup over scalar (configs/s): "
+        f"\n\narray speedup over scalar (configs/s, median of "
+        f"{len(cmp.pair_speedups)} interleaved pairs): "
         f"{cmp.speedup_array_over_scalar:.1f}x (floor {ARRAY_SPEEDUP_FLOOR:g}x)"
     )
 
@@ -368,6 +379,7 @@ def perf_payload(cmp: PerfComparison) -> dict:
             "cluster_sizes": list(cmp.cluster_sizes),
             "total_processors": sum(cmp.cluster_sizes),
             "workload": f"STEN-1 N={cmp.n}",
+            "pair_speedups": list(cmp.pair_speedups),
             "engines": {
                 r.engine: {
                     "repeats": r.repeats,

@@ -18,11 +18,15 @@ across PRs:
   *evaluated* (what the collapsed engine actually scored);
 * a small-instance parity block: the engine's collapsed decision and a
   forced level sweep must be bit-identical (counts and ``T_c``) to its
-  ordered scan on pools small enough to scan exhaustively;
+  ordered scan on pools small enough to scan exhaustively, clean and
+  with loaded nodes;
 * a cold sweep across the crossing lookup table's 16-cluster cap and on
   to 256 sites: one whole cold decision (engine construction, i.e.
   lowering and class detection, plus ``decide_counts``) per
-  :data:`COLD_SIZES` pool, each held to the same budget.
+  :data:`COLD_SIZES` pool, each held to the same budget;
+* cold decisions on :data:`LOADED_COLD_SIZES` pools, gathered with load
+  adjustment: every site with a loaded node is a class of its own (the
+  paper's §3 general case), so these plans hold 11 to 21 classes.
 """
 
 from __future__ import annotations
@@ -49,7 +53,9 @@ __all__ = [
     "DEFAULT_SIZES",
     "QUICK_SIZES",
     "COLD_SIZES",
+    "LOADED_COLD_SIZES",
     "SizeResult",
+    "LoadedCold",
     "WideAreaBench",
     "run_widearea",
     "widearea_report",
@@ -77,10 +83,15 @@ QUICK_SIZES = (64, 256)
 #: sites, whose cold decisions pay the O(K²) crossing set-up.
 COLD_SIZES = tuple(range(4, 33)) + (48, 64, 128, 256)
 
+#: ``(sites, share of nodes loaded)`` of the loaded cold decisions.
+LOADED_COLD_SIZES = ((16, 0.05), (64, 0.01), (256, 0.01))
+
 #: Small-instance parity pools: sites and seeds kept tiny enough that the
-#: uncollapsed array engine can scan the full ordered space.
+#: uncollapsed array engine can scan the full ordered space; the loaded
+#: copies load this share of their nodes.
 _PARITY_SITES = 5
 _PARITY_SEEDS = (0, 1, 2)
+_PARITY_SHARE = 0.15
 
 #: Stencil problem size: big enough that the optimum spreads over many
 #: sites (the multi-cluster analytic path), small enough that comm still
@@ -116,6 +127,22 @@ class SizeResult:
 
 
 @dataclass(frozen=True)
+class LoadedCold:
+    """One cold decision on a pool with loaded nodes."""
+
+    sites: int
+    share: float
+    classes: int
+    method: str
+    t_cycle_ms: float
+    decide_ms: float  #: best over the repeats, each on a fresh pool.
+
+    @property
+    def label(self) -> str:
+        return f"loaded.{self.sites}.{round(self.share * 100)}pct"
+
+
+@dataclass(frozen=True)
 class WideAreaBench:
     """The full scaling-curve record."""
 
@@ -126,6 +153,8 @@ class WideAreaBench:
     parity_ok: Optional[bool]  #: ``None`` when the parity block was skipped.
     #: ``(sites, best ms)`` of one cold decision per :data:`COLD_SIZES`.
     cold_ms: tuple[tuple[int, float], ...]
+    #: One cold decision per :data:`LOADED_COLD_SIZES` pool.
+    loaded: tuple[LoadedCold, ...]
 
     def result(self, n_clusters: int) -> SizeResult:
         for r in self.sizes:
@@ -139,15 +168,38 @@ def _decide_workload(n: int):
     return stencil_computation(n, overlap=False)
 
 
+def _clean_pool(sites: int, seed: int):
+    """``(ordered resources, database)`` of a wide-area pool."""
+    net = wide_area_network(sites, seed=seed)
+    return order_by_power(gather_available_resources(net), "fp"), wide_area_cost_database(net)
+
+
+def _loaded_pool(sites: int, seed: int, share: float):
+    """``(ordered resources, database)`` of a wide-area pool whose nodes
+    are each loaded with probability ``share``, at a load drawn from
+    U[0.1, 0.3] on the network's own seeded stream (so the pool replays
+    bit for bit), gathered with load adjustment."""
+    net = wide_area_network(sites, seed=seed)
+    rng = net.streams.get("widearea.loads")
+    for cluster in net.clusters:
+        for proc in cluster.processors:
+            if rng.random() < share:
+                proc.set_load(float(rng.uniform(0.1, 0.3)))
+    resources = gather_available_resources(net, load_adjusted=True)
+    return order_by_power(resources, "fp"), wide_area_cost_database(net)
+
+
 def _parity_check(n: int, *, metrics=None) -> int:
     """Collapsed decision and forced level sweep vs the ordered scan, bit
-    for bit, on small pools; returns the instance count, raises
-    :class:`PartitionError` on any mismatch."""
+    for bit, on small pools, clean and loaded; returns the instance
+    count, raises :class:`PartitionError` on any mismatch."""
     comp = _decide_workload(n)
-    for seed in _PARITY_SEEDS:
-        net = wide_area_network(_PARITY_SITES, seed=seed)
-        db = wide_area_cost_database(net)
-        ordered = order_by_power(gather_available_resources(net), "fp")
+    pools = [(seed, _clean_pool(_PARITY_SITES, seed)) for seed in _PARITY_SEEDS]
+    pools += [
+        (f"{seed} (loaded)", _loaded_pool(_PARITY_SITES, seed, _PARITY_SHARE))
+        for seed in _PARITY_SEEDS
+    ]
+    for seed, (ordered, db) in pools:
         engine = ArraySearchEngine(comp, ordered, db, metrics=metrics)
         scan = engine.search()
         want = (scan.counts, scan.t_cycle_ms)
@@ -162,22 +214,32 @@ def _parity_check(n: int, *, metrics=None) -> int:
                     f"{method} decision diverged from the ordered scan on "
                     f"seed {seed}: {got!r} != {want!r}"
                 )
-    return len(_PARITY_SEEDS) * 2
+    return len(pools) * 2
 
 
-def _cold_ms(n: int, seed: int, k_clusters: int, repeat: int) -> float:
-    """Best wall ms of one cold decision, each repeat on a fresh pool and
-    database built outside the timed window."""
+def _cold(n: int, fresh_pool, repeat: int):
+    """``(best wall ms, engine, result)`` of one cold decision, each
+    repeat on a fresh ``fresh_pool()`` built outside the timed window."""
     comp = _decide_workload(n)
 
-    def fresh_pool():
-        net = wide_area_network(k_clusters, seed=seed)
-        return order_by_power(gather_available_resources(net), "fp"), wide_area_cost_database(net)
-
     def decide(pool):
-        return ArraySearchEngine(comp, *pool).decide_counts()
+        engine = ArraySearchEngine(comp, *pool)
+        return engine, engine.decide_counts()
 
-    return seconds_to_msec(time_calls(decide, repeat, setup=fresh_pool)[0])
+    best_s, _, (engine, result) = time_calls(decide, repeat, setup=fresh_pool)
+    return seconds_to_msec(best_s), engine, result
+
+
+def _loaded_cold(n: int, seed: int, sites: int, share: float, repeat: int) -> LoadedCold:
+    ms, engine, result = _cold(n, lambda: _loaded_pool(sites, seed, share), repeat)
+    return LoadedCold(
+        sites=sites,
+        share=share,
+        classes=len(engine.plan.classes),
+        method=result.method,
+        t_cycle_ms=result.t_cycle_ms,
+        decide_ms=ms,
+    )
 
 
 def run_widearea(
@@ -189,8 +251,8 @@ def run_widearea(
     parity: bool = True,
     metrics=None,
 ) -> WideAreaBench:
-    """Time the collapsed decision at each pool size (plus the parity block
-    and the cold sweep).
+    """Time the collapsed decision at each pool size (plus the parity block,
+    the cold sweep and the loaded cold decisions).
 
     Per size, everything a deployment does once — building the pool,
     the fitted database, lowering, equivalence detection — happens outside
@@ -206,9 +268,7 @@ def run_widearea(
     results = []
     for k_clusters in sizes:
         setup_start = time.perf_counter()
-        net = wide_area_network(int(k_clusters), seed=seed)
-        db = wide_area_cost_database(net)
-        ordered = order_by_power(gather_available_resources(net), "fp")
+        ordered, db = _clean_pool(int(k_clusters), seed)
         engine = ArraySearchEngine(comp, ordered, db, metrics=metrics)
         setup_s = time.perf_counter() - setup_start
         plan = engine.plan
@@ -245,7 +305,12 @@ def run_widearea(
         seed=seed,
         parity_instances=parity_instances,
         parity_ok=parity_ok,
-        cold_ms=tuple((k, _cold_ms(n, seed, k, repeat)) for k in COLD_SIZES),
+        cold_ms=tuple(
+            (k, _cold(n, lambda: _clean_pool(k, seed), repeat)[0]) for k in COLD_SIZES
+        ),
+        loaded=tuple(
+            _loaded_cold(n, seed, sites, share, repeat) for sites, share in LOADED_COLD_SIZES
+        ),
     )
 
 
@@ -294,7 +359,16 @@ def widearea_report(bench: WideAreaBench) -> str:
     table += "\n\ncold decision ms by sites: " + ", ".join(
         f"{k}: {ms:.1f}" for k, ms in bench.cold_ms
     )
-    worst = max([r.decide_ms for r in bench.sizes] + [ms for _, ms in bench.cold_ms])
+    table += "\ncold decisions on loaded pools: " + ", ".join(
+        f"{r.sites} sites {r.share:.0%} loaded: {r.decide_ms:.1f} ms "
+        f"({r.classes} classes, {r.method})"
+        for r in bench.loaded
+    )
+    worst = max(
+        [r.decide_ms for r in bench.sizes]
+        + [ms for _, ms in bench.cold_ms]
+        + [r.decide_ms for r in bench.loaded]
+    )
     verdict = "within" if worst <= DECISION_BUDGET_MS else "OVER"
     table += (
         f"\n\nworst decision {worst:.2f} ms — {verdict} the "
@@ -327,6 +401,13 @@ def widearea_payload(bench: WideAreaBench) -> dict:
         )
     for k, ms in bench.cold_ms:
         absolute[f"cold.{k}.decide_ms"] = metric(ms, "lower", DECISION_BUDGET_MS)
+    for r in bench.loaded:
+        exact[f"{r.label}.classes"] = r.classes
+        exact[f"{r.label}.t_cycle_ms"] = r.t_cycle_ms
+        exact[f"{r.label}.method"] = r.method
+        absolute[f"cold.{r.label}.decide_ms"] = metric(
+            r.decide_ms, "lower", DECISION_BUDGET_MS
+        )
     return record(
         "widearea",
         scenario={

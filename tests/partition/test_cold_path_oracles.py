@@ -12,16 +12,18 @@ against the loop it replaced, kept below as an oracle, over generated
 pools: the lowered arrays and the tables must be bitwise-equal (float
 arrays through their int64 views, so NaN and signed zeros sit in the
 same cells), errors must carry the same text, the plans ``==``, and the
-level sweep's ``(counts, t_cycle_ms, evaluations)`` ``==`` to one sweep
-per active class set whose winner the kernels score.  A digest of a
-decision grid's ``(counts, t_cycle_ms, evaluations)``, recorded with the
-per-pattern loop, pins all of them end to end.
+level sweep's ``(counts, t_cycle_ms)`` ``==`` to one sweep per active
+class set whose winner the kernels score (its ``evaluations`` too where
+the pattern grid ran).  Digests of a decision grid's ``(counts,
+t_cycle_ms)``, recorded with the per-pattern loop, and of its
+``(counts, t_cycle_ms, evaluations)`` pin all of them end to end.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,13 +47,13 @@ from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
 from repro.partition import collapse
 from repro.partition.available import ClusterResources, gather_available_resources
 from repro.partition.collapse import (
-    _MAX_LEVEL_CLASSES,
     CollapsePlan,
     EquivalenceClass,
     detect_equivalence_classes,
     level_search,
 )
 from repro.partition.heuristic import order_by_power
+from repro.partition.wideareabench import _loaded_pool
 
 from tests.partition.test_collapse import (
     _COEFFS,
@@ -223,12 +225,12 @@ def level_oracle(est: ArrayCycleEstimator, plan: CollapsePlan, lim: np.ndarray):
     ``(variants × levels)`` grid per active class set over that set's own
     levels, and its winner scored by
     :meth:`ArrayCycleEstimator.score_block` (the kernel fallback above 16
-    clusters)."""
+    clusters).  Its ``evaluations`` count every live cell of those grids,
+    the count the pattern grid reports."""
     classes = plan.classes
     n_cls = len(classes)
     if (
-        n_cls > _MAX_LEVEL_CLASSES
-        or est._b_const is None
+        est._b_const is None
         or callable(est.comm_phase.rounds)
         or est.overlapped
         or est.topology.bandwidth_limited
@@ -386,15 +388,40 @@ def synthetic_estimators(draw, max_sites: int = 8):
     return ArrayCycleEstimator(comp, ordered, db)
 
 
+def _nudge_fits(db: CostDatabase, names) -> None:
+    """Every site's Eq 1 fit nudged apart: one class per site."""
+    for i, name in enumerate(names):
+        fit = db.comm[(name, "1-D")]
+        db.add_comm(replace(fit, c1=fit.c1 + i / 1000))
+
+
+def _price_within_templates(db: CostDatabase, names) -> None:
+    """Explicit router entries at a fifth of the backbone between sites of
+    one template: a class's own crossing differs from the one between
+    classes."""
+    backbone = db.router_default
+    for a, b in combinations(names, 2):
+        if a.split("-")[1] == b.split("-")[1]:
+            db.add_router(
+                replace(backbone, src=a, dst=b, intercept_ms=backbone.intercept_ms / 5)
+            )
+
+
+def _estimator(net, db, n=600, overlap=False, load_adjusted=False) -> ArrayCycleEstimator:
+    ordered = order_by_power(gather_available_resources(net, load_adjusted=load_adjusted), "fp")
+    return ArrayCycleEstimator(stencil_computation(n, overlap=overlap), ordered, db)
+
+
 #: The level-mode gates :func:`gated_estimator` fails on purpose.
-LEVEL_GATES = ("overlap", "broadcast", "quirk", "classes", "router")
+LEVEL_GATES = ("overlap", "broadcast", "quirk", "rows", "router")
 
 
 def gated_estimator(gate: str, sites: int, seed: int) -> ArrayCycleEstimator:
     """A wide-area pool built to fail one level-mode gate: an overlapped
     workload, a bandwidth-limited (broadcast) topology, one quirk fit,
-    more than eight classes (every site's fit nudged apart; needs 9+
-    sites), or one router pair missing (explicit pairs, no default)."""
+    mixed crossings over more than 3^8 patterns (every site's fit nudged
+    apart and one pair priced off the backbone; needs 13+ sites), or one
+    router pair missing (explicit pairs, no default)."""
     net = wide_area_network(sites, seed=seed)
     db = wide_area_cost_database(net)
     names = [cluster.name for cluster in net.clusters]
@@ -412,10 +439,10 @@ def gated_estimator(gate: str, sites: int, seed: int) -> ArrayCycleEstimator:
     elif gate == "quirk":
         fit = db.comm[(names[seed % sites], "1-D")]
         db.add_comm(replace(fit, abs_bandwidth_quirk=True))
-    elif gate == "classes":
-        for i, name in enumerate(names):
-            fit = db.comm[(name, "1-D")]
-            db.add_comm(replace(fit, c1=fit.c1 + i / 1000))
+    elif gate == "rows":
+        _nudge_fits(db, names)
+        backbone = db.router_default
+        db.add_router(replace(backbone, src=names[0], dst=names[1], intercept_ms=0.5))
     elif gate == "router":
         backbone = db.router_default
         db.set_router_default(None)
@@ -427,29 +454,57 @@ def gated_estimator(gate: str, sites: int, seed: int) -> ArrayCycleEstimator:
     return ArrayCycleEstimator(comp, ordered, db)
 
 
+#: The pool kinds :func:`level_cases` draws besides the gates.
+LEVEL_KINDS = ("wide",) * 5 + ("loaded",) * 3 + ("classes", "mixed") * 2
+
+
 @st.composite
 def level_cases(draw):
-    """``(estimator, plan at limits, limits, gate)``: a wide-area pool of
-    2-64 sites (a third each of 2-16, 17-32 and 33-64) at STEN-1 N = 600,
-    6000 or 60000, or a pool built to fail ``gate``; at full availability
-    or a uniform per-class shrink."""
+    """``(estimator, plan at limits, limits, kind)``, by kind:
+
+    * ``wide`` — a wide-area pool of 2-64 sites (a third each of 2-16,
+      17-32 and 33-64) at STEN-1 N = 600, 6000 or 60000;
+    * ``loaded`` — 4-12 sites with 5-15% of the nodes loaded, gathered
+      with load adjustment (a site with a loaded node is a class of its
+      own);
+    * ``classes`` — 9-12 sites with every fit nudged apart (9-12
+      classes);
+    * ``mixed`` — 7-16 sites whose within-template crossings differ from
+      the backbone (some class has two members), so the pattern grid
+      must run;
+    * a :data:`LEVEL_GATES` entry — a pool built to fail that gate.
+
+    At full availability or a uniform per-class shrink; ``mixed`` and
+    ``rows`` pools stay whole, so their crossings stay mixed."""
     seed = draw(st.integers(0, 10_000))
-    gate = draw(st.sampled_from((None,) * len(LEVEL_GATES) + LEVEL_GATES))
-    if gate is None:
+    kind = draw(st.sampled_from(LEVEL_KINDS + LEVEL_GATES))
+    if kind == "wide":
         sites = draw(st.one_of(st.integers(2, 16), st.integers(17, 32), st.integers(33, 64)))
         n = draw(st.sampled_from((600, 6000, 60000)))
         est = ArrayCycleEstimator(*_wide_area_case(sites, seed=seed, n=n))
+    elif kind == "loaded":
+        share = draw(st.sampled_from((0.05, 0.1, 0.15)))
+        ordered, db = _loaded_pool(draw(st.integers(4, 12)), seed, share)
+        est = ArrayCycleEstimator(stencil_computation(6000, overlap=False), ordered, db)
+    elif kind in ("classes", "mixed"):
+        net = wide_area_network(
+            draw(st.integers(9, 12) if kind == "classes" else st.integers(7, 16)), seed=seed
+        )
+        db = wide_area_cost_database(net)
+        names = [cluster.name for cluster in net.clusters]
+        (_nudge_fits if kind == "classes" else _price_within_templates)(db, names)
+        est = _estimator(net, db, n=draw(st.sampled_from((600, 6000))))
     else:
-        sites = draw(st.integers(9, 12) if gate == "classes" else st.integers(2, 8))
-        est = gated_estimator(gate, sites, seed)
+        sites = draw(st.integers(13, 16) if kind == "rows" else st.integers(2, 8))
+        est = gated_estimator(kind, sites, seed)
     plan = detect_equivalence_classes(est) or CollapsePlan.singletons(est.limits)
     lim = est.limits.copy()
-    if draw(st.booleans()):
+    if kind not in ("mixed", "rows") and draw(st.booleans()):
         for cls in plan.classes:
             lim[list(cls.indices)] = draw(st.integers(0, cls.limit))
         if not lim.any():
             lim = est.limits.copy()
-    return est, plan.at_limits(lim), lim, gate
+    return est, plan.at_limits(lim), lim, kind
 
 
 #: Crossing field values, signed zeros included: ``-0.0 + 0.0`` is +0.0.
@@ -733,26 +788,110 @@ def test_more_than_62_pair_ids_collapse_like_the_oracle():
 # -- the level sweep --------------------------------------------------------------------
 
 
+def _sweep(est, plan, lim):
+    """``(level_search result, whether the pattern grid ran)``."""
+    with mock.patch.object(collapse, "_grid_sweep", wraps=collapse._grid_sweep) as grid:
+        got = level_search(est, plan, lim)
+    return got, grid.called
+
+
 @_LEVEL
 @given(case=level_cases())
 def test_level_search_equals_the_per_active_set_sweep(case):
-    est, plan, lim, gate = case
-    got = level_search(est, plan, lim)
-    assert got == level_oracle(est, plan, lim)
-    if gate is not None:
-        assert got is None, gate
+    est, plan, lim, kind = case
+    got, grid_ran = _sweep(est, plan, lim)
+    if kind in LEVEL_GATES:
+        assert got is None, kind
+        return
+    want = level_oracle(est, plan, lim)
+    assert got[:2] == want[:2]
+    if kind == "mixed":
+        assert grid_ran
+    if grid_ran:
+        assert got[2] == want[2]
 
 
 def test_level_grid_blocks_leave_the_sweep_unchanged(monkeypatch):
-    """Eight singleton classes (the class cap), swept in one block and in
-    blocks of one or two pattern rows: the minimum and its ties carry
-    across blocks exactly."""
-    est = _wide_area_estimator(8, seed=7)
-    plan = CollapsePlan.singletons(est.limits)
+    """Eight singleton classes with mixed crossings, swept in one block
+    and in blocks of one or two pattern rows: the minimum and its ties
+    carry across blocks exactly."""
+    net = wide_area_network(8, seed=7)
+    db = wide_area_cost_database(net)
+    names = [cluster.name for cluster in net.clusters]
+    _nudge_fits(db, names)
+    db.add_router(replace(db.router_default, src=names[2], dst=names[5], intercept_ms=0.5))
+    est = _estimator(net, db, n=6000)
+    plan = detect_equivalence_classes(est)
+    assert plan == CollapsePlan.singletons(est.limits)
     want = level_oracle(est, plan, est.limits)
-    assert level_search(est, plan, est.limits) == want
+    assert _sweep(est, plan, est.limits) == (want, True)
     monkeypatch.setattr(collapse, "_LEVEL_GRID_CELLS", 64)
-    assert level_search(est, plan, est.limits) == want
+    assert _sweep(est, plan, est.limits) == (want, True)
+
+
+@pytest.mark.parametrize("n", (60, 600, 6000))
+@pytest.mark.parametrize("sites", (2, 5, 12))
+def test_a_negative_backbone_is_clamped_like_the_grid(sites, n):
+    """A backbone priced below zero: every crossing clamps to +0.0, so the
+    row sweep runs with ``x = +0.0`` and must pick what the oracle picks
+    (a single station where comm outweighs the speed gained)."""
+    net = wide_area_network(sites, seed=7)
+    db = wide_area_cost_database(net)
+    db.set_router_default(replace(db.router_default, intercept_ms=-1000.0))
+    est = _estimator(net, db, n=n)
+    plan = detect_equivalence_classes(est)
+    got, grid_ran = _sweep(est, plan, est.limits)
+    assert not grid_ran
+    assert got[:2] == level_oracle(est, plan, est.limits)[:2]
+
+
+def _vanishing_estimator(seed: int, fit=None) -> ArrayCycleEstimator:
+    """A 6-site wide-area pool at STEN-1 N = 6000 whose slowest cluster
+    runs at 1e30 µs/op, so its speed term vanishes in every float sum it
+    joins; ``fit`` replaces that cluster's Eq 1 fields."""
+    net = wide_area_network(6, seed=seed)
+    ordered = order_by_power(gather_available_resources(net), "fp")
+    slow = ordered[-1]
+    ordered[-1] = _RatedResources(
+        cluster=slow.cluster, available=slow.available, rates=(1e30,) * slow.n_available
+    )
+    db = wide_area_cost_database(net)
+    if fit is not None:
+        db.add_comm(replace(db.comm[(slow.name, "1-D")], **fit))
+    return ArrayCycleEstimator(stencil_computation(6000, overlap=False), ordered, db)
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_a_vanishing_speed_term_ties_and_the_grid_decides(seed):
+    """The vanishing cluster is on at the all-reachable row's winning
+    level, and the variant with it off has the same speed sum: a tie,
+    which the grid resolves to the lex-min expansion."""
+    est = _vanishing_estimator(seed)
+    plan = detect_equivalence_classes(est)
+    got, grid_ran = _sweep(est, plan, est.limits)
+    assert grid_ran
+    assert got == level_oracle(est, plan, est.limits)
+
+
+def test_a_tie_across_levels_takes_the_grid():
+    """The vanishing cluster's one Eq 1 level sits one ulp above the
+    winning level ``v``, and ``rounds · (level + x)`` rounds to the same
+    comm term as at ``v``: the all-reachable rows at both levels tie."""
+    far = _vanishing_estimator(9, fit={"c1": 1e9, "c2": 0.0, "c3": 0.0, "c4": 0.0})
+    plan = detect_equivalence_classes(far)
+    counts, _, _ = level_search(far, plan, far.limits)
+    on = np.flatnonzero(counts)
+    assert on.size >= 2  # a multi-station winner
+    p_eff = np.maximum(np.array(counts)[on] + 1, 2)  # the router's extra station
+    v = (far._alpha[on] + far._beta[on] * p_eff).max()
+    x = far._cross_intercept[0, 1] + far._cross_slope[0, 1] * far._b_const
+    rounds = far._rounds_const
+    level = np.nextafter(v, np.inf)
+    assert rounds * (level + x) == rounds * (v + x)
+    est = _vanishing_estimator(9, fit={"c1": float(level), "c2": 0.0, "c3": 0.0, "c4": 0.0})
+    got, grid_ran = _sweep(est, plan, est.limits)
+    assert grid_ran
+    assert got == level_oracle(est, plan, est.limits)
 
 
 # -- a decision grid pinned across the rewrites -----------------------------------------
@@ -763,14 +902,19 @@ GRID_SITES = tuple(range(2, 18)) + (20, 24, 32, 48, 64)
 GRID = [(k, s, n, False) for n in (6000, 600) for k in GRID_SITES for s in range(7, 12)]
 GRID += [(k, 7, 600, True) for k in range(2, 9)] + [(k, 8, 600, True) for k in range(2, 6)]
 
+#: sha256 prefix of the grid's ``repr((counts, t_cycle_ms))`` stream,
+#: recorded with the per-pattern level sweep, the pairwise LUT loop and
+#: float-pair refinement.
+DECISION_DIGEST = "a0fec1685170663d"
+
 #: sha256 prefix of the grid's ``repr((counts, t_cycle_ms, evaluations))``
-#: stream, recorded with the per-pattern level sweep, the pairwise LUT
-#: loop and float-pair refinement.
-GRID_DIGEST = "93547a39d842a8a6"
+#: stream, with level mode counting the cells it scores (one row per
+#: level on the wide-area backbone).
+GRID_DIGEST = "6ed7f40999968808"
 
 
 def test_decision_grid_is_bit_identical_to_the_loop_forms():
-    digest = hashlib.sha256()
+    decisions, digest = hashlib.sha256(), hashlib.sha256()
     methods = set()
     for sites, seed, n, overlap in GRID:
         net = wide_area_network(sites, seed=seed)
@@ -778,9 +922,11 @@ def test_decision_grid_is_bit_identical_to_the_loop_forms():
         result = ArraySearchEngine(
             stencil_computation(n, overlap=overlap), ordered, wide_area_cost_database(net)
         ).decide_counts()
+        decisions.update(repr((result.counts, result.t_cycle_ms)).encode())
         digest.update(repr((result.counts, result.t_cycle_ms, result.evaluations)).encode())
         methods.add(result.method)
     assert len(GRID) == 221
     # The grid reaches every exact mode, the level sweep included.
     assert methods == {"collapse-level", "collapse-exact", "array-scan"}
+    assert decisions.hexdigest()[:16] == DECISION_DIGEST
     assert digest.hexdigest()[:16] == GRID_DIGEST

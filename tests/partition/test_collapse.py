@@ -13,7 +13,11 @@ detection, canonical expansion, the engine's dispatch rule, frontier
 reuse, and the fallbacks when a collapse stops being sound.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +242,55 @@ def test_overlapped_instances_never_use_level_mode():
         assert got.t_cycle_ms == reference.t_cycle_ms
         rejected += 1
     assert rejected >= 5  # the ~30% overlap draw must have fired
+
+
+#: Run in a child process under a 3 GiB address-space cap: cold decisions
+#: on load-adjusted wide-area pools of 11-21 classes, one JSON line each.
+_LOADED_POOLS_CHILD = """
+import json, resource, time
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from repro.apps.stencil import stencil_computation
+from repro.partition import exhaustive_partition
+from repro.partition.arrayengine import ArraySearchEngine
+from repro.partition.wideareabench import _loaded_pool
+comp = stencil_computation(6000, overlap=False)
+for sites, share in ((16, 0.05), (64, 0.01), (256, 0.01)):
+    ordered, db = _loaded_pool(sites, 7, share)
+    start = time.perf_counter()
+    engine = ArraySearchEngine(comp, ordered, db)
+    result = engine.decide_counts()
+    wall_s = time.perf_counter() - start
+    decision = exhaustive_partition(comp, ordered, db)
+    print(json.dumps({
+        "sites": sites, "classes": len(engine.plan.classes), "method": result.method,
+        "wall_s": wall_s, "counts": result.counts, "t_cycle_ms": result.t_cycle_ms,
+        "exhaustive_counts": decision.config.counts,
+        "exhaustive_t_cycle_ms": decision.t_cycle_ms,
+    }))
+"""
+
+
+def test_loaded_pools_of_many_classes_decide_under_a_memory_cap():
+    """Load adjustment gives every site with a loaded node a class of its
+    own.  These pools once exhausted a 3 GiB cap in the canonical stream;
+    level mode now decides them in milliseconds.  The scalar re-estimate
+    in ``exhaustive_partition`` agrees to the last few ulps."""
+    # One BLAS thread: per-thread buffers reserve address space that
+    # scales with the core count, not with the search.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_POOLS_CHILD],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["sites"] for row in rows] == [16, 64, 256]
+    for row in rows:
+        assert row["classes"] > 8, row["sites"]
+        assert row["method"] == "collapse-level"
+        assert row["wall_s"] < 1.0
+        assert row["counts"] == row["exhaustive_counts"]
+        assert math.isclose(row["t_cycle_ms"], row["exhaustive_t_cycle_ms"], rel_tol=1e-12)
 
 
 # -- detection and plan mechanics ------------------------------------------------

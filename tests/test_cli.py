@@ -116,10 +116,13 @@ def test_bench_widearea_json(tmp_path, capsys):
     assert payload["invariants"] == {"parity_ok": True}
     assert payload["exact"]["8.method"].startswith("collapse")
     # The cold sweep covers every size across the 16-cluster table cap,
-    # then the wide strata up to 256 sites.
+    # then the wide strata up to 256 sites, then the loaded pools.
     assert "cold decision ms by sites: 4: " in out
     cold = [name for name in payload["absolute"] if name.startswith("cold.")]
-    assert cold == [f"cold.{k}.decide_ms" for k in (*range(4, 33), 48, 64, 128, 256)]
+    assert cold == [f"cold.{k}.decide_ms" for k in (*range(4, 33), 48, 64, 128, 256)] + [
+        f"cold.loaded.{pool}.decide_ms" for pool in ("16.5pct", "64.1pct", "256.1pct")
+    ]
+    assert payload["exact"]["loaded.16.5pct.method"] == "collapse-level"
     for name in ["8.decide_ms"] + cold:
         assert payload["absolute"][name]["bound"] == 100.0
         # One repeat on a busy test runner says nothing about the 100 ms
