@@ -264,10 +264,13 @@ class TopologyComposition:
     of its active clusters in configuration order.  A database with a
     backbone router and no per-pair router or coercion entry (the
     wide-area one) prices every crossing pair alike, so its crossing takes
-    one step instead of a walk over every pair.
+    one step instead of a walk over every pair.  The §5 heuristic's prefix
+    line (:class:`~repro.partition.estimator.ProbeLine`) composes the same
+    terms, :meth:`eq1_routed` and :meth:`crossing`, folding the Eq 1 ones
+    once per cluster.
     """
 
-    __slots__ = ("db", "b", "_key", "_pooled")
+    __slots__ = ("db", "b", "_key", "pooled")
 
     def __init__(self, db: CostDatabase, topology: Topology | str, b: float) -> None:
         topo = topology if isinstance(topology, Topology) else Topology(topology)
@@ -275,7 +278,21 @@ class TopologyComposition:
         self.b = b
         #: The comm-table key: the same lookups, without the enum's str().
         self._key = str(topo)
-        self._pooled = topo.bandwidth_limited
+        #: Bandwidth-limited: every cluster is charged at the total count.
+        self.pooled = topo.bandwidth_limited
+
+    def eq1(self, name: str, p: int) -> float:
+        """Eq 1 of cluster ``name`` at ``p`` stations."""
+        return self.db.comm_cost(name, self._key, self.b, p)
+
+    def eq1_routed(self, name: str, p: int) -> float:
+        """Eq 1 of cluster ``name`` holding ``p`` processors of a
+        multi-cluster configuration (not bandwidth-limited)."""
+        # One more contending station for the router; a cluster whose
+        # lone processor communicates across the router still sees a
+        # 2-station pattern (its partner arrives via the router).
+        extra = 1 if self.db.router_extra_station else 0
+        return self.eq1(name, max(p + extra, 2))
 
     def cost(self, names: Sequence[str], counts: Sequence[int]) -> float:
         """``T_comm[τ]`` for distinct active clusters ``names`` holding
@@ -283,25 +300,18 @@ class TopologyComposition:
         total = sum(counts)
         if total <= 1:
             return 0.0
-        db, key, b = self.db, self._key, self.b
         if len(names) == 1:
-            return db.comm_cost(names[0], key, b, counts[0])
-        if self._pooled:
+            return self.eq1(names[0], counts[0])
+        if self.pooled:
             # Offered load scales with the total processor count regardless
             # of segment placement (paper: broadcast gains nothing from
             # extra segments).
-            per_cluster = [db.comm_cost(c, key, b, total) for c in names]
+            per_cluster = [self.eq1(c, total) for c in names]
         else:
-            # One more contending station for the router; a cluster whose
-            # lone processor communicates across the router still sees a
-            # 2-station pattern (its partner arrives via the router).
-            extra = 1 if db.router_extra_station else 0
-            per_cluster = [
-                db.comm_cost(c, key, b, max(p + extra, 2)) for c, p in zip(names, counts)
-            ]
-        return max(per_cluster) + self._crossing(names)
+            per_cluster = [self.eq1_routed(c, p) for c, p in zip(names, counts)]
+        return max(per_cluster) + self.crossing(names)
 
-    def _crossing(self, names: Sequence[str]) -> float:
+    def crossing(self, names: Sequence[str]) -> float:
         """The max router+coercion penalty over every pair of ``names``;
         raises for the first pair, in loop order, with no router cost."""
         db, b = self.db, self.b

@@ -304,7 +304,7 @@ class ArrayCycleEstimator:
         sizes = self.limits.tolist()
         ends = list(accumulate(sizes))
         starts = [end - size for end, size in zip(ends, sizes)]
-        bad = rates <= 0
+        bad = ~(rates > 0)  # NaN too
         if bad.any():
             k = bisect_right(ends, int(np.argmax(bad)))
             raise PartitionError(

@@ -46,9 +46,7 @@ def equal_decomposition(
     t_overlap = min(t_comp, t_comm) if estimator.overlapped else 0.0
     from repro.partition.estimator import CycleEstimate
 
-    estimate = CycleEstimate(
-        config=config, t_comp_ms=t_comp, t_comm_ms=t_comm, t_overlap_ms=t_overlap
-    )
+    estimate = CycleEstimate(t_comp_ms=t_comp, t_comm_ms=t_comm, t_overlap_ms=t_overlap)
     return PartitionDecision(
         config=config,
         vector=vector,

@@ -19,13 +19,24 @@ share: it reads each node's rate once, on the first probe that uses the
 node, and sets up one
 :class:`~repro.benchmarking.database.TopologyComposition` per
 communication phase.
+
+:class:`ProbeLine` evaluates the §5 heuristic's probes.  Each of them
+saturates the clusters before some ``k``, holds ``p`` nodes of cluster
+``k`` and none after it: the first ``m = offset[k] + p`` nodes of the pool
+in cluster order.  So a probe is a prefix length, not a configuration.
+The line keeps one flat speed array, filled as the rates are read (Eq 4's
+share sums its first ``m`` entries), and folds each saturated cluster's
+Eq 1 term once, left to right.  It builds no configuration per probe; a
+search builds one, for its winner.  Its values are the estimator's, bit
+for bit, and it shares the estimator's memo and evaluation count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import compress
-from typing import Optional
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import accumulate, compress
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,14 +49,13 @@ from repro.partition.config import ProcessorConfiguration
 from repro.partition.decompose import balanced_partition_vector, balanced_shares
 from repro.units import ops_time_ms
 
-__all__ = ["CycleEstimate", "CycleEstimator"]
+__all__ = ["CycleEstimate", "CycleEstimator", "ProbeLine"]
 
 
 @dataclass(frozen=True)
 class CycleEstimate:
     """The Eq 4-6 breakdown for one processor configuration."""
 
-    config: ProcessorConfiguration
     t_comp_ms: float
     t_comm_ms: float
     t_overlap_ms: float
@@ -112,27 +122,29 @@ class CycleEstimator:
         #: One Eq 2 composition per communication phase, keyed by its name.
         self._eq2: dict[str, TopologyComposition] = {}
 
-    def _bind(self, config: ProcessorConfiguration) -> tuple[ClusterResources, ...]:
-        """The configuration's pool; a new pool drops what was read from the
-        last one."""
-        pool = config.resources
+    def _bind(self, pool: tuple[ClusterResources, ...]) -> None:
+        """Serve ``pool``; a new pool drops what was read from the last one."""
         if pool is not self._pool:
             self._pool, self._rates = pool, {}
             self._names = tuple([res.name for res in pool])
-        return pool
+
+    def _cluster_rates(self, k: int, count: int) -> list[float]:
+        """At least the first ``count`` rates of the bound pool's cluster
+        ``k``, each node read once."""
+        known = self._rates.setdefault(k, [])
+        if count > len(known):
+            res = self._pool[k]  # type: ignore[index]
+            known += [res.rate_of(p, self.op_kind) for p in res.take(count)[len(known) :]]
+        return known
 
     def _config_rates(self, config: ProcessorConfiguration) -> list[float]:
         """Effective ``S_i`` per chosen node, in placement order (what
         :meth:`ProcessorConfiguration.per_processor_rates` reads)."""
-        pool = self._bind(config)
+        self._bind(config.resources)
         rates: list[float] = []
         for k, count in enumerate(config.counts):
             if count:
-                known = self._rates.setdefault(k, [])
-                if count > len(known):
-                    res = pool[k]
-                    known += [res.rate_of(p, self.op_kind) for p in res.take(count)[len(known) :]]
-                rates += known[:count]
+                rates += self._cluster_rates(k, count)[:count]
         return rates
 
     # -- decomposition (Eq 3) ----------------------------------------------------
@@ -148,13 +160,16 @@ class CycleEstimator:
         if config.total < 1:
             raise PartitionError("configuration has no processors")
         rates = self._config_rates(config)
-        # Eq 3's share of the first node, from the speeds array
-        # balanced_shares builds and sums: the same bits, without the
-        # other shares.  Load balanced: S_i · complexity · A_i is the same
-        # for all i.
-        speeds = 1.0 / np.array(rates, dtype=float)
-        share = 1.0 / rates[0] / float(speeds.sum()) * self.num_pdus
-        return ops_time_ms(self.comp_complexity * share, rates[0])
+        # The speeds array balanced_shares builds and sums: the same bits,
+        # without the other shares.
+        return self._eq4(rates[0], float((1.0 / np.array(rates, dtype=float)).sum()))
+
+    def _eq4(self, rate: float, speed_sum: float) -> float:
+        """Eq 4 on the first node, whose rate is ``rate`` and whose Eq 3
+        share is its speed over ``speed_sum``.  Load balanced:
+        ``S_i · complexity · A_i`` is the same for all ``i``."""
+        share = 1.0 / rate / speed_sum * self.num_pdus
+        return ops_time_ms(self.comp_complexity * share, rate)
 
     def t_comp_with_vector(
         self, config: ProcessorConfiguration, vector: PartitionVector
@@ -173,27 +188,29 @@ class CycleEstimator:
             ops_time_ms(self.comp_complexity * a, s) for a, s in zip(vector, rates)
         )
 
-    def _phase_comm_cost(self, phase, config: ProcessorConfiguration) -> float:
-        """One communication phase's per-cycle cost: rounds x topology cost.
-
-        When the phase declares ``per_config_complexity`` (the paper's
-        "b ... may depend on A_i" case), the message size is derived from
-        this configuration's balanced shares.
-        """
+    def _composition(
+        self, phase, rates: Callable[[], Sequence[float]]
+    ) -> TopologyComposition:
+        """The phase's Eq 2: one per estimator, or one per probe when the
+        phase declares ``per_config_complexity`` (the paper's "b ... may
+        depend on A_i" case) and ``b`` comes from the balanced shares of
+        ``rates()``."""
         problem = self.computation.problem
         if phase.per_config_complexity is not None:
-            shares = balanced_shares(self._config_rates(config), self.num_pdus)
+            shares = balanced_shares(rates(), self.num_pdus)
             b = phase.complexity_for_shares(problem, shares)
-            eq2 = TopologyComposition(self.cost_db, phase.topology, b)
-        else:
-            eq2 = self._eq2.get(phase.name)
-            if eq2 is None:
-                b = phase.complexity_value(problem)
-                eq2 = self._eq2[phase.name] = TopologyComposition(
-                    self.cost_db, phase.topology, b
-                )
-        rounds = phase.rounds_value(problem, config.total)
-        self._bind(config)
+            return TopologyComposition(self.cost_db, phase.topology, b)
+        eq2 = self._eq2.get(phase.name)
+        if eq2 is None:
+            b = phase.complexity_value(problem)
+            eq2 = self._eq2[phase.name] = TopologyComposition(self.cost_db, phase.topology, b)
+        return eq2
+
+    def _phase_comm_cost(self, phase, config: ProcessorConfiguration) -> float:
+        """One communication phase's per-cycle cost: rounds x topology cost."""
+        eq2 = self._composition(phase, lambda: self._config_rates(config))
+        rounds = phase.rounds_value(self.computation.problem, config.total)
+        self._bind(config.resources)
         counts = config.counts
         names = compress(self._names, counts)
         return rounds * eq2.cost(tuple(names), tuple(filter(None, counts)))
@@ -210,29 +227,28 @@ class CycleEstimator:
             for phase in self.computation.communication_phases
         )
 
-    def _comm_breakdown(self, config: ProcessorConfiguration) -> tuple[float, float]:
-        """``(T_comm, overlappable portion)`` in a single pass.
+    def _comm_breakdown(
+        self, total: int, phase_cost: Callable[..., float]
+    ) -> tuple[float, float]:
+        """``(T_comm, overlappable portion)`` of ``total`` processors in a
+        single pass, one ``phase_cost(phase)`` per phase.
 
         Each phase's cost is computed exactly once — the overlappable share
         reuses it instead of re-walking the topology composition.
         """
-        if self.comm_phase is None or config.total <= 1:
+        if self.comm_phase is None or total <= 1:
             return 0.0, 0.0
         if not self.all_phases:
-            t_comm = self._phase_comm_cost(self.comm_phase, config)
+            t_comm = phase_cost(self.comm_phase)
             return t_comm, (t_comm if self.overlapped else 0.0)
         t_comm = 0.0
         overlappable = 0.0
         for phase in self.computation.communication_phases:
-            cost = self._phase_comm_cost(phase, config)
+            cost = phase_cost(phase)
             t_comm += cost
             if phase.overlap is not None:
                 overlappable += cost
         return t_comm, overlappable
-
-    def _overlappable_comm(self, config: ProcessorConfiguration) -> float:
-        """The portion of T_comm eligible for overlap credit."""
-        return self._comm_breakdown(config)[1]
 
     # -- the objective ------------------------------------------------------------------
 
@@ -241,24 +257,16 @@ class CycleEstimator:
         key = tuple(config.counts)
         cached = self._memo.get(key)
         if cached is not None:
-            if cached.config is not config:
-                # A warm-start hit from an earlier epoch: the numbers are
-                # exact, but the stored config may reference a stale
-                # availability snapshot — re-bind to the caller's current
-                # configuration so downstream ``estimate.config.processors()``
-                # can never resurrect a dead node.
-                cached = replace(cached, config=config)
-                self._memo[key] = cached
             return cached
         if config.total < 1:
             raise PartitionError("cannot estimate an empty configuration")
         t_comp = self.t_comp(config)
-        t_comm, overlappable = self._comm_breakdown(config)
+        t_comm, overlappable = self._comm_breakdown(
+            config.total, lambda phase: self._phase_comm_cost(phase, config)
+        )
         t_overlap = min(t_comp, overlappable)
         self.evaluations += 1
-        result = CycleEstimate(
-            config=config, t_comp_ms=t_comp, t_comm_ms=t_comm, t_overlap_ms=t_overlap
-        )
+        result = CycleEstimate(t_comp_ms=t_comp, t_comm_ms=t_comm, t_overlap_ms=t_overlap)
         self._memo[key] = result
         return result
 
@@ -303,3 +311,178 @@ class CycleEstimator:
             t_overlap = min(t_comp, t_comm) if self.overlapped else 0.0
             total += t_comp + t_comm - t_overlap
         return total
+
+
+class _Eq2Line:
+    """One phase's Eq 2 along a line (constant ``b``, not bandwidth-limited).
+
+    A probe's active clusters are the first ``n`` of the pool's clusters
+    with nodes, the last one holding ``last`` of them.  The Eq 1 max over
+    the saturated ones is folded once per cluster, left to right, as
+    ``max(list)`` folds it in
+    :meth:`~repro.benchmarking.database.TopologyComposition.cost`; so NaN
+    and ±0 come out as they do there, and so do errors.  The crossing is
+    priced per probe, as ``cost`` prices it (one step on a backbone-only
+    database).
+    """
+
+    __slots__ = ("eq2", "names", "sizes", "eq1")
+
+    def __init__(
+        self, eq2: TopologyComposition, names: tuple[str, ...], sizes: tuple[int, ...]
+    ) -> None:
+        self.eq2, self.names, self.sizes = eq2, names, sizes
+        #: ``eq1[i]``: the Eq 1 max over the first ``i + 1`` clusters, saturated.
+        self.eq1: list[float] = []
+
+    def cost(self, n: int, last: int) -> float:
+        """``T_comm[τ]`` of the first ``n`` active clusters, the last one
+        holding ``last`` processors."""
+        eq2, names = self.eq2, self.names
+        if n == 1:
+            return eq2.eq1(names[0], last)
+        eq1 = self.eq1
+        while len(eq1) < n - 1:
+            term = eq2.eq1_routed(names[len(eq1)], self.sizes[len(eq1)])
+            eq1.append(term if not eq1 or term > eq1[-1] else eq1[-1])
+        term, acc = eq2.eq1_routed(names[n - 1], last), eq1[n - 2]
+        return (term if term > acc else acc) + eq2.crossing(names[:n])
+
+
+class ProbeLine:
+    """``T_c`` along one pool's prefix line, through one estimator.
+
+    :meth:`along` gives cluster ``k``'s probe, ``p ↦ T_c`` of the counts
+    ``(N_0, …, N_{k-1}, p, 0, …)``, with ``0 <= p <= N_k``.  A probe reads
+    the estimator's memo under that counts tuple; a fresh one counts an
+    evaluation and stores its estimate there, as
+    :meth:`CycleEstimator.estimate` does.  :attr:`trace` gets one
+    ``(describe, T_c)`` row per prefix, on the first probe of that prefix,
+    if that probe was a fresh evaluation.  ``pool`` is the ordered tuple
+    every configuration of the search is built on.
+    """
+
+    def __init__(self, estimator: CycleEstimator, pool: tuple[ClusterResources, ...]) -> None:
+        estimator._bind(pool)
+        self.estimator = estimator
+        self.pool = pool
+        self._sizes = tuple([res.n_available for res in pool])
+        self._offsets = list(accumulate(self._sizes, initial=0))
+        #: Positions of the clusters with nodes: a probe's active clusters
+        #: are a prefix of them.
+        self._active = [k for k, size in enumerate(self._sizes) if size]
+        self._active_names = tuple([estimator._names[k] for k in self._active])
+        self._active_sizes = tuple([self._sizes[k] for k in self._active])
+        #: The first nodes' rates in line order, as read, and their speeds.
+        self._rates: list[float] = []
+        self._speeds = np.empty(self._offsets[-1])
+        #: One Eq 2 fold per communication phase, keyed by its name.
+        self._folds: dict[str, _Eq2Line] = {}
+        #: Prefix length → counts tuple, for every prefix probed so far.
+        self._keys: dict[int, tuple[int, ...]] = {}
+        #: The saturated active clusters' ``name:count`` parts, and the
+        #: last joined head (active count, string).
+        self._parts: list[str] = []
+        self._head = (0, "")
+        self.trace: list[tuple[str, float]] = []
+
+    def along(self, k: int) -> Callable[[int], float]:
+        """Cluster ``k``'s probe: ``p ↦ T_c`` of the first ``offset[k] + p``
+        nodes."""
+        name, size, offset = self.estimator._names[k], self._sizes[k], self._offsets[k]
+        head, tail = self._sizes[:k], (0,) * (len(self._sizes) - k - 1)
+        before = bisect_left(self._active, k)
+        estimator, keys = self.estimator, self._keys
+        memo = estimator._memo
+
+        def t_cycle(p: int) -> float:
+            if p < 0 or p > size:
+                raise PartitionError(f"cluster {name!r}: count {p} outside [0, {size}]")
+            m = offset + p
+            key = keys.get(m)
+            first = key is None
+            if first:
+                key = keys[m] = head + (p,) + tail
+            cached = memo.get(key)
+            if cached is not None:
+                return cached.t_cycle_ms
+            estimate = self._estimate(m, before + 1 if p else before, p)
+            estimator.evaluations += 1
+            memo[key] = estimate
+            if first:
+                self.trace.append((self._describe(before, name, p), estimate.t_cycle_ms))
+            return estimate.t_cycle_ms
+
+        return t_cycle
+
+    def configuration(self, k: int, p: int) -> ProcessorConfiguration:
+        """The configuration of cluster ``k``'s probe at ``p``."""
+        counts = self._sizes[:k] + (p,) + (0,) * (len(self._sizes) - k - 1)
+        return ProcessorConfiguration(self.pool, counts)
+
+    def _estimate(self, m: int, n: int, p: int) -> CycleEstimate:
+        """Eq 4-6 of the first ``m`` nodes, on ``n`` active clusters, the
+        last holding ``p`` nodes (0: all of them)."""
+        if m < 1:
+            raise PartitionError("cannot estimate an empty configuration")
+        est = self.estimator
+        self._read(m)
+        t_comp = est._eq4(self._rates[0], float(self._speeds[:m].sum()))
+        last = p or self._active_sizes[n - 1]
+        t_comm, overlappable = est._comm_breakdown(
+            m, lambda phase: self._phase_cost(phase, m, n, last)
+        )
+        return CycleEstimate(t_comp, t_comm, min(t_comp, overlappable))
+
+    def _read(self, m: int) -> None:
+        """Read rates, cluster by cluster, until the first ``m`` nodes'
+        speeds are known."""
+        rates, offsets = self._rates, self._offsets
+        first = len(rates)
+        if first >= m:
+            return
+        self.estimator._bind(self.pool)
+        new: list[float] = []
+        while first + len(new) < m:
+            have = first + len(new)
+            k = bisect_right(offsets, have) - 1
+            start = offsets[k]
+            count = min(m, offsets[k + 1]) - start
+            new += self.estimator._cluster_rates(k, count)[have - start : count]
+        # Elementwise, the same float conversion and division as
+        # CycleEstimator.t_comp's.  The rates join the line once their
+        # speeds are stored, so a rate read that raises leaves both as
+        # they were.
+        speeds = self._speeds[first:m]
+        speeds[:] = new
+        np.divide(1.0, speeds, out=speeds)
+        rates += new
+
+    def _phase_cost(self, phase, m: int, n: int, last: int) -> float:
+        """One phase's rounds x ``T_comm[τ]``, as
+        :meth:`CycleEstimator._phase_comm_cost` prices it."""
+        est = self.estimator
+        eq2 = est._composition(phase, lambda: self._rates[:m])
+        rounds = phase.rounds_value(est.computation.problem, m)
+        if phase.per_config_complexity is None and not eq2.pooled:
+            fold = self._folds.get(phase.name)
+            if fold is None:
+                fold = self._folds[phase.name] = _Eq2Line(
+                    eq2, self._active_names, self._active_sizes
+                )
+            return rounds * fold.cost(n, last)
+        counts = self._active_sizes[: n - 1] + (last,)
+        return rounds * eq2.cost(self._active_names[:n], counts)
+
+    def _describe(self, before: int, name: str, p: int) -> str:
+        """:meth:`ProcessorConfiguration.describe` of a probe."""
+        parts = self._parts
+        while len(parts) < before:
+            i = len(parts)
+            parts.append(f"{self._active_names[i]}:{self._active_sizes[i]}")
+        if self._head[0] != before:
+            self._head = (before, "+".join(parts[:before]))
+        head = self._head[1]
+        if not p:
+            return head
+        return f"{head}+{name}:{p}" if head else f"{name}:{p}"

@@ -8,12 +8,16 @@ bandwidth.  Within a cluster it locates the minimum of the unimodal
 cluster leaves that cluster partially used, the search stops: later clusters
 are only reachable once the current one is saturated.
 
-The heuristic probes through the scalar :class:`CycleEstimator` — about
-``K·log2 P`` probes, too few for a vectorized engine to pay for itself.
-Two oracles validate it:
+Every configuration the heuristic probes is therefore a prefix of the
+pool's node order, and it probes along a
+:class:`~repro.partition.estimator.ProbeLine`: about ``K·log2 P`` probes,
+each a sum over a prefix of one speed array and a step of per-cluster
+folds, plus its memo key and trace row.  One
+:class:`~repro.partition.config.ProcessorConfiguration` is built per
+search, for the winner.  Two oracles validate it:
 
-* :func:`prefix_scan_partition` — linear scalar scan of the same
-  restricted (cluster-prefix) configuration space;
+* :func:`prefix_scan_partition` — linear scan of the same
+  restricted (cluster-prefix) configuration space, along the same line;
 * :func:`exhaustive_partition` — every combination of per-cluster counts,
   the unrestricted optimum of the estimator's objective, searched by the
   one exact engine (:mod:`repro.partition.arrayengine`), which collapses
@@ -31,7 +35,7 @@ from repro.model.vector import PartitionVector
 from repro.partition.arrayengine import exact_search
 from repro.partition.available import ClusterResources
 from repro.partition.config import ProcessorConfiguration
-from repro.partition.estimator import CycleEstimate, CycleEstimator
+from repro.partition.estimator import CycleEstimate, CycleEstimator, ProbeLine
 from repro.telemetry import NULL_REGISTRY
 
 __all__ = [
@@ -211,35 +215,10 @@ def partition(
     memo = cache.estimator_memo(ordered) if cache is not None else None
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms, memo=memo)
 
-    counts = [0] * len(ordered)
-    trace: list[tuple[str, float]] = []
+    line = ProbeLine(estimator, ordered)
     argmin = _argmin_unimodal if search == "binary" else _argmin_scan
-    # The binary search revisits neighbouring counts; memoize the (frozen)
-    # configuration objects on the counts tuple so each probe beyond the
-    # first costs one dict hit instead of a full rebuild + validation.  The
-    # cache is also the trace's dedupe layer: a counts tuple gets exactly
-    # one (describe, t) row, appended on its first (real) evaluation, so
-    # ``decision.evaluations == len(decision.trace)`` holds exactly.
-    cfg_cache: dict[tuple[int, ...], ProcessorConfiguration] = {}
-
-    def cost_with(index: int, p: int) -> float:
-        key = tuple(counts[:index]) + (p,) + tuple(counts[index + 1 :])
-        cfg = cfg_cache.get(key)
-        if cfg is None:
-            cfg = ProcessorConfiguration(ordered, key)
-            cfg_cache[key] = cfg
-            before = estimator.evaluations
-            t = estimator.t_cycle(cfg)
-            if estimator.evaluations > before:
-                # Fresh evaluation (not a warm-start memo hit): this is the
-                # counts tuple's one trace row.
-                trace.append((cfg.describe(), t))
-            return t
-        # Cache hit: the estimator memo returns the stored value without
-        # counting an evaluation, and no duplicate trace row is appended.
-        return estimator.t_cycle(cfg)
-
     for k, res in enumerate(ordered):
+        cost = line.along(k)
         lo = 1 if k == 0 else 0  # at least one processor overall
         hi = res.n_available
         best_p: Optional[int] = None
@@ -251,43 +230,47 @@ def partition(
                 # the binary search's answer on the unimodal curve — accept
                 # it after at most three probes.
                 p0 = min(max(prev, lo), hi)
-                at = cost_with(k, p0)
-                left_ok = p0 == lo or cost_with(k, p0 - 1) > at
-                right_ok = p0 == hi or at <= cost_with(k, p0 + 1)
+                at = cost(p0)
+                left_ok = p0 == lo or cost(p0 - 1) > at
+                right_ok = p0 == hi or at <= cost(p0 + 1)
                 if left_ok and right_ok:
                     best_p = p0
                     m_warm_accepted.inc()
         if best_p is None:
-            best_p = argmin(lambda p: cost_with(k, p), lo, hi)
-        counts[k] = best_p
-        if best_p < res.n_available:
+            best_p = argmin(cost, lo, hi)
+        if best_p < hi:
             # This cluster is not saturated: locality says stop here.
             break
-
-    config = cfg_cache.get(tuple(counts))
-    if config is None:
-        # Possible only when a search interval was a single point (e.g. a
-        # one-node first cluster), so the chosen counts were never probed.
-        config = ProcessorConfiguration(ordered, counts)
-        before = estimator.evaluations
-        estimate = estimator.estimate(config)
-        if estimator.evaluations > before:
-            trace.append((config.describe(), estimate.t_cycle_ms))
-    else:
-        estimate = estimator.estimate(config)
-    decision = PartitionDecision(
-        config=config,
-        vector=estimator.partition_vector(config),
-        estimate=estimate,
-        t_elapsed_ms=estimator.t_elapsed(config),
-        evaluations=estimator.evaluations,
-        method=f"heuristic-{search}",
-        trace=tuple(trace),
+    # A one-point search interval (e.g. a one-node first cluster) never
+    # probed its count; this probe adds the winner's trace row if fresh.
+    cost(best_p)
+    decision = _decision(
+        estimator, line.configuration(k, best_p), f"heuristic-{search}", line.trace
     )
     m_evaluations.inc(decision.evaluations)
     if cache is not None and signature is not None:
         cache.store_decision(signature, decision)
     return decision
+
+
+def _decision(
+    estimator: CycleEstimator,
+    config: ProcessorConfiguration,
+    method: str,
+    trace: Sequence[tuple[str, float]] = (),
+    evaluations: Optional[int] = None,
+) -> PartitionDecision:
+    """``config`` as a decision, estimated through ``estimator``; the
+    evaluations default to the estimator's count."""
+    return PartitionDecision(
+        config=config,
+        vector=estimator.partition_vector(config),
+        estimate=estimator.estimate(config),
+        t_elapsed_ms=estimator.t_elapsed(config),
+        evaluations=estimator.evaluations if evaluations is None else evaluations,
+        method=method,
+        trace=tuple(trace),
+    )
 
 
 def _best_of(
@@ -310,15 +293,7 @@ def _best_of(
         if t < best_t or (t == best_t and best is not None and cfg.counts < best.counts):
             best, best_t = cfg, t
     assert best is not None
-    return PartitionDecision(
-        config=best,
-        vector=estimator.partition_vector(best),
-        estimate=estimator.estimate(best),
-        t_elapsed_ms=estimator.t_elapsed(best),
-        evaluations=estimator.evaluations,
-        method=method,
-        trace=tuple(trace),
-    )
+    return _decision(estimator, best, method, trace)
 
 
 def _decision_from_counts(
@@ -340,16 +315,7 @@ def _decision_from_counts(
     """
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
     config = ProcessorConfiguration(ordered, tuple(counts))
-    return PartitionDecision(
-        config=config,
-        vector=estimator.partition_vector(config),
-        estimate=estimator.estimate(config),
-        t_elapsed_ms=estimator.t_elapsed(config),
-        evaluations=evaluations,
-        method=method,
-        trace=(),
-    )
-
+    return _decision(estimator, config, method, evaluations=evaluations)
 
 
 def prefix_scan_partition(
@@ -363,22 +329,26 @@ def prefix_scan_partition(
 
     Candidates: p processors of cluster 1 (p = 1..N₁); then N₁ plus
     p of cluster 2; and so on.  The oracle for the binary search, probed
-    through the scalar reference estimator.
+    along the same :class:`~repro.partition.estimator.ProbeLine`.
     """
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
     ordered = tuple(order_by_power(resources, estimator.op_kind))
     if not ordered:
         raise PartitionError("no available processors in any cluster")
-    configs = []
-    prefix = [0] * len(ordered)
+    line = ProbeLine(estimator, ordered)
+    best: Optional[tuple[int, int]] = None
+    best_t = float("inf")
     for k, res in enumerate(ordered):
+        cost = line.along(k)
         # p=0 duplicates the previous stage's saturated prefix, so start at 1.
         for p in range(1, res.n_available + 1):
-            configs.append(
-                ProcessorConfiguration(ordered, prefix[:k] + [p] + prefix[k + 1 :])
-            )
-        prefix[k] = res.n_available
-    return _best_of(estimator, configs, "prefix-scan")
+            t = cost(p)
+            # Candidates come in increasing counts order, so the first
+            # minimum is also _best_of's lexicographically-smallest one.
+            if t < best_t:
+                best, best_t = (k, p), t
+    assert best is not None
+    return _decision(estimator, line.configuration(*best), "prefix-scan", line.trace)
 
 
 def exhaustive_partition(

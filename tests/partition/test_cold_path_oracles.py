@@ -100,14 +100,14 @@ def crossing_oracle(est: ArrayCycleEstimator):
 
 def rates_oracle(ordered, op_kind):
     """``(per-cluster rates, per-cluster speed prefixes)`` by the
-    per-cluster loop, raising for the first cluster with a non-positive
-    rate."""
+    per-cluster loop, raising for the first cluster with a rate that is
+    not positive (NaN included)."""
     rates_of, prefixes = [], []
     for res in ordered:
         rates = np.array(
             [res.rate_of(proc, op_kind) for proc in res.take(res.n_available)], dtype=float
         )
-        if np.any(rates <= 0):
+        if not np.all(rates > 0):
             raise PartitionError(f"instruction rates must be positive: {rates.tolist()}")
         rates_of.append(rates)
         prefixes.append(np.concatenate(([0.0], np.cumsum(1.0 / rates))))
@@ -614,8 +614,8 @@ def test_synthetic_lowering_equals_the_loops(pool, n):
     )
 )
 def test_rate_lowering_raises_like_the_loop(rates):
-    """Non-positive rates raise the loop's text for the first bad cluster;
-    NaN rates pass both."""
+    """Rates that are not positive, NaN included, raise the loop's text for
+    the first bad cluster."""
     net = HeterogeneousNetwork(seed=1, ethernet=ETHERNET_10MBPS, router_params=PAPER_ROUTER)
     ordered = []
     for i, cluster_rates in enumerate(rates):
@@ -859,6 +859,37 @@ def _vanishing_estimator(seed: int, fit=None) -> ArrayCycleEstimator:
     if fit is not None:
         db.add_comm(replace(db.comm[(slow.name, "1-D")], **fit))
     return ArrayCycleEstimator(stencil_computation(6000, overlap=False), ordered, db)
+
+
+def test_nan_rates_raise_on_every_exact_path():
+    """A 6-site pool whose slowest cluster runs at NaN µs/op is rejected
+    at lowering with the non-positive rates' text, so the decision paths
+    (``decide_counts``), the ordered scan and the level sweep, whose input
+    is the lowered estimator, cannot return three different answers."""
+    net = wide_area_network(6, seed=0)
+    ordered = order_by_power(gather_available_resources(net), "fp")
+    slow = ordered[-1]
+    ordered[-1] = _RatedResources(
+        cluster=slow.cluster, available=slow.available, rates=(math.nan,) * slow.n_available
+    )
+    db = wide_area_cost_database(net)
+    comp = stencil_computation(6000, overlap=False)
+    text = f"instruction rates must be positive: {[math.nan] * slow.n_available}"
+    for path in (
+        lambda: ArraySearchEngine(comp, ordered, db).decide_counts(),
+        lambda: ArraySearchEngine(comp, ordered, db).search(),
+        lambda: ArrayCycleEstimator(comp, ordered, db),
+    ):
+        with pytest.raises(PartitionError) as got:
+            path()
+        assert str(got.value) == text
+    # The same pool at finite rates still decides, on all three paths alike.
+    ordered[-1] = slow
+    engine = ArraySearchEngine(comp, ordered, db)
+    est = engine.estimator
+    level = level_search(est, detect_equivalence_classes(est), est.limits)
+    assert level is not None
+    assert engine.decide_counts().counts == engine.search().counts == level[0]
 
 
 @pytest.mark.parametrize("seed", range(9))

@@ -1,29 +1,35 @@
-"""The scalar probe path against the per-probe arithmetic it replaced.
+"""The scalar probe paths against the per-probe arithmetic they replaced.
 
 :class:`~repro.partition.estimator.CycleEstimator` reads each node's rate
 once per estimator and composes Eq 2 through one
 :class:`~repro.benchmarking.database.TopologyComposition` per phase, which
-prices a uniform backbone's crossing in one step.  The oracle below is what
-every probe used to redo: the configuration's rate list,
-:func:`balanced_shares` and the composition over every active cluster and
-every active pair.  Each estimate must equal it bit for bit,
-``(t_comp_ms, t_comm_ms, t_overlap_ms) ==``, or raise the same error type
-and message, on a cold estimator and along warm sequences through one
-estimator.  A digest of heuristic decisions, recorded with the per-probe
-arithmetic, pins the whole search end to end.
+prices a uniform backbone's crossing in one step.  The heuristic's probes
+go through a :class:`~repro.partition.estimator.ProbeLine`, which folds
+each saturated cluster's Eq 1 term once along the prefix line and builds
+no configuration per probe.  The oracle below is what every probe
+used to redo: the configuration's rate list, :func:`balanced_shares` and
+the composition over every active cluster and every active pair.  Each
+estimate must equal it bit for bit, ``(t_comp_ms, t_comm_ms,
+t_overlap_ms) ==``, or raise the same error type and message, on a cold
+estimator, along warm sequences through one estimator and along a line.
+A digest of heuristic decisions, recorded with the per-probe arithmetic,
+pins the whole search end to end, and call-count tripwires keep the line
+from drifting back to per-probe work.
 """
 
 import hashlib
 import random
 import sys
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.sor import sor_computation
 from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
-from repro.benchmarking.database import CostDatabase
+from repro.benchmarking.database import CostDatabase, TopologyComposition
 from repro.errors import PartitionError
 from repro.experiments.paper import paper_cost_database
 from repro.hardware.presets import (
@@ -37,12 +43,14 @@ from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.partition.available import gather_available_resources
 from repro.partition.config import ProcessorConfiguration
 from repro.partition.decompose import balanced_partition_vector, balanced_shares
-from repro.partition.estimator import CycleEstimator
+from repro.partition.estimator import CycleEstimator, ProbeLine
 from repro.partition.heuristic import order_by_power, partition, prefix_scan_partition
 from repro.partition.perfbench import synthetic_network
 from repro.partition.warmstart import SearchCache
 from repro.spmd.topology import Topology
 from repro.units import ops_time_ms
+
+from tests.partition.test_cold_path_oracles import _RatedResources
 
 _PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -335,6 +343,134 @@ def test_shuffled_probes_equal_the_per_probe_arithmetic(case, data):
         _check(computation, db, all_phases, estimator, ProcessorConfiguration(ordered, counts))
 
 
+def _line_positions(ordered):
+    """Every ``(k, p)`` probe position of the pool's line, in line order."""
+    return [(k, p) for k, res in enumerate(ordered) for p in range(res.n_available + 1)]
+
+
+def _check_line_probe(computation, db, all_phases, line, memo, k, p):
+    """One line probe against the oracle on its configuration: the stored
+    estimate's components, the returned ``T_c``, a fresh row's text, or
+    the error."""
+    config = line.configuration(k, p)
+    rows = len(line.trace)
+    got = _outcome(lambda: line.along(k)(p))
+    want = _outcome(lambda: oracle_estimate(computation, db, config, all_phases=all_phases))
+    if isinstance(want[0], type):
+        assert got == want, (k, p)
+        return
+    est = memo[config.counts]
+    assert (est.t_comp_ms, est.t_comm_ms, est.t_overlap_ms) == want, (k, p)
+    assert got == est.t_cycle_ms
+    if len(line.trace) > rows:
+        assert line.trace[rows:] == [(config.describe(), got)]
+
+
+@_PROPERTY
+@given(case=cases(), seed=st.integers(0, 2**16))
+def test_line_probes_equal_the_per_probe_arithmetic(case, seed):
+    """Up to 40 probes along one line in line order, then 10 more drawn
+    out of order (repeats included), each against a fresh oracle."""
+    computation, db, ordered, all_phases = case
+    memo = {}
+    line = ProbeLine(CycleEstimator(computation, db, all_phases=all_phases, memo=memo), ordered)
+    positions = _line_positions(ordered)
+    rng = random.Random(seed)
+    picks = sorted(rng.sample(positions, min(40, len(positions))))
+    picks += [rng.choice(positions) for _ in range(10)]
+    for k, p in picks:
+        _check_line_probe(computation, db, all_phases, line, memo, k, p)
+
+
+def _error_cases():
+    """``(name, estimator factory, ordered pool)`` whose line probes raise:
+    a missing Eq 1 function, a missing router pair, a first rate of 0.0
+    and of -1.0, a negative share-dependent message size, and a negative
+    constant one (which the annotation rejects before any probe, so it is
+    put in the estimator's composition directly)."""
+    net = wide_area_network(5, seed=2)
+    ordered = tuple(order_by_power(gather_available_resources(net)))
+    names = [res.name for res in ordered]
+    sten1 = WORKLOADS["sten1-6000"]()
+    pairs = dict(crossing="pairs", extra_station=True, quirk=False)
+    no_eq1 = _database(names, **pairs, missing=0, coerced=0)
+    del no_eq1.comm[(names[2], "1-D")]
+    no_pair = _database(names, **pairs, missing=2, coerced=1)
+    backbone = wide_area_cost_database(net)
+    yield "missing eq1", lambda: CycleEstimator(sten1, no_eq1), ordered
+    yield "missing router pair", lambda: CycleEstimator(sten1, no_pair), ordered
+    for rate in (0.0, -1.0):
+        first = ordered[0]
+        rated = _RatedResources(
+            cluster=first.cluster,
+            available=first.available,
+            rates=(rate,) + (0.5,) * (first.n_available - 1),
+        )
+        yield f"first rate {rate}", lambda: CycleEstimator(sten1, backbone), (rated,) + ordered[1:]
+    coll = _collective(2400)
+    allgather = replace(coll.communication_phases[0], per_config_complexity=lambda p, a: -1.0)
+    coll = replace(coll, communication_phases=[allgather, coll.communication_phases[1]])
+    yield "negative share-dependent b", lambda: CycleEstimator(coll, backbone), ordered
+
+    def negative_b():
+        estimator = CycleEstimator(sten1, backbone)
+        halo = estimator.comm_phase
+        estimator._eq2[halo.name] = TopologyComposition(backbone, halo.topology, -8.0)
+        return estimator
+
+    yield "negative b", negative_b, ordered
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_line_errors_match_the_estimator():
+    """Every probe of each error case's line raises, or not, as a cold
+    estimator does on its configuration, with the same type and message;
+    and each case raises somewhere."""
+    for name, make, ordered in _error_cases():
+        line = ProbeLine(make(), ordered)
+        raised = 0
+        for k, p in _line_positions(ordered):
+            config = line.configuration(k, p)
+            want = _outcome(lambda: make().estimate(config).t_cycle_ms)
+            assert _outcome(lambda: line.along(k)(p)) == want, (name, k, p)
+            raised += isinstance(want, tuple)
+        assert raised, name
+
+
+def test_a_range_error_names_the_cluster_like_the_configuration():
+    net = wide_area_network(3, seed=1)
+    ordered = tuple(order_by_power(gather_available_resources(net)))
+    estimator = CycleEstimator(WORKLOADS["sten1-600"](), wide_area_cost_database(net))
+    line = ProbeLine(estimator, ordered)
+    size = ordered[1].n_available
+    for p in (-1, size + 1):
+        with pytest.raises(PartitionError) as got:
+            line.along(1)(p)
+        counts = [ordered[0].n_available, p, 0]
+        with pytest.raises(PartitionError) as want:
+            ProcessorConfiguration(ordered, counts)
+        assert str(got.value) == str(want.value)
+
+
+def test_a_rate_read_that_raises_leaves_the_line_in_step():
+    """A probe into a cluster whose rate read raises has read the clusters
+    before it; the line keeps no rate whose speed it has not stored, so a
+    later probe of the earlier prefix equals a cold estimator."""
+    net = wide_area_network(3, seed=1)
+    ordered = tuple(order_by_power(gather_available_resources(net)))
+    second = ordered[1]
+    unreadable = _RatedResources(cluster=second.cluster, available=second.available, rates=())
+    pool = (ordered[0], unreadable, ordered[2])
+    computation = WORKLOADS["sten1-6000"]()
+    db = wide_area_cost_database(net)
+    line = ProbeLine(CycleEstimator(computation, db), pool)
+    with pytest.raises(IndexError):
+        line.along(1)(1)
+    size = ordered[0].n_available
+    want = CycleEstimator(computation, db).t_cycle(line.configuration(0, size))
+    assert line.along(0)(size) == want
+
+
 def test_configurations_of_two_pools_through_one_estimator():
     """Configurations of two pools, alternately through one estimator's
     component methods (``estimate`` memoizes by counts, so it serves one
@@ -455,3 +591,95 @@ def test_heuristic_grid_is_bit_identical_to_the_per_probe_arithmetic():
                 count += 1
     assert count == 1120
     assert digest.hexdigest()[:16] == GRID_DIGEST
+
+
+def test_an_evicting_cache_gives_each_prefix_one_trace_row():
+    """Under a one-entry cache every estimate is evicted by the next.  A
+    warm start seeded one node into the last cluster probes that
+    cluster's count 0, which is the previous cluster's saturated prefix,
+    probed and evicted before: it is evaluated again but adds no second
+    trace row, so the trace is the uncached search's."""
+    net = wide_area_network(3, seed=7)
+    db = wide_area_cost_database(net)
+    resources = gather_available_resources(net)
+    computation = WORKLOADS["sten1-6000"]()
+    names = [res.name for res in order_by_power(resources)]
+    warm = {**partition(computation, resources, db).counts_by_name(), names[-1]: 1}
+    got = partition(computation, resources, db, cache=SearchCache(max_entries=1), warm_start=warm)
+    want = partition(computation, resources, db, warm_start=warm)
+    assert got.evaluations > want.evaluations == len(want.trace)
+    assert (got.config.counts, got.t_cycle_ms, got.trace) == (
+        want.config.counts,
+        want.t_cycle_ms,
+        want.trace,
+    )
+
+
+# -- tripwires: one configuration per search, an incremental Eq 1 fold -------------------
+
+
+def test_a_search_builds_one_configuration(monkeypatch):
+    """A §5 decision (binary and scan) and a prefix scan on a 256-site pool
+    each build one configuration, for their winner."""
+    net = wide_area_network(256, seed=7)
+    db = wide_area_cost_database(net)
+    resources = gather_available_resources(net)
+    computation = WORKLOADS["sten1-6000"]()
+    built = []
+    init = ProcessorConfiguration.__init__
+
+    def counting(self, resources, counts):
+        built.append(tuple(counts))
+        init(self, resources, counts)
+
+    monkeypatch.setattr(ProcessorConfiguration, "__init__", counting)
+    for search in (
+        lambda: partition(computation, resources, db),
+        lambda: partition(computation, resources, db, search="scan"),
+        lambda: prefix_scan_partition(computation, resources, db),
+    ):
+        built.clear()
+        decision = search()
+        assert built == [decision.config.counts]
+
+
+@pytest.mark.parametrize("workload", ("sten1-6000", "sor"))
+def test_each_fresh_probe_makes_at_most_two_eq1_calls(monkeypatch, workload):
+    """On the backbone-only database a fresh probe prices at most the
+    cluster it saturated last and its own cluster, and a memo hit prices
+    nothing: the Eq 1 fold stays incremental.  No call happens outside a
+    probe."""
+    net = wide_area_network(64, seed=7)
+    db = wide_area_cost_database(net)
+    resources = gather_available_resources(net)
+    computation = WORKLOADS[workload]()
+    calls = []
+    comm_cost = db.comm_cost
+    monkeypatch.setattr(db, "comm_cost", lambda *args: calls.append(args) or comm_cost(*args))
+    probes = []
+    along = ProbeLine.along
+
+    def counted_along(self, k):
+        probe = along(self, k)
+
+        def counted(p):
+            made, evaluations = len(calls), self.estimator.evaluations
+            t = probe(p)
+            probes.append((self.estimator.evaluations > evaluations, len(calls) - made))
+            return t
+
+        return counted
+
+    monkeypatch.setattr(ProbeLine, "along", counted_along)
+    for search in (
+        lambda: partition(computation, resources, db),
+        lambda: partition(computation, resources, db, search="scan"),
+        lambda: prefix_scan_partition(computation, resources, db),
+    ):
+        calls.clear()
+        probes.clear()
+        decision = search()
+        assert sum(fresh for fresh, _ in probes) == decision.evaluations
+        assert max(made for fresh, made in probes if fresh) <= 2
+        assert all(made == 0 for fresh, made in probes if not fresh)
+        assert len(calls) == sum(made for _, made in probes)
