@@ -91,12 +91,6 @@ class ProcessorConfiguration:
                 rates.append(res.rate_of(proc, kind))
         return rates
 
-    def with_count(self, index: int, count: int) -> "ProcessorConfiguration":
-        """A copy with cluster ``index`` set to ``count`` processors."""
-        counts = list(self.counts)
-        counts[index] = count
-        return ProcessorConfiguration(self.resources, counts)
-
     def describe(self) -> str:
         """Compact human-readable form, e.g. ``sparc2:6+ipc:4``."""
         parts = [

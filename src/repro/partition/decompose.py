@@ -26,6 +26,7 @@ from repro.errors import PartitionError
 from repro.model.vector import PartitionVector
 
 __all__ = [
+    "positive_rates",
     "balanced_shares",
     "balanced_partition_vector",
     "balanced_shares_nonlinear",
@@ -33,16 +34,23 @@ __all__ = [
 ]
 
 
+def positive_rates(rates_usec_per_op: Sequence[float]) -> np.ndarray:
+    """``S_i`` per processor as a float array; a :class:`PartitionError`
+    names them all unless each is > 0 (zero, negative and NaN alike)."""
+    rates = np.asarray(rates_usec_per_op, dtype=float)
+    if (~(rates > 0)).any():
+        raise PartitionError(f"instruction rates must be positive: {rates.tolist()}")
+    return rates
+
+
 def balanced_shares(rates_usec_per_op: Sequence[float], num_pdus: int) -> list[float]:
     """Eq 3: real-valued load-balanced PDU shares, one per processor.
 
     ``rates_usec_per_op`` lists ``S_i`` for each chosen processor.
     """
-    rates = np.asarray(rates_usec_per_op, dtype=float)
+    rates = positive_rates(rates_usec_per_op)
     if rates.size == 0:
         raise PartitionError("no processors to decompose over")
-    if np.any(rates <= 0):
-        raise PartitionError(f"instruction rates must be positive: {rates.tolist()}")
     if num_pdus < 1:
         raise PartitionError(f"num_pdus must be >= 1, got {num_pdus}")
     speeds = 1.0 / rates  # ops per µs; faster processors get more PDUs

@@ -54,14 +54,12 @@ class DecisionEngine:
         The annotated :class:`~repro.model.DataParallelComputation`.
     cost_db:
         Fitted :class:`~repro.benchmarking.CostDatabase`.
-    startup_ms, search:
-        Fixed per-engine search configuration, forwarded to
-        :func:`~repro.partition.heuristic.partition` on every
-        :meth:`decide` call (``startup_ms`` to the exact path too).
+    startup_ms:
+        Fixed per-engine start-up cost, forwarded to both search paths.
     cache:
         The :class:`~repro.partition.warmstart.SearchCache` shared across
         calls.  ``None`` disables all cross-call reuse (every decision is
-        cold) — the supervisor uses that for ``warm_start=False`` policies.
+        cold).
     metrics:
         Optional :class:`~repro.telemetry.MetricsRegistry`; search
         mechanics are host-domain (see :func:`partition`).
@@ -73,14 +71,12 @@ class DecisionEngine:
         cost_db,
         *,
         startup_ms: float = 0.0,
-        search: str = "binary",
         cache: Optional[SearchCache] = None,
         metrics=None,
     ) -> None:
         self.computation = computation
         self.cost_db = cost_db
         self.startup_ms = startup_ms
-        self.search = search
         self.cache = cache
         self.metrics = metrics
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -111,16 +107,14 @@ class DecisionEngine:
         resources: Sequence[ClusterResources],
         *,
         warm_start: Optional[dict[str, int]] = None,
-        cluster_order: Optional[Sequence[ClusterResources]] = None,
     ) -> PartitionDecision:
-        """The §5 heuristic over ``resources`` (see :func:`partition`)."""
+        """The §5 heuristic's binary search over ``resources`` (see
+        :func:`partition`)."""
         return partition(
             self.computation,
             resources,
             self.cost_db,
             startup_ms=self.startup_ms,
-            cluster_order=cluster_order,
-            search=self.search,
             cache=self.cache,
             warm_start=warm_start,
             metrics=self.metrics,
@@ -213,7 +207,4 @@ class DecisionEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cached = "cached" if self.cache is not None else "uncached"
-        return (
-            f"<DecisionEngine search={self.search!r} "
-            f"startup_ms={self.startup_ms:g} {cached}>"
-        )
+        return f"<DecisionEngine startup_ms={self.startup_ms:g} {cached}>"

@@ -46,7 +46,11 @@ from repro.model.computation import DataParallelComputation
 from repro.model.vector import PartitionVector
 from repro.partition.available import ClusterResources
 from repro.partition.config import ProcessorConfiguration
-from repro.partition.decompose import balanced_partition_vector, balanced_shares
+from repro.partition.decompose import (
+    balanced_partition_vector,
+    balanced_shares,
+    positive_rates,
+)
 from repro.units import ops_time_ms
 
 __all__ = ["CycleEstimate", "CycleEstimator", "ProbeLine"]
@@ -162,7 +166,7 @@ class CycleEstimator:
         rates = self._config_rates(config)
         # The speeds array balanced_shares builds and sums: the same bits,
         # without the other shares.
-        return self._eq4(rates[0], float((1.0 / np.array(rates, dtype=float)).sum()))
+        return self._eq4(rates[0], float((1.0 / positive_rates(rates)).sum()))
 
     def _eq4(self, rate: float, speed_sum: float) -> float:
         """Eq 4 on the first node, whose rate is ``rate`` and whose Eq 3
@@ -376,6 +380,8 @@ class ProbeLine:
         #: The first nodes' rates in line order, as read, and their speeds.
         self._rates: list[float] = []
         self._speeds = np.empty(self._offsets[-1])
+        #: How many of the first rates read are all > 0.
+        self._positive = 0
         #: One Eq 2 fold per communication phase, keyed by its name.
         self._folds: dict[str, _Eq2Line] = {}
         #: Prefix length → counts tuple, for every prefix probed so far.
@@ -427,6 +433,8 @@ class ProbeLine:
             raise PartitionError("cannot estimate an empty configuration")
         est = self.estimator
         self._read(m)
+        if m > self._positive:
+            positive_rates(self._rates[:m])  # raises, naming the probe's rates
         t_comp = est._eq4(self._rates[0], float(self._speeds[:m].sum()))
         last = p or self._active_sizes[n - 1]
         t_comm, overlappable = est._comm_breakdown(
@@ -457,6 +465,8 @@ class ProbeLine:
         speeds[:] = new
         np.divide(1.0, speeds, out=speeds)
         rates += new
+        if self._positive == first:
+            self._positive = next((first + i for i, rate in enumerate(new) if not rate > 0), m)
 
     def _phase_cost(self, phase, m: int, n: int, last: int) -> float:
         """One phase's rounds x ``T_comm[τ]``, as

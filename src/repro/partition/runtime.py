@@ -119,14 +119,6 @@ class RuntimePolicy:
     #: Degrade to the surviving clusters when a manager never answers
     #: (False: a lost manager aborts the run).
     allow_partial_gather: bool = True
-    #: Search mode handed to the §5 heuristic.
-    search: str = "binary"
-    #: Warm-start repartition searches: carry a
-    #: :class:`~repro.partition.warmstart.SearchCache` across epochs and
-    #: seed each search from the surviving prefix of the previous decision.
-    #: Decisions are identical to cold searches — only fresh ``T_c``
-    #: evaluations are saved.
-    warm_start: bool = True
     #: Incremental decision layer (adaptive self-clustering): debounce
     #: slowdown triggers through a
     #: :class:`~repro.partition.dynamic.HysteresisController`, answer trips
@@ -526,15 +518,14 @@ class PartitionRuntime:
             computation, cycles_per_epoch=self.policy.cycles_per_epoch
         )
         self.audit = AuditTrail()
-        #: Cross-epoch warm-start state (scoped to this computation+cost_db).
-        self.search_cache = SearchCache() if self.policy.warm_start else None
         #: The shared search facade (the same boundary the decision server
-        #: drives); ``cache=None`` keeps every decide cold, as before.
+        #: drives), with the cross-epoch warm-start cache (scoped to this
+        #: computation+cost_db): each search is seeded from the surviving
+        #: prefix of the previous decision.
         self.decision_engine = DecisionEngine(
             computation,
             cost_db,
-            search=self.policy.search,
-            cache=self.search_cache,
+            cache=SearchCache(),
             metrics=self.telemetry.metrics,
         )
         self._last_decision: Optional[PartitionDecision] = None
@@ -563,11 +554,8 @@ class PartitionRuntime:
                     "no surviving clusters with available processors "
                     f"(lost: {list(report.lost)})"
                 )
-            warm = (
-                self._last_decision.counts_by_name()
-                if self._last_decision is not None and self.search_cache is not None
-                else None
-            )
+            last = self._last_decision
+            warm = last.counts_by_name() if last is not None else None
             decision = self.decision_engine.decide(usable, warm_start=warm)
             span.annotate(
                 warm=warm is not None,

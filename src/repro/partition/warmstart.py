@@ -28,22 +28,27 @@ equivalence-class plan and incremental frontier — per estimate namespace,
 so a repeat exhaustive search under shrunk availability is answered from
 the frontier in O(delta) instead of re-streaming the space.
 
-Both memos are exact: a warm-started search returns the *identical*
-decision a cold search would (same config, same vector), only with fewer
-fresh ``T_c`` evaluations.  One cache instance is scoped to one
-(computation, cost database) pair — callers must not share it across
-different computations or refitted databases.
+Both memos are exact: a memo hit is the value a fresh evaluation would
+give, so a search through the cache returns the decision the uncached
+search would, only with fewer fresh ``T_c`` evaluations.  (A warm *seed*,
+:func:`~repro.partition.heuristic.partition`'s ``warm_start``, is another
+matter: it may settle a tie on other counts, with the cold search's
+``T_c``.)  One cache instance is scoped to one (computation, cost
+database) pair — callers must not share it across different computations
+or refitted databases.
 
-**Bounding.**  ``max_entries`` turns the cache into a global LRU: estimate
-rows, decisions, and array-engine slots share one recency order, and the
-oldest entry is dropped once the total exceeds the bound.  Eviction can
-never change a decision — the memos are exact, so losing an entry only
-costs the fresh evaluations needed to recompute it.  Long-running
-processes (the decision server, a supervisor crossing many epochs) should
-always set a bound; ``None`` keeps the historical unbounded behaviour.
-Evictions and the live entry count are observable as the host-domain
-``cache.evictions`` counter and ``cache.entries`` gauge when a metrics
-registry is supplied.
+**One map.**  Every entry lives in one :class:`~collections.OrderedDict`
+keyed ``(kind, key)``: a namespace's whole estimate memo (a plain
+``dict``, one entry), each decision, and each lowered engine.  A hit
+moves its entry to the end; ``max_entries`` drops the least recently
+used entries past the bound.  Eviction can never change a decision — the
+memos are exact, so losing an entry only costs the fresh evaluations
+needed to recompute it; a search holding an evicted estimate memo keeps
+using it.  ``None`` leaves the cache unbounded, as the supervisor's is;
+the decision server bounds its caches, which hold decisions and engines
+only.  Evictions and the live entry count are observable as the
+host-domain ``cache.evictions`` counter and ``cache.entries`` gauge when
+a metrics registry is supplied.
 """
 
 from __future__ import annotations
@@ -77,37 +82,6 @@ def _cluster_key(res: "ClusterResources") -> tuple:
     )
 
 
-class _BoundedMemo(dict):
-    """An estimate-memo dict that reports activity back to its cache.
-
-    :class:`~repro.partition.estimator.CycleEstimator` holds a direct
-    reference to the injected memo and mutates it through ``get`` /
-    ``__setitem__`` only, so overriding exactly those two keeps every
-    existing injection site working while the cache tracks recency.
-    """
-
-    __slots__ = ("_cache", "_namespace")
-
-    def __init__(self, cache: "SearchCache", namespace: tuple) -> None:
-        super().__init__()
-        self._cache = cache
-        self._namespace = namespace
-
-    def get(self, key, default=None):
-        value = dict.get(self, key, default)
-        if value is not default and self._cache._bounded:
-            self._cache._touch(("est", self._namespace, key))
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        fresh = key not in self
-        dict.__setitem__(self, key, value)
-        if fresh:
-            self._cache._added(("est", self._namespace, key))
-        elif self._cache._bounded:
-            self._cache._touch(("est", self._namespace, key))
-
-
 class SearchCache:
     """Cross-epoch warm-start memos for one computation's partition searches.
 
@@ -121,7 +95,7 @@ class SearchCache:
     lands in fresh namespaces instead.  ``None`` (the default) keeps the
     LAN behaviour, where cluster identity is administrative and stable.
 
-    ``max_entries`` bounds the total entry count (estimate rows +
+    ``max_entries`` bounds the entry count (estimate namespaces +
     decisions + array-engine slots) with LRU eviction; ``None`` keeps the
     cache unbounded.  ``metrics`` (a
     :class:`~repro.telemetry.MetricsRegistry`) exposes ``cache.entries``
@@ -138,21 +112,15 @@ class SearchCache:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.topology_fingerprint = topology_fingerprint
-        self.max_entries = max_entries
-        self._estimates: dict[tuple, _BoundedMemo] = {}
-        self._decisions: dict[tuple, "PartitionDecision"] = {}
-        self._array_engines: dict[tuple, object] = {}
-        #: One recency order across all entry kinds; maintained only when
-        #: the cache is bounded (the unbounded cache skips the bookkeeping
-        #: so the estimate memo's hot-path ``get`` stays one dict hit).
-        self._lru: OrderedDict[tuple, None] = OrderedDict()
+        self._bound = max_entries if max_entries is not None else float("inf")
+        #: Every entry, keyed ``(kind, key)``, least recently used first.
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
         #: Decisions served without any search at all.
         self.decision_hits = 0
         #: Searches that ran (cold or estimate-warm).
         self.searches = 0
         #: Entries dropped by the LRU bound.
         self.evictions = 0
-        self._entry_count = 0
         registry = metrics if metrics is not None else NULL_REGISTRY
         self._m_evictions = registry.counter(
             "cache.evictions",
@@ -162,50 +130,32 @@ class SearchCache:
         self._m_entries = registry.gauge(
             "cache.entries",
             domain="host",
-            help="live warm-start cache entries (estimates+decisions+engines)",
+            help="live warm-start cache entries (estimate memos+decisions+engines)",
         )
-
-    # -- bounding ----------------------------------------------------------------
-
-    @property
-    def _bounded(self) -> bool:
-        return self.max_entries is not None
 
     @property
     def entries(self) -> int:
-        """Live entry count across all three memo kinds."""
-        return self._entry_count
+        """Live entry count across all three kinds."""
+        return len(self._entries)
 
-    def _touch(self, entry: tuple) -> None:
-        if entry in self._lru:
-            self._lru.move_to_end(entry)
+    def _get(self, kind: str, key: tuple):
+        """The ``kind`` entry under ``key``, now the most recently used, or
+        ``None``."""
+        value = self._entries.get((kind, key))
+        if value is not None:
+            self._entries.move_to_end((kind, key))
+        return value
 
-    def _added(self, entry: tuple) -> None:
-        self._entry_count += 1
-        if not self._bounded:
-            self._m_entries.set(self._entry_count)
-            return
-        self._lru[entry] = None
-        self._lru.move_to_end(entry)
-        while len(self._lru) > self.max_entries:  # type: ignore[operator]
-            victim, _ = self._lru.popitem(last=False)
-            self._drop(victim)
-            self._entry_count -= 1
+    def _put(self, kind: str, key: tuple, value: object) -> None:
+        """Store ``value`` as the most recently used entry, then drop the
+        least recently used ones past the bound."""
+        self._entries[(kind, key)] = value
+        self._entries.move_to_end((kind, key))
+        while len(self._entries) > self._bound:
+            self._entries.popitem(last=False)
             self.evictions += 1
             self._m_evictions.inc()
-        self._m_entries.set(self._entry_count)
-
-    def _drop(self, entry: tuple) -> None:
-        kind = entry[0]
-        if kind == "est":
-            _, namespace, key = entry
-            memo = self._estimates.get(namespace)
-            if memo is not None:
-                dict.pop(memo, key, None)
-        elif kind == "dec":
-            self._decisions.pop(entry[1], None)
-        else:
-            self._array_engines.pop(entry[1], None)
+        self._m_entries.set(len(self._entries))
 
     # -- keys --------------------------------------------------------------------
 
@@ -229,8 +179,8 @@ class SearchCache:
         ``tenant`` is the decision server's isolation boundary: two tenants
         submitting the *same* pool get distinct signatures, so one tenant's
         memoized decision is never served from another tenant's key (the
-        shared estimate memo, a pure function of the pool, still lets them
-        reuse each other's search work).
+        shared estimate memos and engines, pure functions of the pool,
+        still let them reuse each other's search work).
         """
         pool = tuple(
             (
@@ -250,35 +200,25 @@ class SearchCache:
         """The shared estimate dict to inject into a
         :class:`~repro.partition.estimator.CycleEstimator`."""
         namespace = self.estimate_namespace(ordered)
-        memo = self._estimates.get(namespace)
+        memo = self._get("est", namespace)
         if memo is None:
-            memo = _BoundedMemo(self, namespace)
-            self._estimates[namespace] = memo
+            memo = {}
+            self._put("est", namespace, memo)
         return memo
 
     def decision(self, signature: tuple) -> Optional["PartitionDecision"]:
         """A previously-stored decision for this exact pool, if any."""
-        hit = self._decisions.get(signature)
+        hit = self._get("dec", signature)
         if hit is not None:
             self.decision_hits += 1
-            if self._bounded:
-                self._touch(("dec", signature))
         return hit
 
     def store_decision(self, signature: tuple, decision: "PartitionDecision") -> None:
-        fresh = signature not in self._decisions
-        self._decisions[signature] = decision
-        if fresh:
-            self._added(("dec", signature))
-        elif self._bounded:
-            self._touch(("dec", signature))
+        self._put("dec", signature, decision)
 
     def array_engine(self, namespace: tuple):
         """The cached streamed-oracle engine for this namespace, if any."""
-        hit = self._array_engines.get(namespace)
-        if hit is not None and self._bounded:
-            self._touch(("eng", namespace))
-        return hit
+        return self._get("eng", namespace)
 
     def store_array_engine(self, namespace: tuple, engine: object) -> None:
         """Keep a lowered array engine (workspace + frontier) for reuse.
@@ -287,19 +227,11 @@ class SearchCache:
         a ``T_c`` value (cluster identity, load-adjusted rates) lands the
         caller in a different slot, so a cached engine's folded
         coefficients and frontier scores are always still exact."""
-        fresh = namespace not in self._array_engines
-        self._array_engines[namespace] = engine
-        if fresh:
-            self._added(("eng", namespace))
-        elif self._bounded:
-            self._touch(("eng", namespace))
+        self._put("eng", namespace, engine)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        estimates = sum(len(m) for m in self._estimates.values())
-        bound = self.max_entries if self.max_entries is not None else "unbounded"
         return (
-            f"<SearchCache {estimates} estimates in {len(self._estimates)} "
-            f"namespaces, {len(self._decisions)} decisions, "
+            f"<SearchCache {self.entries} entries, "
             f"{self.decision_hits} decision hits, "
-            f"{self.evictions} evictions, bound={bound}>"
+            f"{self.evictions} evictions, bound={self._bound}>"
         )

@@ -11,8 +11,7 @@ tick to :class:`Coalescer.run`.  Coalescing happens at two levels:
   <repro.partition.engine.DecisionEngine.remember_exact>`);
 * **compatible requests** — same workload, different pools — run through
   the *same* cached :class:`~repro.partition.arrayengine.ArraySearchEngine`
-  (one lowering and collapse plan, shared estimate memo, incremental
-  frontier), so a batch of N distinct shrinking availabilities costs far
+  (one lowering and collapse plan, one incremental frontier), so a batch of N distinct shrinking availabilities costs far
   less than N cold searches.
 
 Failures stay inside their request group: an unservable pool or workload
@@ -59,7 +58,7 @@ class EnginePool:
 
     Every engine gets its own :class:`SearchCache` (caches are scoped to
     one computation + cost database) that is *shared across tenants*:
-    estimate memos and array-engine frontiers are pure functions of the
+    lowered array engines and their frontiers are pure functions of the
     pool, so tenants reuse each other's search work, while decisions stay
     under per-tenant signatures.
     """
