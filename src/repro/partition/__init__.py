@@ -13,7 +13,6 @@ from repro.partition.arrayengine import (
     ArraySearchEngine,
     ArraySearchResult,
     ArrayWorkspace,
-    FrontierState,
     prefix_count_matrix,
 )
 from repro.partition.available import (
@@ -79,7 +78,6 @@ __all__ = [
     "ArraySearchEngine",
     "ArraySearchResult",
     "ArrayWorkspace",
-    "FrontierState",
     "prefix_count_matrix",
     "ClusterResources",
     "GatherReport",

@@ -35,20 +35,15 @@ specification and re-estimates every winner.
   whose ``T_comp`` lower bound (remaining classes fully allocated)
   already exceeds the cluster-prefix incumbent, which is exact because
   ``T_c >= T_comp`` and ``T_comp`` is non-increasing in every count.
-* :class:`FrontierState` — the incremental frontier: a completed search
-  remembers every candidate it scored and the prune threshold it used.
-  When availability *shrinks* (node loss — the supervisor's common case)
-  the scores of still-feasible candidates are unchanged under the
-  threshold availability policy, and every never-scored candidate provably
-  exceeds the recorded threshold, so the repeat decision is a masked
-  argmin over stored rows: O(delta) work, zero fresh evaluations, decision
-  identical to a cold search.  It composes with
-  :class:`~repro.partition.warmstart.SearchCache`, which carries the
-  engine (workspace, plan and frontier) across epochs.
+* engine reuse — :class:`~repro.partition.warmstart.SearchCache` carries
+  a lowered :class:`ArraySearchEngine` (workspace and detected plan)
+  across decides, so an availability *shrink* (node loss — the
+  supervisor's common case) searches the shrunk space without lowering
+  or detecting again.  A search keeps no scored rows, only its winner.
 
 ``tests/partition/test_fastpath_equivalence.py`` pins the kernels to the
 scalar reference component by component, ``tests/partition/test_array_engine.py``
-pins decision parity and frontier-vs-cold equality, and
+pins decision parity and shrink-vs-cold equality, and
 ``tests/partition/test_collapse.py`` the collapsed modes.
 """
 
@@ -75,7 +70,6 @@ __all__ = [
     "ArraySearchResult",
     "ArraySearchEngine",
     "EXACT_BUDGET",
-    "FrontierState",
     "exact_search",
     "prefix_count_matrix",
 ]
@@ -196,53 +190,7 @@ class ArraySearchResult:
     t_cycle_ms: float
     evaluations: int
     chunks: int
-    frontier_hit: bool
     method: str
-
-
-@dataclass(frozen=True)
-class FrontierState:
-    """Everything a completed search learned, for incremental repeats.
-
-    ``rows``/``t_cycle`` hold every candidate the search scored;
-    ``keep_at`` is the prune threshold the enumeration used (``inf`` for a
-    full scan, where *every* feasible candidate was scored).  Soundness of
-    the shrink fast path: a candidate the search never scored was cut
-    because its ``T_comp`` lower bound — computed with the remaining
-    clusters at **full** availability — exceeded ``keep_at``; shrinking
-    availability only raises that bound, so its true ``T_c`` still exceeds
-    ``keep_at``.  Whenever the masked minimum over stored rows is
-    ``<= keep_at`` it is therefore the exact optimum of the shrunk space
-    (strictly below every unscored candidate, so lex tie-breaking over
-    stored rows is also exact).
-    """
-
-    limits: tuple[int, ...]
-    rows: np.ndarray  #: ``(R, K)`` scored candidate rows.
-    t_cycle: np.ndarray  #: ``(R,)`` their objective values.
-    keep_at: float
-
-    def shrink_best(
-        self, limits: np.ndarray
-    ) -> Optional[tuple[tuple[int, ...], float]]:
-        """Exact optimum under shrunk ``limits``, or ``None`` if unprovable."""
-        if np.any(limits > np.asarray(self.limits, dtype=np.int64)):
-            return None  # availability grew somewhere: unscored space opened
-        feasible = np.all(self.rows <= limits[None, :], axis=1)
-        if not feasible.any():
-            return None
-        t = self.t_cycle[feasible]
-        rows = self.rows[feasible]
-        t_min = t.min()
-        if not t_min <= self.keep_at:  # also rejects NaN
-            return None  # optimum may hide among pruned candidates
-        tied = np.flatnonzero(t == t_min)
-        if tied.size == 1:
-            best = rows[tied[0]]
-        else:
-            order = np.lexsort(rows[tied].T[::-1])
-            best = rows[tied[order[0]]]
-        return tuple(int(c) for c in best), float(t_min)
 
 
 class ArrayCycleEstimator:
@@ -725,14 +673,6 @@ class ArrayCycleEstimator:
             int(ws.counts[k, best]) for k in range(len(self.ordered))
         )
 
-    def block_rows(self, n: int) -> np.ndarray:
-        """Materialize the block's counts as an ``(n, K)`` matrix (frontier
-        bookkeeping — not on the scoring hot path)."""
-        ws = self.workspace
-        return np.stack(
-            [ws.counts[k, :n].copy() for k in range(len(self.ordered))], axis=1
-        )
-
 
 def _better(
     t: float, counts: tuple[int, ...], best_t: float, best: Optional[tuple[int, ...]]
@@ -749,11 +689,10 @@ def _stream_search(
     lim: np.ndarray,
     *,
     prune: str | bool,
-    record: bool,
     metrics,
-) -> tuple[ArraySearchResult, Optional[FrontierState]]:
-    """Score ``plan``'s canonical rows under ``lim``; with ``record``, also
-    return the frontier.
+) -> ArraySearchResult:
+    """Score ``plan``'s canonical rows under ``lim``, keeping only the
+    running winner.
 
     With the prune on (``"auto"``: once the space spans more than
     :data:`_AUTO_PRUNE_BLOCKS` blocks) the cluster-prefix scan runs first
@@ -783,21 +722,16 @@ def _stream_search(
     best_t = np.inf
     evaluations = 0
     chunks = 0
-    frontier_rows: list[np.ndarray] = []
-    frontier_t: list[np.ndarray] = []
 
     def take(n: int) -> float:
         nonlocal best, best_t, evaluations, chunks
-        t = est.score_block(n)
+        est.score_block(n)
         evaluations += n
         chunks += 1
         m_block_rows.observe(n)
         t_blk, counts_blk = est.block_best(n)
         if _better(t_blk, counts_blk, best_t, best):
             best_t, best = t_blk, counts_blk
-        if record:
-            frontier_rows.append(est.block_rows(n))
-            frontier_t.append(t[:n].copy())
         return t_blk
 
     keep_at = np.inf
@@ -816,39 +750,29 @@ def _stream_search(
     m_chunks.inc(chunks)
     m_rows.inc(evaluations)
     est.evaluations += evaluations
-    frontier = None
-    if record:
-        frontier = FrontierState(
-            limits=tuple(int(v) for v in lim),
-            rows=np.concatenate(frontier_rows, axis=0),
-            t_cycle=np.concatenate(frontier_t),
-            keep_at=float(keep_at),
-        )
     if plan.collapses:
         method = "collapse-exact"
     else:
         method = "array-pruned" if prune else "array-scan"
-    result = ArraySearchResult(
+    return ArraySearchResult(
         counts=best,
         t_cycle_ms=best_t,
         evaluations=evaluations,
         chunks=chunks,
-        frontier_hit=False,
         method=method,
     )
-    return result, frontier
 
 
 class ArraySearchEngine:
-    """The exact search engine: lowering + collapse plan + workspace +
-    frontier, reused across decides.
+    """The exact search engine: lowering + collapse plan + workspace,
+    reused across decides.
 
     Construction lowers the pool once and detects its equivalence classes
     (:func:`~repro.partition.collapse.detect_equivalence_classes`; the
     trivial one-class-per-cluster plan when detection proves nothing).
     :meth:`decide_counts` then answers each availability by one rule:
-    frontier, plan, level sweep, canonical stream.  :meth:`search` is the
-    ordered reference scan.
+    plan, level sweep, canonical stream.  :meth:`search` is the ordered
+    reference scan.
     """
 
     def __init__(
@@ -871,16 +795,6 @@ class ArraySearchEngine:
         )
         self.metrics = metrics
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_hits = registry.counter(
-            "decide.array.frontier_hits",
-            domain="host",
-            help="decides served by the incremental frontier",
-        )
-        self._m_misses = registry.counter(
-            "decide.array.frontier_misses",
-            domain="host",
-            help="decides that ran a search",
-        )
         self._m_savings = registry.counter(
             "decide.collapse.symmetry_savings",
             domain="host",
@@ -899,7 +813,6 @@ class ArraySearchEngine:
         )
         for cls in self.plan.classes:
             multiplicity.observe(cls.multiplicity)
-        self.frontier: Optional[FrontierState] = None
 
     def compatible(
         self, ordered: Sequence[ClusterResources], startup_ms: float
@@ -919,54 +832,29 @@ class ArraySearchEngine:
     def search(self, *, prune: str | bool = "auto") -> ArraySearchResult:
         """The ordered scan at the lowered limits: the trivial plan
         streamed in full (``prune=False``), pruned, or pruned past the
-        size cutoff (``"auto"``).  Never consults or records a frontier —
-        the reference the collapsed paths are checked against."""
+        size cutoff (``"auto"``) — the reference the collapsed paths are
+        checked against."""
         est = self.estimator
-        result, _ = _stream_search(
-            est,
-            self._trivial,
-            est.limits,
-            prune=prune,
-            record=False,
-            metrics=self.metrics,
+        return _stream_search(
+            est, self._trivial, est.limits, prune=prune, metrics=self.metrics
         )
-        return result
 
     def decide_counts(
         self, limits: Optional[Sequence[int]] = None
     ) -> ArraySearchResult:
         """The optimum under ``limits`` (default: full availability).
 
-        1. **Frontier** — when a frontier exists and the plan that built
-           it is uniform at ``limits``, a masked argmin answers whenever
-           :meth:`FrontierState.shrink_best` can prove it.
-        2. **Plan** — the detected plan if uniform at ``limits``, else the
+        1. **Plan** — the detected plan if uniform at ``limits``, else the
            trivial plan, both at ``limits``.
-        3. **Level sweep** — when the plan's canonical space exceeds
+        2. **Level sweep** — when the plan's canonical space exceeds
            :data:`EXACT_BUDGET` rows, unless a level-mode gate fails.
-        4. **Stream** — the plan's canonical rows through the kernels;
-           only this step at the lowered limits records the frontier.
+        3. **Stream** — the plan's canonical rows through the kernels.
         """
         est = self.estimator
         lim = est.limits if limits is None else np.asarray(limits, dtype=np.int64)
         if np.any(lim < 0) or np.any(lim > est.limits):
             raise PartitionError("limits outside the lowered availability bounds")
-        uniform = self.plan.uniform(lim)
-        if self.frontier is not None and uniform:
-            hit = self.frontier.shrink_best(lim)
-            if hit is not None:
-                self._m_hits.inc()
-                counts, t = hit
-                return ArraySearchResult(
-                    counts=counts,
-                    t_cycle_ms=t,
-                    evaluations=0,
-                    chunks=0,
-                    frontier_hit=True,
-                    method="array-frontier",
-                )
-        self._m_misses.inc()
-        plan = (self.plan if uniform else self._trivial).at_limits(lim)
+        plan = (self.plan if self.plan.uniform(lim) else self._trivial).at_limits(lim)
         if plan.collapsed_space() - 1 > EXACT_BUDGET:
             level = collapse.level_search(est, plan, lim)
             if level is not None:
@@ -977,15 +865,9 @@ class ArraySearchEngine:
                     t_cycle_ms=t,
                     evaluations=evaluations,
                     chunks=1,
-                    frontier_hit=False,
                     method="collapse-level",
                 )
-        record = bool(np.array_equal(lim, est.limits))
-        result, frontier = _stream_search(
-            est, plan, lim, prune="auto", record=record, metrics=self.metrics
-        )
-        if record:
-            self.frontier = frontier
+        result = _stream_search(est, plan, lim, prune="auto", metrics=self.metrics)
         if plan.collapses:
             self._record_savings(plan, result.evaluations)
         return result
@@ -1009,11 +891,10 @@ def exact_search(
 ) -> ArraySearchResult:
     """The exact optimum over the ordered clusters.
 
-    With a :class:`~repro.partition.warmstart.SearchCache`, the engine and
-    its frontier persist across calls under the cache's estimate
-    namespace: an availability shrink with unchanged per-cluster terms is
-    answered from the frontier with zero fresh evaluations, exactly equal
-    to a cold search (see :class:`FrontierState`).
+    With a :class:`~repro.partition.warmstart.SearchCache`, the lowered
+    engine persists across calls under the cache's estimate namespace: an
+    availability shrink with unchanged per-cluster terms searches the
+    shrunk space on it, without lowering or detecting classes again.
     """
     if cache is None:
         return ArraySearchEngine(

@@ -92,11 +92,9 @@ def balanced_shares_nonlinear(
     ``A_i(T) = w⁻¹(T / S_i)`` is found by bisection, and ``T`` itself by
     root-finding ``Σ A_i(T) - num_pdus = 0`` (monotone in ``T``).
     """
-    rates = np.asarray(rates_usec_per_op, dtype=float)
+    rates = positive_rates(rates_usec_per_op)
     if rates.size == 0:
         raise PartitionError("no processors to decompose over")
-    if np.any(rates <= 0):
-        raise PartitionError("instruction rates must be positive")
     if num_pdus < 1:
         raise PartitionError(f"num_pdus must be >= 1, got {num_pdus}")
     w_max = work_fn(float(num_pdus))

@@ -15,7 +15,7 @@ boundary instead of each caller re-threading ``partition()`` /
 * :meth:`DecisionEngine.decide_exact` — the exact array-engine search
   (the server's path; it collapses interchangeable clusters, so wide-area
   pools decide in milliseconds), with a per-tenant decision memo layered
-  over the tenant-agnostic engine/frontier reuse.
+  over the tenant-agnostic engine reuse.
 
 Both paths return decisions bit-identical to calling the underlying
 search functions directly with the same inputs: the facade adds memo
@@ -183,7 +183,7 @@ class DecisionEngine:
         Identical to :func:`~repro.partition.heuristic.exhaustive_partition`
         on the same inputs; with a cache attached, repeat pools are
         answered from the per-tenant decision memo (zero evaluations) and
-        shrunk pools from the shared engine's incremental frontier.
+        shrunk pools searched on the shared lowered engine.
         """
         ordered = self.order(resources)
         if not ordered:

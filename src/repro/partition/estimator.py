@@ -188,6 +188,7 @@ class CycleEstimator:
             raise PartitionError(
                 f"vector has {vector.size} entries for {len(rates)} processors"
             )
+        positive_rates(rates)  # raises, naming the configuration's rates
         return max(
             ops_time_ms(self.comp_complexity * a, s) for a, s in zip(vector, rates)
         )

@@ -375,9 +375,8 @@ def exhaustive_partition(
     pay, or sweeps per-class Eq 1 levels when the canonical space is
     astronomic (:mod:`repro.partition.collapse`).  Every path is exact.
     Given a ``cache`` (:class:`~repro.partition.warmstart.SearchCache`),
-    the lowered engine and its incremental frontier persist across calls,
-    so an availability *shrink* is answered in O(delta) with zero fresh
-    evaluations.
+    the lowered engine persists across calls, so an availability *shrink*
+    searches the shrunk space without lowering the pool again.
     """
     kind = computation.dominant_computation_phase().op_kind
     ordered = order_by_power(resources, kind)

@@ -28,7 +28,7 @@ ArraySearchEngine` is constructed *outside* the timed window (like the
   :data:`~repro.benchmarking.timing.WINDOW_S`, and reports the window
   over its call count: one search of the 3×8 space takes a tenth of a
   millisecond, too short to time alone.  The search is the ordered scan,
-  which never consults or records a frontier, so every call scores the
+  and a search keeps no scored rows, so every call scores the
   complete space (a space that fits one workspace block stays loaded
   between calls, as it does in any repeated search).
 
@@ -232,9 +232,9 @@ def run_perf(
     The array engine is timed at its operating point instead: the
     persistent engine (lowering + workspace) is built outside the window
     and each window times full streamed searches, at least
-    :data:`~repro.benchmarking.timing.WINDOW_S` long, per search — the
-    frontier is not consulted, so no search is cheaper than a cold search
-    of the space.  ``repeat`` pairs run interleaved, one scalar pass then
+    :data:`~repro.benchmarking.timing.WINDOW_S` long, per search — a
+    search keeps no scored rows, so every search scores the whole space
+    again.  ``repeat`` pairs run interleaved, one scalar pass then
     one array window.  ``prune`` applies to the array engine only; the
     scalar oracle always scans every configuration.  Reports the best and
     mean wall time per engine and the speedup of every pair, plus a

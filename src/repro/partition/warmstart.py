@@ -23,10 +23,10 @@ memos across :func:`~repro.partition.heuristic.partition` calls:
 
 It also carries the **engine slot** for the exact search
 (:mod:`repro.partition.arrayengine`): one lowered
-:class:`~repro.partition.arrayengine.ArraySearchEngine` — workspace,
-equivalence-class plan and incremental frontier — per estimate namespace,
-so a repeat exhaustive search under shrunk availability is answered from
-the frontier in O(delta) instead of re-streaming the space.
+:class:`~repro.partition.arrayengine.ArraySearchEngine` — workspace and
+equivalence-class plan — per estimate namespace, so a repeat exhaustive
+search under shrunk availability searches the shrunk space without
+lowering the pool or detecting its classes again.
 
 Both memos are exact: a memo hit is the value a fresh evaluation would
 give, so a search through the cache returns the decision the uncached
@@ -221,12 +221,12 @@ class SearchCache:
         return self._get("eng", namespace)
 
     def store_array_engine(self, namespace: tuple, engine: object) -> None:
-        """Keep a lowered array engine (workspace + frontier) for reuse.
+        """Keep a lowered array engine (workspace + plan) for reuse.
 
         The namespace is the estimate namespace: anything that would change
         a ``T_c`` value (cluster identity, load-adjusted rates) lands the
         caller in a different slot, so a cached engine's folded
-        coefficients and frontier scores are always still exact."""
+        coefficients and detected plan are always still exact."""
         self._put("eng", namespace, engine)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

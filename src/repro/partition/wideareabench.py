@@ -257,8 +257,8 @@ def run_widearea(
     Per size, everything a deployment does once — building the pool,
     the fitted database, lowering, equivalence detection — happens outside
     the timed window; each repeat then times one cold ``decide_counts``
-    call (a level-mode decide records no frontier, so no repeat is
-    cheaper than the first).
+    call (a decide keeps no scored rows, so every repeat searches
+    again).
     """
     if repeat < 1:
         raise PartitionError(f"repeat must be >= 1, got {repeat}")

@@ -11,8 +11,9 @@ tick to :class:`Coalescer.run`.  Coalescing happens at two levels:
   <repro.partition.engine.DecisionEngine.remember_exact>`);
 * **compatible requests** — same workload, different pools — run through
   the *same* cached :class:`~repro.partition.arrayengine.ArraySearchEngine`
-  (one lowering and collapse plan, one incremental frontier), so a batch of N distinct shrinking availabilities costs far
-  less than N cold searches.
+  (one lowering and collapse plan), so a batch of N distinct shrinking
+  availabilities pays for N searches but for one lowering and one class
+  detection.
 
 Failures stay inside their request group: an unservable pool or workload
 is a ``bad-request`` reply, any other exception (a search that runs out
@@ -58,9 +59,9 @@ class EnginePool:
 
     Every engine gets its own :class:`SearchCache` (caches are scoped to
     one computation + cost database) that is *shared across tenants*:
-    lowered array engines and their frontiers are pure functions of the
-    pool, so tenants reuse each other's search work, while decisions stay
-    under per-tenant signatures.
+    lowered array engines are pure functions of the pool, so tenants
+    reuse each other's lowerings, while decisions stay under per-tenant
+    signatures.
     """
 
     def __init__(

@@ -247,7 +247,7 @@ async def _served_run(
             clock=clock,
         )
         if parity:
-            # Warm half: every engine now holds memos and frontiers.
+            # Warm half: every engine now holds memos and lowered engines.
             parity_instances += await _parity_over_wire(
                 host, port, patterns, expected
             )

@@ -8,9 +8,9 @@ same ``T_cycle`` (bit for bit once the winner is re-estimated, within
 1e-9 ms for raw kernel values).  Exact decisions are checked three ways:
 the scalar product loop, the ordered scan (:meth:`ArraySearchEngine.search`),
 and the engine's own decision, which collapses interchangeable clusters.
-The second half exercises the incremental frontier: after arbitrary
-availability deltas, a decision served from :class:`FrontierState` must
-equal a cold search from scratch.
+The second half exercises engine reuse: after arbitrary availability
+deltas, a decision searched on one lowered engine must equal a cold
+search from scratch.
 """
 
 import importlib
@@ -22,7 +22,7 @@ import pytest
 from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
-from repro.errors import FittingError
+from repro.errors import FittingError, PartitionError
 from repro.experiments.paper import paper_cost_database
 from repro.experiments.resilience import resilience_grid, resilience_report
 from repro.hardware.network import HeterogeneousNetwork
@@ -302,7 +302,7 @@ def test_missing_comm_function_raises_like_scalar():
         ArraySearchEngine(comp, ordered, db).search(prune=False)
 
 
-# -- the incremental frontier -----------------------------------------------------
+# -- shrinks on one lowered engine -----------------------------------------------
 
 
 def _shrunk(resources, limits):
@@ -315,62 +315,63 @@ def _shrunk(resources, limits):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_frontier_decisions_match_cold(seed):
-    """Every decide under random shrunk limits equals a cold search."""
+    """Every decide under random shrunk limits, searched on one lowered
+    engine, equals a cold search of the shrunk pool: the scalar-checked
+    oracle to 1e-9 ms and a fresh engine bit for bit.  (The id is kept
+    from when a frontier of scored rows answered some of these shrinks.)"""
     rng, comp, res, db = _small_random_case(8300 + seed)
     kind = CycleEstimator(comp, db).op_kind
     ordered = order_by_power(res, kind)
     engine = ArraySearchEngine(comp, ordered, db)
+    est, plan = engine.estimator, engine.plan
     full = engine.decide_counts()
     cold_full = exhaustive_partition(comp, ordered, db)
     assert tuple(cold_full.config.counts) == full.counts
     limits = np.array([r.n_available for r in ordered], dtype=np.int64)
-    frontier_hits = 0
+    searched = 0
     for _ in range(6):
         lim = rng.integers(0, limits + 1)
         if not lim.any():
             continue
         result = engine.decide_counts(lim)
-        if result.frontier_hit:
-            frontier_hits += 1
-            assert result.evaluations == 0
+        assert result.evaluations > 0  # a shrink searches the shrunk space
+        searched += 1
         cold = exhaustive_partition(comp, _shrunk(ordered, lim), db)
         got = dict(
             (r.name, int(c)) for r, c in zip(ordered, result.counts) if c
         )
         assert got == _nonzero_counts(cold)
         assert abs(result.t_cycle_ms - cold.t_cycle_ms) < TOL_MS
-    # Full availability is a trivial "shrink": always served incrementally.
+        fresh = ArraySearchEngine(comp, _shrunk(ordered, lim), db).decide_counts()
+        assert (result.counts, result.t_cycle_ms) == (fresh.counts, fresh.t_cycle_ms)
+    # The lowering and the detected plan survive every shrink.
+    assert engine.estimator is est and engine.plan is plan
     again = engine.decide_counts(limits)
-    assert again.frontier_hit and again.counts == full.counts
-    assert frontier_hits >= 1  # seeds are fixed; the fast path really ran
+    assert (again.counts, again.t_cycle_ms) == (full.counts, full.t_cycle_ms)
+    assert searched >= 1  # seeds are fixed; some shrink really ran
 
 
 def test_shrunk_limit_miss_keeps_the_ordered_frontier():
-    """The decision server's zero-evaluation share rests on this: on a
-    pool with no duplicate cluster the frontier is recorded once, at full
-    availability; a shrink it cannot prove streams the shrunk space
-    without replacing it, so later provable shrinks are still answered
-    from it — every answer equal to a cold scan of the shrunk pool."""
+    """24 shrinks of the ``synthetic:32,32,32`` pool through one engine:
+    each searches the shrunk space and equals a cold ordered scan of the
+    shrunk pool, counts and ``T_c`` bit for bit.  (The id is kept from
+    when a frontier recorded at full availability answered some of them.)"""
     net = synthetic_network((32, 32, 32))
     db = synthetic_database(["c0", "c1", "c2"])
     comp = stencil_computation(600, overlap=False)
     ordered = order_by_power(gather_available_resources(net))
     engine = ArraySearchEngine(comp, ordered, db)
     assert engine.decide_counts().method == "array-pruned"
-    frontier = engine.frontier
-    limits = engine.estimator.limits
+    est = engine.estimator
+    limits = est.limits
     rng = np.random.default_rng(32)
-    outcomes = []
     for _ in range(24):
         lim = rng.integers(1, limits + 1)
         got = engine.decide_counts(lim)
-        assert engine.frontier is frontier
-        outcomes.append(got.frontier_hit)
+        assert engine.estimator is est and got.evaluations > 0
         cold = ArraySearchEngine(comp, _shrunk(ordered, lim), db).search()
         assert got.counts == cold.counts
         assert got.t_cycle_ms == cold.t_cycle_ms
-    first_miss = outcomes.index(False)
-    assert any(outcomes[first_miss:])  # a hit after a miss
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -402,43 +403,33 @@ def test_cached_array_oracle_tracks_availability_deltas(seed):
 @pytest.mark.parametrize("prune", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_shrink_best_is_exact_or_abstains(seed, prune):
-    """FrontierState.shrink_best: any answer it proves equals brute force.
-
-    After a full scan (``prune=False``) the frontier holds the whole
-    space, so it must *always* answer; after a pruned search it may
-    abstain (return ``None``) but never answer wrongly.
-    """
+    """``_stream_search`` at shrunk limits, pruned and unpruned, returns
+    brute force's lex-smallest optimal row and its value bit for bit; a
+    shrink that selects nothing is a typed error.  (The id is kept from
+    the frontier's masked argmin, which could abstain.)"""
     rng, comp, res, db = _small_random_case(8500 + seed)
     kind = CycleEstimator(comp, db).op_kind
     ordered = order_by_power(res, kind)
     est = ArrayCycleEstimator(comp, ordered, db)
-    plan = CollapsePlan.singletons(est.limits)
-    _, frontier = _stream_search(
-        est, plan, est.limits, prune=prune, record=True, metrics=None
-    )
-    assert frontier is not None
     matrix = full_count_matrix(ordered)
     t_all = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]
     limits = np.array([r.n_available for r in ordered], dtype=np.int64)
     answered = 0
     for _ in range(8):
         lim = rng.integers(0, limits + 1)
+        plan = CollapsePlan.singletons(lim)
         feasible = np.all(matrix <= lim[None, :], axis=1)
-        hit = frontier.shrink_best(lim)
         if not feasible.any():
-            assert hit is None
+            with pytest.raises(PartitionError, match="no candidate configurations"):
+                _stream_search(est, plan, lim, prune=prune, metrics=None)
             continue
+        got = _stream_search(est, plan, lim, prune=prune, metrics=None)
         t_sub = t_all[feasible]
         rows_sub = matrix[feasible]
         t_min = float(np.min(t_sub))
         tied = np.flatnonzero(t_sub == t_min)
         brute = min(tuple(int(c) for c in rows_sub[i]) for i in tied)
-        if hit is None:
-            assert prune, "a full-scan frontier must answer every shrink"
-            continue
+        assert got.counts == brute
+        assert got.t_cycle_ms == t_min
         answered += 1
-        counts, t = hit
-        assert counts == brute
-        assert t == t_min
-    if not prune:
-        assert answered >= 1
+    assert answered >= 1

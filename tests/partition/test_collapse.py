@@ -9,8 +9,9 @@ small enough to scan.  These tests pin that claim on randomized
 duplicate-class instances and the wide-area presets, in both collapsed
 modes (the exact canonical stream and the analytic level sweep, forced
 through :func:`level_search`), plus the plan mechanics the modes rely on:
-detection, canonical expansion, the engine's dispatch rule, frontier
-reuse, and the fallbacks when a collapse stops being sound.
+detection, canonical expansion, the engine's dispatch rule, shrinks
+through one lowered engine, and the fallbacks when a collapse stops
+being sound.
 """
 
 import json
@@ -270,20 +271,26 @@ for sites, share in ((16, 0.05), (64, 0.01), (256, 0.01)):
 """
 
 
+def _capped_child(script: str) -> str:
+    """Run ``script`` (which sets its own address-space cap) in a child
+    process and return its stdout.  One BLAS thread: per-thread buffers
+    reserve address space that scales with the core count, not with the
+    search."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    return out.stdout
+
+
 def test_loaded_pools_of_many_classes_decide_under_a_memory_cap():
     """Load adjustment gives every site with a loaded node a class of its
     own.  These pools once exhausted a 3 GiB cap in the canonical stream;
     level mode now decides them in milliseconds.  The scalar re-estimate
     in ``exhaustive_partition`` agrees to the last few ulps."""
-    # One BLAS thread: per-thread buffers reserve address space that
-    # scales with the core count, not with the search.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-c", _LOADED_POOLS_CHILD],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    ).stdout
-    rows = [json.loads(line) for line in out.splitlines()]
+    rows = [json.loads(line) for line in _capped_child(_LOADED_POOLS_CHILD).splitlines()]
     assert [row["sites"] for row in rows] == [16, 64, 256]
     for row in rows:
         assert row["classes"] > 8, row["sites"]
@@ -291,6 +298,35 @@ def test_loaded_pools_of_many_classes_decide_under_a_memory_cap():
         assert row["wall_s"] < 1.0
         assert row["counts"] == row["exhaustive_counts"]
         assert math.isclose(row["t_cycle_ms"], row["exhaustive_t_cycle_ms"], rel_tol=1e-12)
+
+
+#: Run in a child process under a 768 MiB address-space cap: the server's
+#: exact path on ``wide:12``, STEN-2 N=600.  The overlap gates level mode
+#: off, so the canonical space is streamed; one JSON line.
+_STREAMED_WIDE_CHILD = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))
+from repro.apps.stencil import stencil_computation
+from repro.partition import gather_available_resources
+from repro.partition.engine import DecisionEngine
+from repro.partition.warmstart import SearchCache
+from repro.server.service import resolve_pool
+network, db = resolve_pool("wide:12")
+comp = stencil_computation(600, overlap=True)
+engine = DecisionEngine(comp, db, cache=SearchCache(max_entries=24))
+decision = engine.decide_exact(gather_available_resources(network))
+print(json.dumps({"counts": decision.config.counts, "t_cycle_ms": decision.t_cycle_ms}))
+"""
+
+
+def test_a_streamed_wide_decision_stays_under_a_memory_cap():
+    """The server's exact path keeps only a search's winner: a streamed
+    ``wide:12`` STEN-2 decision through a bounded ``SearchCache`` fits a
+    768 MiB address space and returns the uncapped decision.  (Keeping
+    every scored row of the stream once raised ``MemoryError`` here.)"""
+    row = json.loads(_capped_child(_STREAMED_WIDE_CHILD))
+    assert tuple(row["counts"]) == (0, 1, 3, 3, 3, 3, 1, 2, 1, 0, 0, 0)
+    assert row["t_cycle_ms"] == 17.159999999999997
 
 
 # -- detection and plan mechanics ------------------------------------------------
@@ -394,21 +430,32 @@ def test_expand_places_ascending_counts_at_ascending_positions():
     assert plan.full_space() == 64 * 9
 
 
-# -- frontier, fallbacks, wiring -------------------------------------------------
+# -- shrinks, fallbacks, wiring -------------------------------------------------
 
 
 def test_uniform_shrink_reuses_frontier_and_matches_cold_search():
+    """Uniform shrinks keep every class interchangeable: through one
+    engine each searches the detected plan at the shrunk limits and equals
+    a cold engine's decision bit for bit, and the detected plan survives
+    them.  (The id is kept from the frontier this reuse once served.)"""
     comp, ordered, db = _wide_area_case(5, seed=11)
     engine = ArraySearchEngine(comp, ordered, db)
+    plan = engine.plan
     full = engine.decide_counts()
     assert full.method == "collapse-exact"
-    lim = np.maximum(engine.estimator.limits - 1, 0)
-    warm = engine.decide_counts(lim)
-    cold = ArraySearchEngine(comp, ordered, db).decide_counts(lim)
-    assert warm.counts == cold.counts
-    assert warm.t_cycle_ms == cold.t_cycle_ms
-    if warm.frontier_hit:
-        assert warm.evaluations == 0 and warm.method == "array-frontier"
+    limits = engine.estimator.limits
+    member = next(cls for cls in plan.classes if cls.multiplicity > 1)
+    one_class = limits.copy()
+    one_class[list(member.indices)] -= 1
+    for lim in (np.maximum(limits - 1, 0), one_class, np.maximum(limits - 3, 1), limits):
+        assert plan.uniform(lim)
+        warm = engine.decide_counts(lim)
+        cold = ArraySearchEngine(comp, ordered, db).decide_counts(lim)
+        assert warm.method == cold.method == "collapse-exact"
+        assert warm.evaluations == cold.evaluations > 0
+        assert warm.counts == cold.counts
+        assert warm.t_cycle_ms == cold.t_cycle_ms
+    assert engine.plan is plan
 
 
 def test_nonuniform_shrink_falls_back_to_uncollapsed_scan():
@@ -434,47 +481,56 @@ def test_nonuniform_shrink_falls_back_to_uncollapsed_scan():
 
 
 def test_shrunk_limit_miss_keeps_the_full_frontier():
-    """Only a stream at the lowered limits records the frontier: a
-    shrunk-limit search the frontier cannot answer leaves it in place, so
-    a later shrink it can prove is still a zero-evaluation hit."""
+    """Non-uniform and uniform shrinks interleaved through one engine:
+    a non-uniform shrink searches the trivial plan, a uniform one the
+    detected plan, each equal to a cold ordered scan of the shrunk pool
+    bit for bit, and no shrink replaces the detected plan.  (The id is
+    kept from the frontier recorded at full availability.)"""
     comp, ordered, db = _wide_area_case(5, seed=11)
     engine = ArraySearchEngine(comp, ordered, db)
+    plan = engine.plan
     assert engine.decide_counts().method == "collapse-exact"
-    frontier = engine.frontier
-    assert frontier is not None
     limits = engine.estimator.limits
-    member = next(cls for cls in engine.plan.classes if cls.multiplicity > 1)
-    for shrink in (1, 2):  # non-uniform: streamed over the trivial plan
-        lim = limits.copy()
-        lim[member.indices[0]] -= shrink
-        miss = engine.decide_counts(lim)
-        assert miss.frontier_hit is False and miss.evaluations > 0
-        assert engine.frontier is frontier
+    member = next(cls for cls in plan.classes if cls.multiplicity > 1)
     uniform = limits.copy()
     uniform[list(member.indices)] -= 1
-    for lim in (uniform, limits):
-        again = engine.decide_counts(lim)
-        assert again.frontier_hit and again.evaluations == 0
-        assert again.method == "array-frontier"
+    shrinks = []
+    for shrink in (1, 2):
+        lim = limits.copy()
+        lim[member.indices[0]] -= shrink
+        shrinks.append(lim)
+    for lim in (shrinks[0], uniform, shrinks[1], limits):
+        got = engine.decide_counts(lim)
+        assert got.evaluations > 0
+        assert got.method.startswith("collapse-") == plan.uniform(lim)
+        cold = ArraySearchEngine(comp, _shrunk(ordered, lim), db).search()
+        assert got.counts == cold.counts
+        assert got.t_cycle_ms == cold.t_cycle_ms
+        assert engine.plan is plan
 
 
 def test_detected_frontier_never_answers_a_nonuniform_shrink():
-    """A frontier of canonical rows is sound only while classes stay
-    interchangeable: a non-uniform shrink is never a frontier hit, and its
-    answer is the scalar oracle's on the restricted pool."""
+    """A non-uniform shrink breaks interchangeability: through one engine
+    it is searched over the trivial plan, its answer is the scalar
+    oracle's on the restricted pool, and the detected plan stays for the
+    next uniform decide.  (The id is kept from the frontier this guarded.)"""
     comp, ordered, db = _wide_area_case(5, seed=11)
     engine = ArraySearchEngine(comp, ordered, db)
-    engine.decide_counts()
-    assert engine.frontier is not None
-    for member in (cls for cls in engine.plan.classes if cls.multiplicity > 1):
+    plan = engine.plan
+    full = engine.decide_counts()
+    for member in (cls for cls in plan.classes if cls.multiplicity > 1):
         lim = engine.estimator.limits.copy()
         lim[member.indices[-1]] -= 1
         got = engine.decide_counts(lim)
-        assert got.frontier_hit is False
+        assert got.method in ("array-scan", "array-pruned")
         cold = _scalar_exhaustive_partition(comp, _shrunk(ordered, lim), db)
         got_counts = {r.name: c for r, c in zip(ordered, got.counts) if c}
         assert got_counts == {n: c for n, c in cold.counts_by_name().items() if c}
         assert _scalar_t(comp, ordered, db, got.counts) == cold.t_cycle_ms
+    assert engine.plan is plan
+    again = engine.decide_counts()
+    assert again.method == "collapse-exact"
+    assert (again.counts, again.t_cycle_ms) == (full.counts, full.t_cycle_ms)
 
 
 def test_level_gate_failure_streams_the_canonical_space():

@@ -1,12 +1,12 @@
 """Array/scalar decision parity on exact ties, and search-trace hygiene.
 
-Three argmins answer the same question — the scalar ``_best_of`` scan,
-the array engine's per-block ``ArrayCycleEstimator.block_best``, and the
-incremental ``FrontierState.shrink_best`` — and historically engines broke
-exact-cost ties by *enumeration order*, which differs between the scalar
-product loop, the prefix scan, and the pruned candidate stream.  All of
-them prefer the lexicographically-smallest counts tuple, so the oracles
-return byte-identical decisions however the candidates were enumerated.
+Two argmins answer the same question — the scalar ``_best_of`` scan and
+the array engine's per-block ``ArrayCycleEstimator.block_best`` — and
+historically engines broke exact-cost ties by *enumeration order*, which
+differs between the scalar product loop, the prefix scan, and the pruned
+candidate stream.  Both prefer the lexicographically-smallest counts
+tuple, so the oracles return byte-identical decisions however the
+candidates were enumerated.
 
 The trace tests pin the memoized binary search's bookkeeping: revisited
 count tuples must not append duplicate trace rows, and ``evaluations``
@@ -24,11 +24,7 @@ from repro.hardware.processor import ProcessorSpec
 from repro.model.workloads import random_cost_database
 from repro.partition import exhaustive_partition, gather_available_resources, partition
 from repro.partition.config import ProcessorConfiguration
-from repro.partition.arrayengine import (
-    ArrayCycleEstimator,
-    ArraySearchEngine,
-    FrontierState,
-)
+from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
 from repro.partition.estimator import CycleEstimator
 from repro.partition.heuristic import (
     _best_of,
@@ -86,8 +82,8 @@ def test_array_and_scalar_exhaustive_identical_on_exact_tie():
 
 
 def test_block_best_tie_breaks_lex_regardless_of_row_order():
-    """Direct unit test of the array engine's rule, per block and over a
-    frontier: reversing the candidate order must not change the winner."""
+    """Direct unit test of the array engine's per-block rule: reversing
+    the candidate order must not change the winner."""
     comp, res, db = twin_cluster_case()
     est = ArrayCycleEstimator(comp, order_by_power(res), db)
     counts = np.array([[1, 0], [0, 1], [2, 2]])
@@ -96,10 +92,6 @@ def test_block_best_tie_breaks_lex_regardless_of_row_order():
         n = est.load_rows(counts[order])
         est.workspace.t_cycle[:n] = t[order]
         assert est.block_best(n) == (5.0, (0, 1))
-        frontier = FrontierState(
-            limits=(2, 2), rows=counts[order], t_cycle=t[order], keep_at=np.inf
-        )
-        assert frontier.shrink_best(np.array([2, 2])) == ((0, 1), 5.0)
 
 
 def test_scalar_best_of_tie_breaks_lex_regardless_of_config_order():

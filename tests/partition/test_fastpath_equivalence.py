@@ -221,7 +221,7 @@ def test_canonical_blocks_fit_a_small_workspace():
         blocks = []
         for n in iter_canonical_blocks(est, plan, np.inf):
             assert 1 <= n <= 4
-            blocks.append(est.block_rows(n))
+            blocks.append(est.workspace.counts[:, :n].T.copy())
         assert np.array_equal(np.concatenate(blocks), want)
 
 

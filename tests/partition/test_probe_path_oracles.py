@@ -45,7 +45,13 @@ from repro.model.phases import CommunicationPhase, ComputationPhase
 from repro.partition import heuristic
 from repro.partition.available import gather_available_resources
 from repro.partition.config import ProcessorConfiguration
-from repro.partition.decompose import balanced_partition_vector, balanced_shares
+from repro.partition.baselines import equal_decomposition
+from repro.partition.decompose import (
+    balanced_partition_vector,
+    balanced_shares,
+    balanced_shares_nonlinear,
+    equal_shares,
+)
 from repro.partition.engine import DecisionEngine
 from repro.partition.estimator import CycleEstimator, ProbeLine
 from repro.partition.heuristic import order_by_power, partition, prefix_scan_partition
@@ -437,7 +443,9 @@ def test_line_errors_match_the_estimator():
     estimator does on its configuration, with the same type and message;
     and each case raises somewhere.  A rate that is not > 0 raises
     :class:`PartitionError` naming the configuration's rates, as
-    :func:`balanced_shares` does, whenever the configuration holds it."""
+    :func:`balanced_shares`, :func:`balanced_shares_nonlinear` and the
+    equal-decomposition Eq 4 (``t_comp_with_vector``) do, whenever the
+    configuration holds it."""
     for name, make, ordered in _error_cases():
         line = ProbeLine(make(), ordered)
         raised = 0
@@ -454,6 +462,11 @@ def test_line_errors_match_the_estimator():
                     text = f"instruction rates must be positive: {rates}"
                     assert want == (PartitionError, text), (name, k, p)
                     assert _outcome(lambda: balanced_shares(rates, 600)) == want
+                    nonlinear = _outcome(lambda: balanced_shares_nonlinear(rates, 600, abs))
+                    assert nonlinear == want, (name, k, p)
+                    equal = equal_shares(config.total, 600)
+                    vector = _outcome(lambda: make().t_comp_with_vector(config, equal))
+                    assert vector == want, (name, k, p)
         assert raised, name
 
 
@@ -462,7 +475,8 @@ def test_line_errors_match_the_estimator():
 def test_a_bad_rate_is_a_partition_error_on_every_heuristic_path(rate):
     """``partition`` (binary, scan, warm) and ``DecisionEngine.decide``
     reject a pool whose first node's rate is not > 0 with the typed error,
-    naming the rates of the first configuration they probe."""
+    naming the rates of the first configuration they probe; the
+    equal-decomposition baseline names every processor's rate."""
     net = wide_area_network(5, seed=2)
     ordered = order_by_power(gather_available_resources(net))
     first = ordered[0]
@@ -480,6 +494,11 @@ def test_a_bad_rate_is_a_partition_error_on_every_heuristic_path(rate):
             decide()
         text = rf"instruction rates must be positive: \[{re.escape(str(rate))}(, 0\.5)*\]"
         assert re.fullmatch(text, str(got.value))
+    everyone = order_by_power(ordered)
+    rates = ProcessorConfiguration(everyone, [r.n_available for r in everyone]).per_processor_rates()
+    with pytest.raises(PartitionError) as got:
+        equal_decomposition(computation, ordered, db)
+    assert str(got.value) == f"instruction rates must be positive: {rates}"
 
 
 def test_a_range_error_names_the_cluster_like_the_configuration():
