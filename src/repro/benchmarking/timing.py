@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Any, Callable, Optional
 
@@ -22,13 +23,23 @@ def time_calls(
     and passes its result to ``fn`` (a fresh cold input per repeat).
     Callers validate ``repeat`` themselves so each harness keeps its own
     typed error.
+
+    The heap that exists before each call is frozen for the call: a
+    collection inside the window still collects the call's own garbage,
+    but never walks the caller's heap (a full collection over a large
+    test process took tens to hundreds of ms and landed in one-sample
+    timings).
     """
     walls, result = [], None
     for _ in range(repeat):
         args = () if setup is None else (setup(),)
-        start = time.perf_counter()
-        result = fn(*args)
-        walls.append(time.perf_counter() - start)
+        gc.freeze()
+        try:
+            start = time.perf_counter()
+            result = fn(*args)
+            walls.append(time.perf_counter() - start)
+        finally:
+            gc.unfreeze()
     return min(walls), sum(walls) / repeat, result
 
 

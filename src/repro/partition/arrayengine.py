@@ -184,12 +184,12 @@ class ArrayWorkspace:
 
 @dataclass(frozen=True)
 class ArraySearchResult:
-    """Outcome of one streamed array search."""
+    """Outcome of one exact search, streamed or level sweep: the winner,
+    its ``T_c``, the rows or cells scored and the mode's label."""
 
     counts: tuple[int, ...]
     t_cycle_ms: float
     evaluations: int
-    chunks: int
     method: str
 
 
@@ -232,8 +232,6 @@ class ArrayCycleEstimator:
         self.comm_phase = computation.dominant_communication_phase()
         self.num_pdus = computation.num_pdus_value()
         self.overlapped = computation.overlapped_with_dominant()
-        #: Number of T_c evaluations performed (rows estimated).
-        self.evaluations = 0
 
         # -- Eq 3/4 lowering: per-cluster speed prefix sums -------------------
         # One flat rate array over every available node; cluster k owns
@@ -509,9 +507,9 @@ class ArrayCycleEstimator:
         The block is scored as an ``(n, K)`` matrix with the unfolded Eq 1
         form ``c1 + c2·p_eff + b·(c3 + c4·p_eff)`` and a pairwise crossing
         max chained from 0.0.
-        :func:`repro.partition.collapse._score_row_analytic` replays these
-        IEEE operations in this order, so the two change together or not
-        at all.
+        :func:`repro.partition.collapse._score_row` replays these IEEE
+        operations in this order for one row, so the two change together
+        or not at all.
         """
         ws = self.workspace
         c = np.stack([ws.counts[k, :n] for k in range(len(self.ordered))], axis=1)
@@ -749,7 +747,6 @@ def _stream_search(
         raise PartitionError("no candidate configurations")
     m_chunks.inc(chunks)
     m_rows.inc(evaluations)
-    est.evaluations += evaluations
     if plan.collapses:
         method = "collapse-exact"
     else:
@@ -758,7 +755,6 @@ def _stream_search(
         counts=best,
         t_cycle_ms=best_t,
         evaluations=evaluations,
-        chunks=chunks,
         method=method,
     )
 
@@ -864,7 +860,6 @@ class ArraySearchEngine:
                     counts=counts,
                     t_cycle_ms=t,
                     evaluations=evaluations,
-                    chunks=1,
                     method="collapse-level",
                 )
         result = _stream_search(est, plan, lim, prune="auto", metrics=self.metrics)

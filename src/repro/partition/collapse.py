@@ -47,7 +47,8 @@ This module holds the pieces; the one exact engine,
   levels)`` over at most :data:`_MAX_LEVEL_ROWS` activation patterns —
   independent of the physical cluster count, which is what turns the
   1000-cluster decision interactive.  ``evaluations`` counts the cells
-  actually scored.
+  actually scored; the winner's ``T_c`` is the kernels' arithmetic for
+  its row, replayed without the workspace (:func:`_score_row`).
 
 The expansion back to a physical decision vector places ascending counts
 at ascending member positions (σ=1 activates the *last* member), so every
@@ -389,9 +390,10 @@ def level_search(
     single-station level, plus the row sweep's levels with two stations
     or more and its tie-check variants, or else the grid's live cells,
     plus one for the re-score.  Ties at the minimum resolve to the
-    lex-smallest expanded row.  The winner is re-scored through
-    :func:`_score_row`, so the reported ``t_cycle`` is engine arithmetic,
-    not the sweep's.
+    lex-smallest expanded row.  The winner is re-scored by
+    :func:`_score_row`, the kernels' arithmetic for one row without the
+    workspace, so the reported ``t_cycle`` is the streamed search's
+    value, not the sweep's, and the workspace is left as it was found.
     """
     classes = plan.classes
     n_cls = len(classes)
@@ -661,83 +663,38 @@ def _grid_sweep(sweep, positive, limits, consider) -> Optional[int]:
 
 
 def _score_row(est: ArrayCycleEstimator, row: np.ndarray) -> float:
-    """One row through the engine's own arithmetic.
+    """One row's ``T_c`` by the IEEE operations of
+    :meth:`ArrayCycleEstimator.score_block`, in its order, without the
+    workspace, for a row :func:`level_search`'s gates admit: constant
+    ``b`` and rounds, no overlap, no bandwidth-limited topology, every
+    cluster fitted without the quirk, no missing crossing fit.
 
-    Where :meth:`ArrayCycleEstimator.score_block` would take
-    :meth:`ArrayCycleEstimator._score_block_fallback` (no folded fast
-    path: more than ``_MAX_LUT_CLUSTERS`` clusters), the row goes
-    through :func:`_score_row_analytic`, which performs the fallback's
-    IEEE operations in the same order as array operations, without the
-    fallback's O(K²) Python pair loop (seconds at a thousand clusters).
+    Speeds add in cluster order (an inactive cluster adds an exact +0.0
+    there, so skipping it changes nothing).  Eq 1 takes the folded form
+    ``p_eff·beta + alpha`` where the kernels run folded
+    (:attr:`~ArrayCycleEstimator.vectorized_fast_path`) and the
+    fallback's ``c1 + c2·p_eff + b·(c3 + c4·p_eff)`` elsewhere.  The
+    crossing is ``max(0.0, max over active pairs)``: the value both the
+    2^K table cell and the fallback's pair chain hold.
     """
-    if not est.vectorized_fast_path:
-        t = _score_row_analytic(est, row)
-        if t is not None:
-            return t
-    # score_block, not the fallback directly: at K <= 16 it runs the
-    # folded fast path whose rounding the streamed search's results
-    # carry, and bit-parity with that search is the contract tests pin.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n = est.load_rows(row[None, :].astype(np.int64))
-        return float(est.score_block(n)[0])
-
-
-def _score_row_analytic(est: ArrayCycleEstimator, row: np.ndarray) -> Optional[float]:
-    """Closed-form replay of the kernel fallback arithmetic for one row.
-
-    Performs the *same IEEE operations in the same order* as
-    :meth:`ArrayCycleEstimator._score_block_fallback` — per-cluster
-    speed-prefix adds in cluster order, the unfolded Eq 1 form
-    ``c1 + c2·p_eff + b·(c3 + c4·p_eff)``, the crossing max chained
-    from 0.0 — only vectorized over clusters/pairs instead of looping
-    in Python, so the result is bit-identical.  Returns ``None`` when
-    any fallback branch this replay does not model could trigger
-    (callable rounds, per-config b, bandwidth-limited topology, the
-    bandwidth quirk, missing fits): the caller then uses the kernel.
-    """
-    phase = est.comm_phase
-    if phase is not None and (
-        est._b_const is None
-        or callable(phase.rounds)
-        or est.topology.bandwidth_limited
-    ):
-        return None
     idx = np.flatnonzero(row > 0)
-    if idx.size == 0:
-        return None
-
-    # Eq 3/4: identical accumulation order to the fallback (inactive
-    # clusters add an exact 0.0, so skipping them changes nothing).
     speed = 0.0
     for k in idx:
         speed += est._speed_prefix[k][row[k]]
-    t_comp = est.comp_complexity * est.num_pdus / speed / US_PER_MS
-
-    total = int(row.sum())
-    if phase is None or total <= 1:
-        t_comm = 0.0
+    t_comp = est._comp_numer / speed / US_PER_MS
+    if est.comm_phase is None or int(row.sum()) <= 1:
+        return float(t_comp)
+    b = est._b_const
+    multi = idx.size > 1
+    extra = 1 if multi and est.cost_db.router_extra_station else 0
+    p_eff = row[idx] + extra
+    if multi:
+        p_eff = np.maximum(p_eff, 2)
+    if est.vectorized_fast_path:
+        eq1 = p_eff * est._beta[idx] + est._alpha[idx]
     else:
-        if bool(est._quirk[idx].any()) or not bool(est._have_comm[idx].all()):
-            return None
-        b = est._b_const
-        rounds = est._rounds_const
-        multi = idx.size > 1
-        extra = 1 if (multi and est.cost_db.router_extra_station) else 0
-        p_eff = row[idx] + extra
-        if multi:
-            p_eff = np.maximum(p_eff, 2)
-        per_byte = est._c3[idx] + est._c4[idx] * p_eff
-        vals = est._c1[idx] + est._c2[idx] * p_eff + b * per_byte
-        cost = float(vals.max())
-        if multi:
-            iu, ju = np.triu_indices(idx.size, k=1)
-            inter = est._cross_intercept[idx[iu], idx[ju]]
-            if np.isnan(inter).any():
-                return None
-            pair = inter + est._cross_slope[idx[iu], idx[ju]] * b
-            cost = cost + max(0.0, float(pair.max()))
-        t_comm = rounds * cost
-
-    est.evaluations += 1
-    t_overlap = min(t_comp, t_comm) if est.overlapped else 0.0
-    return float(t_comp + t_comm - t_overlap)
+        eq1 = est._c1[idx] + est._c2[idx] * p_eff + b * (est._c3[idx] + est._c4[idx] * p_eff)
+    iu, ju = np.triu_indices(idx.size, k=1)
+    pair = est._cross_intercept[idx[iu], idx[ju]] + est._cross_slope[idx[iu], idx[ju]] * b
+    crossing = float(pair.max(initial=0.0))
+    return float(t_comp + est._rounds_const * (float(eq1.max()) + crossing))

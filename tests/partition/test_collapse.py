@@ -50,14 +50,16 @@ from repro.partition.arrayengine import (
 from repro.partition.collapse import (
     CollapsePlan,
     EquivalenceClass,
-    _score_row_analytic,
+    _score_row,
     detect_equivalence_classes,
+    iter_canonical_blocks,
     level_search,
 )
 from repro.partition.config import ProcessorConfiguration
 from repro.partition.estimator import CycleEstimator
 from repro.partition.heuristic import _scalar_exhaustive_partition, order_by_power
 from repro.partition.warmstart import SearchCache
+from repro.partition.wideareabench import _loaded_pool
 
 _SPECS = (SPARC2, IPC, HP9000)
 _COEFFS = (
@@ -187,27 +189,55 @@ def test_wide_area_parity_all_engines(seed):
 
 
 @pytest.mark.parametrize(
-    "sites, extra_station", [(17, True), (24, True), (32, True), (40, True), (32, False)]
+    "sites, extra_station, share",
+    [
+        pytest.param(sites, extra, 0.0, id=f"{sites}-{extra}")
+        for sites, extra in (
+            (17, True), (24, True), (32, True), (40, True), (32, False),
+            (2, True), (8, True), (13, True), (16, True), (13, False),
+        )
+    ]
+    + [pytest.param(16, True, 0.05, id="16-True-loaded")],
 )
-def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit(sites, extra_station):
-    """Above 16 clusters the kernels fall back to per-row scoring, and the
-    level-mode winner is re-scored by a closed-form replay of that
-    fallback's arithmetic; the two agree to the bit on sparse, crossing
-    and dense rows alike, with and without the router's extra station."""
-    comp, ordered, db = _wide_area_case(sites, seed=7)
+def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit(sites, extra_station, share):
+    """Level mode re-scores its winner by one replay of the kernels'
+    arithmetic (:func:`_score_row`): the folded Eq 1 up to 16 clusters,
+    the per-row fallback's unfolded form above.  It agrees with
+    ``score_block`` to the bit on sparse, crossing and dense rows alike,
+    with and without the router's extra station, on clean and loaded
+    pools."""
+    if share:
+        comp = stencil_computation(600, overlap=False)
+        ordered, db = _loaded_pool(sites, 7, share)
+    else:
+        comp, ordered, db = _wide_area_case(sites, seed=7)
     db.router_extra_station = extra_station
     est = ArrayCycleEstimator(comp, ordered, db)
-    assert not est.vectorized_fast_path
+    assert est.vectorized_fast_path == (sites <= 16)
     rng = np.random.default_rng(sites)
     for _ in range(60):
         active = rng.random(len(ordered)) < rng.choice([0.05, 0.3, 1.0])
         row = (rng.integers(1, est.limits + 1) * active).astype(np.int64)
         if not row.any():
             continue
-        replay = _score_row_analytic(est, row)
-        assert replay is not None
+        replay = _score_row(est, row)
         n = est.load_rows(row[None, :])
         assert replay == float(est.score_block(n)[0]), row
+
+
+@pytest.mark.parametrize("sites", (5, 8, 13))
+def test_level_search_leaves_the_workspace_as_it_found_it(sites):
+    """Level mode scores its winner without the workspace: a forced sweep
+    after a streamed block leaves the block's count columns and the
+    resident mark exactly as they were."""
+    comp, ordered, db = _wide_area_case(sites, seed=7)
+    engine = ArraySearchEngine(comp, ordered, db)
+    est = engine.estimator
+    next(iter_canonical_blocks(est, engine.plan, np.inf))
+    counts, resident = est.workspace.counts.copy(), est._resident
+    assert level_search(est, engine.plan, est.limits) is not None
+    assert np.array_equal(est.workspace.counts, counts)
+    assert est._resident is resident
 
 
 def test_level_mode_matches_exact_mode_on_wide_area_pool():
