@@ -22,9 +22,10 @@ def test_engine_exhaustive_speedups(benchmark, save_report, commit_record):
 
 
 def test_unpruned_engines_still_match(benchmark):
-    """Without the prune both engines scan all combos — same answer."""
+    """Under the prune's size cutoff both engines scan all combos — same
+    answer."""
     cmp = benchmark.pedantic(
-        lambda: run_perf((6, 6, 6), n=300, repeat=1, prune=False),
+        lambda: run_perf((6, 6, 6), n=300, repeat=1),
         rounds=1,
         iterations=1,
     )

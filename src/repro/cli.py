@@ -148,12 +148,7 @@ def _write_record(args, payload: dict, text: str, tel=None) -> str:
 def _bench_partition(args) -> str:
     from repro.partition.perfbench import perf_payload, perf_report, run_perf
 
-    cmp = run_perf(
-        tuple(args.clusters),
-        n=args.n,
-        repeat=args.repeat,
-        prune=not args.no_prune,
-    )
+    cmp = run_perf(tuple(args.clusters), n=args.n, repeat=args.repeat)
     return _write_record(args, perf_payload(cmp), perf_report(cmp))
 
 
@@ -617,11 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p12.add_argument("--n", type=int, default=600, help="stencil problem size")
     p12.add_argument("--repeat", type=int, default=3, help="timing repeats per engine")
-    p12.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="disable the array engine's branch-and-bound prune",
-    )
     p12.add_argument(
         "--json", metavar="FILE", help="also write the machine-readable record to FILE"
     )

@@ -1,5 +1,5 @@
-"""The array engine: streamed, allocation-free Eq 3-6 kernels and the one
-exact search built on them.
+"""The array engine: one streamed, in-place Eq 3-6 kernel and the one
+exact search built on it.
 
 :class:`ArraySearchEngine` is the engine behind every exact search
 (:func:`~repro.partition.heuristic.exhaustive_partition` and the
@@ -8,7 +8,7 @@ decision server and the wide-area bench share).  The scalar
 :class:`~repro.partition.estimator.CycleEstimator` stays the reference
 specification and re-estimates every winner.
 
-* :class:`ArrayWorkspace` — every buffer the kernels touch, allocated once
+* :class:`ArrayWorkspace` — every buffer the kernel touches, allocated once
   per (estimator, max-batch) pair and reused for the engine's lifetime.
   Count columns are stored **per cluster** (a ``(K, max_rows)`` layout), so
   every kernel op runs over a contiguous 1-D slice — axis-1 reductions over
@@ -17,14 +17,16 @@ specification and re-estimates every winner.
 * :class:`ArrayCycleEstimator` — lowers one computation + ordered cluster
   list into flat arrays (per-cluster speed prefix sums for Eq 3/4, the
   fitted ``c1..c4`` Eq 1 coefficients, the pairwise router/coercion
-  intercept and slope matrices), then folds them for in-place
-  (``out=``-style) kernels: the constant message size ``b`` is absorbed
-  into per-cluster ``alpha + beta·p`` lines, the crossing penalty becomes
-  a lookup table indexed by the row's active-cluster bit pattern, and the
-  rounds multiplier a lookup table over row totals.  Zero per-row
-  allocations on that path.  Rows it cannot fold (share-dependent message
-  sizes, or more than ``_MAX_LUT_CLUSTERS`` clusters) take a per-row
-  fallback over the unfolded arithmetic.
+  intercept and slope matrices) and scores blocks with one in-place
+  (``out=``-style) kernel, :meth:`~ArrayCycleEstimator.score_block`.
+  With a constant message size ``b`` and at most ``_MAX_LUT_CLUSTERS``
+  clusters, ``b`` is folded into per-cluster ``alpha + beta·p`` lines and
+  the crossing penalty becomes a lookup table indexed by the row's
+  active-cluster bit pattern; without that table (more clusters, or a
+  share-dependent ``b`` written per row into a workspace buffer) Eq 1
+  stays unfolded and the crossing is a max over active pairs.  The rounds
+  multiplier is a lookup table over row totals.  No per-row allocations
+  unless ``b`` depends on the shares.
 * canonical streaming — every search scores the canonical rows of a
   :class:`~repro.partition.collapse.CollapsePlan` (per equivalence class
   of interchangeable clusters, one count multiset per orbit), streamed
@@ -41,10 +43,13 @@ specification and re-estimates every winner.
   supervisor's common case) searches the shrunk space without lowering
   or detecting again.  A search keeps no scored rows, only its winner.
 
-``tests/partition/test_fastpath_equivalence.py`` pins the kernels to the
-scalar reference component by component, ``tests/partition/test_array_engine.py``
-pins decision parity and shrink-vs-cold equality, and
-``tests/partition/test_collapse.py`` the collapsed modes.
+``tests/partition/test_fastpath_equivalence.py`` pins the kernel to the
+scalar reference component by component,
+``tests/partition/test_cold_path_oracles.py`` pins its table-less blocks
+to the ``(n, K)``-matrix fallback kernel it replaced, bit for bit,
+``tests/partition/test_array_engine.py`` pins decision parity and
+shrink-vs-cold equality, and ``tests/partition/test_collapse.py`` the
+collapsed modes.
 """
 
 from __future__ import annotations
@@ -86,8 +91,8 @@ _AUTO_PRUNE_BLOCKS = 4
 #: level sweep takes over (or, when its gates fail, the stream anyway).
 EXACT_BUDGET = 200_000
 
-#: Crossing lookup tables are ``2^K``; beyond this many clusters fall back
-#: to the pairwise loop instead of a table.
+#: Crossing lookup tables are ``2^K``; beyond this many clusters the
+#: kernel takes the max over active pairs instead of a table.
 _MAX_LUT_CLUSTERS = 16
 
 #: Relative + absolute slack applied to the prune bound so floating-point
@@ -115,7 +120,7 @@ def prefix_count_matrix(limits: Sequence[int]) -> np.ndarray:
 class ArrayWorkspace:
     """Preallocated buffers for one (estimator, max-batch) pair.
 
-    All kernels write into slices of these arrays; nothing here is ever
+    The kernel writes into slices of these arrays; nothing here is ever
     reallocated after construction.  ``counts[k, :n]`` is cluster ``k``'s
     contiguous count column for the current block.
     """
@@ -194,7 +199,7 @@ class ArraySearchResult:
 
 
 class ArrayCycleEstimator:
-    """In-place Eq 3-6 kernels over a reusable :class:`ArrayWorkspace`.
+    """The in-place Eq 3-6 kernel over a reusable :class:`ArrayWorkspace`.
 
     Parameters
     ----------
@@ -216,13 +221,11 @@ class ArrayCycleEstimator:
         resources: Sequence[ClusterResources],
         cost_db: CostDatabase,
         *,
-        startup_ms: float = 0.0,
         max_rows: int = DEFAULT_MAX_ROWS,
     ) -> None:
         self.computation = computation
         self.ordered: tuple[ClusterResources, ...] = tuple(resources)
         self.cost_db = cost_db
-        self.startup_ms = startup_ms
         if not self.ordered:
             raise PartitionError("no clusters to evaluate over")
 
@@ -306,7 +309,7 @@ class ArrayCycleEstimator:
     def _prepare_fast_path(self) -> None:
         k_n = len(self.ordered)
         phase = self.comm_phase
-        #: Eq 4 numerator, divided exactly as the fallback divides it.
+        #: Eq 4 numerator: ``T_comp = numer / Σ P_j/S_j / US_PER_MS``.
         self._comp_numer = self.comp_complexity * self.num_pdus
         self._b_const: Optional[float] = None
         self._rounds_lut: Optional[np.ndarray] = None
@@ -358,14 +361,6 @@ class ArrayCycleEstimator:
                 bad[h : 2 * h] = bad[:h] | row_bad[:h]
                 pop[h : 2 * h] = pop[:h] + 1
 
-    @property
-    def vectorized_fast_path(self) -> bool:
-        """True when blocks run the allocation-free kernels (no per-row
-        callback fallbacks)."""
-        return self.comm_phase is None or (
-            self._b_const is not None and self._cross_lut is not None
-        )
-
     # -- block loading -----------------------------------------------------------
 
     def load_rows(self, rows: np.ndarray) -> int:
@@ -381,29 +376,47 @@ class ArrayCycleEstimator:
             np.copyto(self.workspace.counts[k, :n], rows[:, k])
         return n
 
-    # -- the in-place kernels ----------------------------------------------------
+    # -- the in-place kernel -----------------------------------------------------
 
     def score_block(self, n: int) -> np.ndarray:
         """Eq 4-6 over the first ``n`` workspace rows; returns the
-        ``t_cycle`` view.  No allocations on the constant-complexity path.
+        ``t_cycle`` view.
+
+        Eq 1 keeps one IEEE form per case, and each form pins decision
+        bits (``tests/partition/test_cold_path_oracles.py``):
+
+        * with the crossing table (constant ``b``, at most
+          :data:`_MAX_LUT_CLUSTERS` clusters), folded as
+          ``p_eff·beta + alpha``, or ``((c2·p_eff) + b·|c4·p_eff + c3|) + c1``
+          for a quirk fit, and the crossing read off the table by the
+          row's bit pattern;
+        * without it, unfolded as ``(c1 + c2·p_eff) + b·(c3 + c4·p_eff)``
+          (``abs`` on the per-byte term for a quirk fit), and the crossing
+          a max from 0.0 over the active pairs in ``(i, j)`` order.
+
+        A share-dependent ``b`` is one callback per row, made only when a
+        row has more than one processor, and written into Eq 4's spent
+        speed sums.  :func:`repro.partition.collapse._score_row` replays
+        these operations for one row, so the two change together or not
+        at all.
         """
         ws = self.workspace
         if n < 1 or n > ws.max_rows:
             raise PartitionError(f"block size {n} outside workspace capacity")
-        if not self.vectorized_fast_path and self.comm_phase is not None:
-            # Documented borrow contract: score_block returns a t_cycle view
-            # valid until the next load_rows (callers copy via block search).
-            return self._score_block_fallback(n)  # repro: noqa[workspace-escape]
         k_n = len(self.ordered)
+        # The bit pattern only indexes the table, and 1 << k overflows
+        # int64 past 62 clusters; without it, count active clusters.
+        table = self._cross_lut is not None
         tot = ws.totals[:n]
         patt = ws.pattern[:n]
+        nact = ws.nact[:n]
         sums = ws.speed_sums[:n]
         f1 = ws.fwork[:n]
         i1 = ws.iwork[:n]
         t_comp = ws.t_comp[:n]
         t_comm = ws.t_comm[:n]
         tot.fill(0)
-        patt.fill(0)
+        (patt if table else nact).fill(0)
         sums.fill(0.0)
         for k in range(k_n):
             ck = ws.counts[k, :n]
@@ -413,9 +426,11 @@ class ArrayCycleEstimator:
             ak = ws.active[k, :n]
             np.greater(ck, 0, out=ak)
             np.less_equal(ck, 0, out=ws.inactive[k, :n])
-            np.multiply(ak, 1 << k, out=i1)
-            np.add(patt, i1, out=patt)
-        # Eq 4 in the fallback's exact operation order.
+            if table:
+                np.multiply(ak, 1 << k, out=i1)
+                np.add(patt, i1, out=patt)
+            else:
+                np.add(nact, ak, out=nact)
         np.divide(self._comp_numer, sums, out=t_comp)
         np.divide(t_comp, US_PER_MS, out=t_comp)
         if self.comm_phase is None:
@@ -426,19 +441,34 @@ class ArrayCycleEstimator:
             return ws.t_cycle[:n]  # repro: noqa[workspace-escape]
         mask = ws.mask[:n]
         bwork = ws.bwork[:n]
-        nact = ws.nact[:n]
         multi = bwork  # alias: bwork holds `multi` through the cost loop
         np.greater(tot, 1, out=mask)
-        np.take(self._pop_lut, patt, out=nact)
+        if table:
+            np.take(self._pop_lut, patt, out=nact)
         np.greater(nact, 1, out=multi)
+        b = self._b_const
+        if b is None:
+            b = sums  # Eq 4 is done with the speed sums
+            if mask.any():
+                # The paper's "b may depend on A_i" case needs the
+                # per-processor share list: one callback per row.
+                for m in range(n):
+                    rates = np.concatenate(
+                        [self._cluster_rates[k][: ws.counts[k, m]] for k in range(k_n)]
+                    )
+                    speeds = 1.0 / rates
+                    shares = (speeds / speeds.sum() * self.num_pdus).tolist()
+                    b[m] = self.comm_phase.complexity_for_shares(
+                        self.computation.problem, shares
+                    )
         t_comm.fill(-np.inf)
         bandwidth = self.topology.bandwidth_limited
         extra_station = bool(self.cost_db.router_extra_station)
         for k in range(k_n):
             ck = ws.counts[k, :n]
             if not self._have_comm[k]:
-                # Like the fallback: raise only if a row in this block
-                # actually needs the missing fit (active + multi-proc).
+                # Raise only if a row in this block actually needs the
+                # missing fit (active + multi-proc).
                 np.logical_and(ws.active[k, :n], mask, out=ws.inactive[k, :n])
                 if ws.inactive[k, :n].any():
                     raise FittingError(
@@ -458,28 +488,38 @@ class ArrayCycleEstimator:
                 np.multiply(multi, 2, out=i1)
                 np.maximum(ck, i1, out=i1)
                 p_eff = i1
-            if self._quirk[k]:
+            if table and not self._quirk[k]:
+                np.multiply(p_eff, self._beta[k], out=f1)
+                np.add(f1, self._alpha[k], out=f1)
+            else:
                 f2 = ws.fwork2[:n]
                 np.multiply(p_eff, self._c4[k], out=f2)
                 np.add(f2, self._c3[k], out=f2)
-                np.abs(f2, out=f2)
-                np.multiply(f2, self._b_const, out=f2)
+                if self._quirk[k]:
+                    np.abs(f2, out=f2)
+                np.multiply(f2, b, out=f2)
                 np.multiply(p_eff, self._c2[k], out=f1)
-                np.add(f1, f2, out=f1)
-                np.add(f1, self._c1[k], out=f1)
-            else:
-                np.multiply(p_eff, self._beta[k], out=f1)
-                np.add(f1, self._alpha[k], out=f1)
+                if table:
+                    np.add(f1, f2, out=f1)
+                    np.add(f1, self._c1[k], out=f1)
+                else:
+                    np.add(f1, self._c1[k], out=f1)
+                    np.add(f1, f2, out=f1)
             np.copyto(f1, -np.inf, where=ws.inactive[k, :n])
             np.maximum(t_comm, f1, out=t_comm)
-        if self._bad_lut is not None and self._bad_lut.any():
-            bad = ws.inactive[0, :n]  # scratch: cost loop is done with it
-            np.take(self._bad_lut, patt, out=bad)
-            np.logical_and(bad, mask, out=bad)
-            if bad.any():
-                self._raise_missing_router(patt[int(np.argmax(bad))])
-        np.take(self._cross_lut, patt, out=f1)
-        np.add(t_comm, f1, out=t_comm)
+        if table:
+            if self._bad_lut.any():
+                bad = ws.inactive[0, :n]  # scratch: cost loop is done with it
+                np.take(self._bad_lut, patt, out=bad)
+                np.logical_and(bad, mask, out=bad)
+                if bad.any():
+                    self._raise_missing_router(patt[int(np.argmax(bad))])
+            np.take(self._cross_lut, patt, out=f1)
+            np.add(t_comm, f1, out=t_comm)
+        else:
+            np.logical_and(multi, mask, out=multi)
+            if multi.any():
+                self._add_crossing(n, b)
         if self._rounds_lut is not None:
             np.take(self._rounds_lut, tot, out=f1)
             np.multiply(t_comm, f1, out=t_comm)
@@ -499,131 +539,38 @@ class ArrayCycleEstimator:
         # (copied or reduced) by the streamed search before the next block.
         return t_cycle  # repro: noqa[workspace-escape]
 
-    def _score_block_fallback(self, n: int) -> np.ndarray:
-        """Eq 4-6 over ``n`` workspace rows the folded kernels cannot
-        serve: share-dependent message sizes (one callback per row) and
-        pools too large for a crossing lookup table.
-
-        The block is scored as an ``(n, K)`` matrix with the unfolded Eq 1
-        form ``c1 + c2·p_eff + b·(c3 + c4·p_eff)`` and a pairwise crossing
-        max chained from 0.0.
-        :func:`repro.partition.collapse._score_row` replays these IEEE
-        operations in this order for one row, so the two change together
-        or not at all.
+    def _add_crossing(self, n: int, b) -> None:
+        """Add the crossing penalty to ``t_comm`` where no table holds it:
+        per row, the max from 0.0 over its active pairs of router +
+        coercion ``intercept + slope·b``, visiting pairs in ``(i, j)``
+        order and raising at the first active pair without a router fit.
         """
         ws = self.workspace
-        c = np.stack([ws.counts[k, :n] for k in range(len(self.ordered))], axis=1)
-        totals = c.sum(axis=1)
-        # Eq 3/4: Σ P_j/S_j per row, accumulated in cluster order.
-        sums = np.zeros(n)
-        for k, prefix in enumerate(self._speed_prefix):
-            sums += prefix[c[:, k]]
-        t_comp = self._comp_numer / sums / US_PER_MS
-        mask = totals > 1
-        if mask.any():
-            b = self._message_bytes(c)
-            rounds = (
-                self._rounds_lut[totals]
-                if self._rounds_lut is not None
-                else self._rounds_const
-            )
-            t_comm = np.where(
-                mask, rounds * self._topology_cost(c, totals, b, mask), 0.0
-            )
-        else:
-            t_comm = np.zeros(n)
-        t_overlap = np.minimum(t_comp, t_comm) if self.overlapped else np.zeros(n)
-        np.copyto(ws.totals[:n], totals)
-        np.copyto(ws.t_comp[:n], t_comp)
-        np.copyto(ws.t_comm[:n], t_comm)
-        np.copyto(ws.t_overlap[:n], t_overlap)
-        t_cycle = ws.t_cycle[:n]
-        np.subtract(t_comp + t_comm, t_overlap, out=t_cycle)
-        # Same borrow contract as score_block, which this path serves.
-        return t_cycle  # repro: noqa[workspace-escape]
-
-    def _message_bytes(self, c: np.ndarray) -> np.ndarray:
-        """Per-row message size ``b`` (may depend on the row's shares)."""
-        if self._b_const is not None:
-            return np.full(c.shape[0], self._b_const)
-        # The paper's "b may depend on A_i" case needs the per-processor
-        # share list: one callback per row.
-        phase = self.comm_phase
-        b = np.zeros(c.shape[0])
-        for m in range(c.shape[0]):
-            rates = np.concatenate(
-                [self._cluster_rates[k][: c[m, k]] for k in range(c.shape[1])]
-            )
-            speeds = 1.0 / rates
-            shares = (speeds / speeds.sum() * self.num_pdus).tolist()
-            b[m] = phase.complexity_for_shares(self.computation.problem, shares)
-        return b
-
-    def _eq1(self, k: int, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Unfolded Eq 1 for cluster ``k`` (callers guarantee ``p >= 2``)."""
-        per_byte = self._c3[k] + self._c4[k] * p
-        if self._quirk[k]:
-            per_byte = np.abs(per_byte)
-        return self._c1[k] + self._c2[k] * p + b * per_byte
-
-    def _topology_cost(
-        self, c: np.ndarray, totals: np.ndarray, b: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Row-wise :meth:`CostDatabase.topology_cost` for the fallback."""
-        m, k_n = c.shape
-        active = c > 0
-        n_active = active.sum(axis=1)
-        multi = n_active > 1
-
-        needed = active & mask[:, None]
-        missing = needed & ~self._have_comm[None, :]
-        if np.any(missing):
-            k_bad = int(np.argmax(missing.any(axis=0)))
-            raise FittingError(
-                f"no fitted cost function for cluster {self.ordered[k_bad].name!r}, "
-                f"topology {str(self.topology)!r}"
-            )
-
-        per_cluster = np.full((m, k_n), -np.inf)
-        if self.topology.bandwidth_limited:
-            # Offered load scales with the total count regardless of placement.
-            for k in range(k_n):
-                rows = needed[:, k]
-                if rows.any():
-                    per_cluster[rows, k] = self._eq1(k, b[rows], totals[rows])
-        else:
-            extra = np.where(multi & self.cost_db.router_extra_station, 1, 0)
-            for k in range(k_n):
-                rows = needed[:, k]
+        needed = ws.inactive  # the cost loop is done with it
+        for k in range(len(self.ordered)):
+            np.logical_and(ws.active[k, :n], ws.mask[:n], out=needed[k, :n])
+        live = [k for k in range(len(self.ordered)) if needed[k, :n].any()]
+        crossing = ws.fwork[:n]
+        crossing.fill(0.0)
+        rows = ws.bwork[:n]
+        for a, i in enumerate(live):
+            for j in live[a + 1 :]:
+                np.logical_and(needed[i, :n], needed[j, :n], out=rows)
                 if not rows.any():
                     continue
-                p_eff = c[rows, k] + extra[rows]
-                # Across a router even a lone processor sees a 2-station
-                # pattern (its partner arrives via the router).
-                p_eff = np.where(multi[rows], np.maximum(p_eff, 2), p_eff)
-                per_cluster[rows, k] = self._eq1(k, b[rows], p_eff)
-        cost = np.where(mask, per_cluster.max(axis=1, initial=-np.inf), 0.0)
-
-        # Crossing penalty: max over active pairs of router+coercion, >= 0.
-        if np.any(multi & mask):
-            crossing = np.zeros(m)
-            for i in range(k_n):
-                for j in range(i + 1, k_n):
-                    rows = needed[:, i] & needed[:, j]
-                    if not rows.any():
-                        continue
-                    if np.isnan(self._cross_intercept[i, j]):
-                        raise FittingError(
-                            f"no fitted router cost for clusters "
-                            f"{self.ordered[i].name!r}/{self.ordered[j].name!r}"
-                        )
-                    pair = (
-                        self._cross_intercept[i, j]
-                        + self._cross_slope[i, j] * b[rows]
+                if np.isnan(self._cross_intercept[i, j]):
+                    raise FittingError(
+                        f"no fitted router cost for clusters "
+                        f"{self.ordered[i].name!r}/{self.ordered[j].name!r}"
                     )
-                    crossing[rows] = np.maximum(crossing[rows], pair)
-            cost = cost + np.where(multi & mask, crossing, 0.0)
-        return cost
+                if self._b_const is not None:
+                    pair = self._cross_intercept[i, j] + self._cross_slope[i, j] * b
+                else:
+                    pair = ws.fwork2[:n]
+                    np.multiply(b, self._cross_slope[i, j], out=pair)
+                    np.add(pair, self._cross_intercept[i, j], out=pair)
+                np.maximum(crossing, pair, out=crossing, where=rows)
+        np.add(ws.t_comm[:n], crossing, out=ws.t_comm[:n])
 
     # -- branch-and-bound support ------------------------------------------------
 
@@ -686,15 +633,14 @@ def _stream_search(
     plan: collapse.CollapsePlan,
     lim: np.ndarray,
     *,
-    prune: str | bool,
     metrics,
 ) -> ArraySearchResult:
     """Score ``plan``'s canonical rows under ``lim``, keeping only the
     running winner.
 
-    With the prune on (``"auto"``: once the space spans more than
-    :data:`_AUTO_PRUNE_BLOCKS` blocks) the cluster-prefix scan runs first
-    through the same workspace, and its best ``T_c`` (plus slack) is the
+    Once the space spans more than :data:`_AUTO_PRUNE_BLOCKS` workspace
+    blocks the prune is on: the cluster-prefix scan runs first through
+    the same workspace, and its best ``T_c`` (plus slack) is the
     threshold :func:`~repro.partition.collapse.iter_canonical_blocks`
     prunes at.
     """
@@ -714,8 +660,7 @@ def _stream_search(
         help="rows per streamed workspace block",
     )
     max_rows = est.workspace.max_rows
-    if prune == "auto":
-        prune = plan.collapsed_space() - 1 > _AUTO_PRUNE_BLOCKS * max_rows
+    prune = plan.collapsed_space() - 1 > _AUTO_PRUNE_BLOCKS * max_rows
     best: Optional[tuple[int, ...]] = None
     best_t = np.inf
     evaluations = 0
@@ -777,14 +722,11 @@ class ArraySearchEngine:
         resources: Sequence[ClusterResources],
         cost_db: CostDatabase,
         *,
-        startup_ms: float = 0.0,
         metrics=None,
     ) -> None:
         from repro.telemetry import NULL_REGISTRY
 
-        self.estimator = ArrayCycleEstimator(
-            computation, resources, cost_db, startup_ms=startup_ms
-        )
+        self.estimator = ArrayCycleEstimator(computation, resources, cost_db)
         self._trivial = collapse.CollapsePlan.singletons(self.estimator.limits)
         self.plan = (
             collapse.detect_equivalence_classes(self.estimator) or self._trivial
@@ -810,14 +752,12 @@ class ArraySearchEngine:
         for cls in self.plan.classes:
             multiplicity.observe(cls.multiplicity)
 
-    def compatible(
-        self, ordered: Sequence[ClusterResources], startup_ms: float
-    ) -> bool:
+    def compatible(self, ordered: Sequence[ClusterResources]) -> bool:
         """Whether this engine's lowering is still valid for the pool:
         same clusters in the same order, availability within the lowered
         bounds (shrinks reuse; growth needs fresh speed prefixes)."""
         est = self.estimator
-        if est.startup_ms != startup_ms or len(est.ordered) != len(ordered):
+        if len(est.ordered) != len(ordered):
             return False
         for built, now in zip(est.ordered, ordered):
             if built.name != now.name or built.load_adjusted != now.load_adjusted:
@@ -825,15 +765,12 @@ class ArraySearchEngine:
         limits = np.array([r.n_available for r in ordered], dtype=np.int64)
         return bool(np.all(limits <= est.limits))
 
-    def search(self, *, prune: str | bool = "auto") -> ArraySearchResult:
+    def search(self) -> ArraySearchResult:
         """The ordered scan at the lowered limits: the trivial plan
-        streamed in full (``prune=False``), pruned, or pruned past the
-        size cutoff (``"auto"``) — the reference the collapsed paths are
-        checked against."""
+        streamed, pruned past the size cutoff — the reference the
+        collapsed paths are checked against."""
         est = self.estimator
-        return _stream_search(
-            est, self._trivial, est.limits, prune=prune, metrics=self.metrics
-        )
+        return _stream_search(est, self._trivial, est.limits, metrics=self.metrics)
 
     def decide_counts(
         self, limits: Optional[Sequence[int]] = None
@@ -844,7 +781,8 @@ class ArraySearchEngine:
            trivial plan, both at ``limits``.
         2. **Level sweep** — when the plan's canonical space exceeds
            :data:`EXACT_BUDGET` rows, unless a level-mode gate fails.
-        3. **Stream** — the plan's canonical rows through the kernels.
+        3. **Stream** — the plan's canonical rows through
+           :meth:`ArrayCycleEstimator.score_block`.
         """
         est = self.estimator
         lim = est.limits if limits is None else np.asarray(limits, dtype=np.int64)
@@ -862,7 +800,7 @@ class ArraySearchEngine:
                     evaluations=evaluations,
                     method="collapse-level",
                 )
-        result = _stream_search(est, plan, lim, prune="auto", metrics=self.metrics)
+        result = _stream_search(est, plan, lim, metrics=self.metrics)
         if plan.collapses:
             self._record_savings(plan, result.evaluations)
         return result
@@ -880,7 +818,6 @@ def exact_search(
     ordered: Sequence[ClusterResources],
     cost_db: CostDatabase,
     *,
-    startup_ms: float = 0.0,
     cache=None,
     metrics=None,
 ) -> ArraySearchResult:
@@ -893,15 +830,13 @@ def exact_search(
     """
     if cache is None:
         return ArraySearchEngine(
-            computation, ordered, cost_db, startup_ms=startup_ms, metrics=metrics
+            computation, ordered, cost_db, metrics=metrics
         ).decide_counts()
     namespace = cache.estimate_namespace(ordered)
     engine = cache.array_engine(namespace)
-    if engine is not None and engine.compatible(ordered, startup_ms):
+    if engine is not None and engine.compatible(ordered):
         limits = np.array([r.n_available for r in ordered], dtype=np.int64)
         return engine.decide_counts(limits)
-    engine = ArraySearchEngine(
-        computation, ordered, cost_db, startup_ms=startup_ms, metrics=metrics
-    )
+    engine = ArraySearchEngine(computation, ordered, cost_db, metrics=metrics)
     cache.store_array_engine(namespace, engine)
     return engine.decide_counts()

@@ -47,7 +47,7 @@ This module holds the pieces; the one exact engine,
   levels)`` over at most :data:`_MAX_LEVEL_ROWS` activation patterns —
   independent of the physical cluster count, which is what turns the
   1000-cluster decision interactive.  ``evaluations`` counts the cells
-  actually scored; the winner's ``T_c`` is the kernels' arithmetic for
+  actually scored; the winner's ``T_c`` is the kernel's arithmetic for
   its row, replayed without the workspace (:func:`_score_row`).
 
 The expansion back to a physical decision vector places ascending counts
@@ -391,7 +391,7 @@ def level_search(
     or more and its tie-check variants, or else the grid's live cells,
     plus one for the re-score.  Ties at the minimum resolve to the
     lex-smallest expanded row.  The winner is re-scored by
-    :func:`_score_row`, the kernels' arithmetic for one row without the
+    :func:`_score_row`, the kernel's arithmetic for one row without the
     workspace, so the reported ``t_cycle`` is the streamed search's
     value, not the sweep's, and the workspace is left as it was found.
     """
@@ -670,12 +670,12 @@ def _score_row(est: ArrayCycleEstimator, row: np.ndarray) -> float:
     cluster fitted without the quirk, no missing crossing fit.
 
     Speeds add in cluster order (an inactive cluster adds an exact +0.0
-    there, so skipping it changes nothing).  Eq 1 takes the folded form
-    ``p_eff·beta + alpha`` where the kernels run folded
-    (:attr:`~ArrayCycleEstimator.vectorized_fast_path`) and the
-    fallback's ``c1 + c2·p_eff + b·(c3 + c4·p_eff)`` elsewhere.  The
-    crossing is ``max(0.0, max over active pairs)``: the value both the
-    2^K table cell and the fallback's pair chain hold.
+    there, so skipping it changes nothing).  Eq 1 takes the kernel's
+    folded form ``p_eff·beta + alpha`` where it has the crossing table
+    (``est._cross_lut``, at most 16 clusters) and its unfolded
+    ``(c1 + c2·p_eff) + b·(c3 + c4·p_eff)`` elsewhere.  The crossing is
+    ``max(0.0, max over active pairs)``: the value both the 2^K table
+    cell and the kernel's pair max hold.
     """
     idx = np.flatnonzero(row > 0)
     speed = 0.0
@@ -690,7 +690,7 @@ def _score_row(est: ArrayCycleEstimator, row: np.ndarray) -> float:
     p_eff = row[idx] + extra
     if multi:
         p_eff = np.maximum(p_eff, 2)
-    if est.vectorized_fast_path:
+    if est._cross_lut is not None:
         eq1 = p_eff * est._beta[idx] + est._alpha[idx]
     else:
         eq1 = est._c1[idx] + est._c2[idx] * p_eff + b * (est._c3[idx] + est._c4[idx] * p_eff)

@@ -315,7 +315,7 @@ def _decision_from_counts(
 
     The winner is re-estimated with the scalar :class:`CycleEstimator`, so
     every array-engine search returns the exact reference-path numbers
-    (the kernels agree with it to ~1e-13 ms; see
+    (the array kernel agrees with it to ~1e-13 ms; see
     ``tests/partition/test_fastpath_equivalence.py``).
     """
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
@@ -382,14 +382,7 @@ def exhaustive_partition(
     ordered = order_by_power(resources, kind)
     if not ordered:
         raise PartitionError("no available processors in any cluster")
-    result = exact_search(
-        computation,
-        ordered,
-        cost_db,
-        startup_ms=startup_ms,
-        cache=cache,
-        metrics=metrics,
-    )
+    result = exact_search(computation, ordered, cost_db, cache=cache, metrics=metrics)
     return _decision_from_counts(
         computation,
         ordered,

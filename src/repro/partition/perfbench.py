@@ -220,7 +220,6 @@ def run_perf(
     *,
     n: int = 600,
     repeat: int = 3,
-    prune: bool = True,
     alloc_sample: bool = True,
 ) -> PerfComparison:
     """Time the exhaustive oracle on both engines on one scenario.
@@ -235,11 +234,11 @@ def run_perf(
     :data:`~repro.benchmarking.timing.WINDOW_S` long, per search — a
     search keeps no scored rows, so every search scores the whole space
     again.  ``repeat`` pairs run interleaved, one scalar pass then
-    one array window.  ``prune`` applies to the array engine only; the
-    scalar oracle always scans every configuration.  Reports the best and
-    mean wall time per engine and the speedup of every pair, plus a
-    ``tracemalloc`` allocation sample per engine unless ``alloc_sample``
-    is off.
+    one array window.  The array search prunes past its size cutoff, as
+    every exact search does; the scalar oracle always scans every
+    configuration.  Reports the best and mean wall time per engine and
+    the speedup of every pair, plus a ``tracemalloc`` allocation sample
+    per engine unless ``alloc_sample`` is off.
     """
     if repeat < 1:
         raise PartitionError(f"repeat must be >= 1, got {repeat}")
@@ -257,11 +256,7 @@ def run_perf(
     searcher = ArraySearchEngine(
         comp, order_by_power(resources), synthetic_database(names)
     )
-    search_prune = "auto" if prune else False
-
-    def search():
-        return searcher.search(prune=search_prune)
-
+    search = searcher.search
     calls = window_calls(search)
     scalar_walls, array_walls = [], []
     for _ in range(repeat):

@@ -176,6 +176,11 @@ def test_unknown_engine_rejected():
     for knob in ("prune", "exact_budget", "collapse"):
         with pytest.raises(TypeError, match=knob):
             engine.decide_counts(**{knob: False})
+    # The prune is a size decision, and T_c excludes start-up.
+    with pytest.raises(TypeError, match="prune"):
+        engine.search(prune=False)
+    with pytest.raises(TypeError, match="startup_ms"):
+        ArraySearchEngine(comp, ordered, db, startup_ms=0.0)
     with pytest.raises(TypeError, match="rtol"):
         collapse.detect_equivalence_classes(engine.estimator, rtol=0.0)
     for gone in ("CollapsedSearchEngine", "collapsed_exhaustive_search"):
@@ -204,7 +209,8 @@ def test_one_pdu_floor_streamed():
     db = paper_cost_database()
     comp = stencil_computation(300, overlap=False)
     engine = ArraySearchEngine(comp, res, db)
-    result = engine.search(prune=False)
+    result = engine.search()
+    assert result.method == "array-scan"
     space = int(np.prod([r.n_available + 1 for r in res]))
     assert result.evaluations == space - 1
     assert result.evaluations == full_count_matrix(res).shape[0]
@@ -238,7 +244,8 @@ def test_lexicographic_tie_break_parity():
     got = exhaustive_partition(comp, res, db)
     # The mirror of the winner really does tie (the scenario is symmetric).
     ordered = order_by_power(res)
-    unpruned = ArraySearchEngine(comp, ordered, db).search(prune=False)
+    unpruned = ArraySearchEngine(comp, ordered, db).search()
+    assert unpruned.method == "array-scan"
     assert unpruned.counts == tuple(ref.config.counts)
     counts = tuple(ref.config.counts)
     if counts != counts[::-1]:
@@ -250,7 +257,7 @@ def test_lexicographic_tie_break_parity():
 
 
 def test_callback_annotations_fall_back_exactly():
-    """per_config_complexity forces the per-row fallback — still bit-parity."""
+    """per_config_complexity builds no crossing table — still bit-parity."""
     rng = np.random.default_rng(123)
     net = random_network(rng)
     db = random_cost_database(net, rng)
@@ -259,7 +266,7 @@ def test_callback_annotations_fall_back_exactly():
     est = ArrayCycleEstimator(
         comp, order_by_power(res), db
     )
-    assert not est.vectorized_fast_path
+    assert est._cross_lut is None
     assert_oracles_agree(comp, res, db)
 
 
@@ -274,7 +281,7 @@ def test_missing_router_raises_like_scalar():
     comp = stencil_computation(300, overlap=False)
     engine = ArraySearchEngine(comp, ordered, db)
     with pytest.raises(FittingError, match="router"):
-        engine.search(prune=False)
+        engine.search()
     # Scoped to one cluster, no crossing rows exist: matches the scalar scan.
     limits = np.zeros(len(ordered), dtype=np.int64)
     limits[0] = ordered[0].n_available
@@ -299,7 +306,7 @@ def test_missing_comm_function_raises_like_scalar():
         )
     comp = stencil_computation(300, overlap=False)
     with pytest.raises(FittingError, match="no fitted cost function"):
-        ArraySearchEngine(comp, ordered, db).search(prune=False)
+        ArraySearchEngine(comp, ordered, db).search()
 
 
 # -- shrinks on one lowered engine -----------------------------------------------
@@ -405,25 +412,29 @@ def test_cached_array_oracle_tracks_availability_deltas(seed):
 def test_shrink_best_is_exact_or_abstains(seed, prune):
     """``_stream_search`` at shrunk limits, pruned and unpruned, returns
     brute force's lex-smallest optimal row and its value bit for bit; a
-    shrink that selects nothing is a typed error.  (The id is kept from
-    the frontier's masked argmin, which could abstain.)"""
+    shrink that selects nothing is a typed error.  The prune is a size
+    decision relative to the workspace, so a one-row workspace forces it.
+    (The id is kept from the frontier's masked argmin, which could
+    abstain.)"""
     rng, comp, res, db = _small_random_case(8500 + seed)
     kind = CycleEstimator(comp, db).op_kind
     ordered = order_by_power(res, kind)
-    est = ArrayCycleEstimator(comp, ordered, db)
+    max_rows = 1 if prune else arrayengine.DEFAULT_MAX_ROWS
+    est = ArrayCycleEstimator(comp, ordered, db, max_rows=max_rows)
     matrix = full_count_matrix(ordered)
     t_all = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]
     limits = np.array([r.n_available for r in ordered], dtype=np.int64)
-    answered = 0
+    answered = pruned = 0
     for _ in range(8):
         lim = rng.integers(0, limits + 1)
         plan = CollapsePlan.singletons(lim)
         feasible = np.all(matrix <= lim[None, :], axis=1)
         if not feasible.any():
             with pytest.raises(PartitionError, match="no candidate configurations"):
-                _stream_search(est, plan, lim, prune=prune, metrics=None)
+                _stream_search(est, plan, lim, metrics=None)
             continue
-        got = _stream_search(est, plan, lim, prune=prune, metrics=None)
+        got = _stream_search(est, plan, lim, metrics=None)
+        pruned += got.method == "array-pruned"
         t_sub = t_all[feasible]
         rows_sub = matrix[feasible]
         t_min = float(np.min(t_sub))
@@ -433,3 +444,4 @@ def test_shrink_best_is_exact_or_abstains(seed, prune):
         assert got.t_cycle_ms == t_min
         answered += 1
     assert answered >= 1
+    assert bool(pruned) == prune

@@ -6,12 +6,15 @@ matrices scattered from the database's entries, node rates and speed
 prefixes in one pass), its crossing lookup tables (a subset-max
 doubling), the crossing refinement of
 :func:`~repro.partition.collapse.detect_equivalence_classes` (sets of
-pair ids) and the ``(patterns × levels)`` grid of
-:func:`~repro.partition.collapse.level_search`.  Each is checked here
-against the loop it replaced, kept below as an oracle, over generated
-pools: the lowered arrays and the tables must be bitwise-equal (float
-arrays through their int64 views, so NaN and signed zeros sit in the
-same cells), errors must carry the same text, the plans ``==``, and the
+pair ids), the ``(patterns × levels)`` grid of
+:func:`~repro.partition.collapse.level_search` and
+:meth:`~repro.partition.arrayengine.ArrayCycleEstimator.score_block` on
+blocks without a crossing table (the ``(n, K)``-matrix fallback kernel
+it absorbed).  Each is checked here against the code it replaced, kept
+below as an oracle, over generated pools: the lowered arrays, the tables
+and the scored blocks must be bitwise-equal (float arrays through their
+int64 views, so NaN and signed zeros sit in the same cells), errors
+must carry the same text, the plans ``==``, and the
 level sweep's ``(counts, t_cycle_ms)`` ``==`` to one sweep per active
 class set whose winner the kernels score (its ``evaluations`` too where
 the pattern grid ran).  Digests of a decision grid's ``(counts,
@@ -30,10 +33,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.powermethod import power_computation
 from repro.apps.stencil import stencil_computation
 from repro.benchmarking.costfuncs import CommCostFunction, LinearByteCost
 from repro.benchmarking.database import CostDatabase
-from repro.errors import PartitionError
+from repro.errors import FittingError, PartitionError
 from repro.hardware.network import HeterogeneousNetwork
 from repro.hardware.presets import (
     ETHERNET_10MBPS,
@@ -43,6 +47,7 @@ from repro.hardware.presets import (
 )
 from repro.model.computation import DataParallelComputation
 from repro.model.phases import CommunicationPhase, ComputationPhase
+from repro.model.workloads import random_cost_database, random_network
 from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
 from repro.partition import collapse
 from repro.partition.available import ClusterResources, gather_available_resources
@@ -54,6 +59,7 @@ from repro.partition.collapse import (
 )
 from repro.partition.heuristic import order_by_power
 from repro.partition.wideareabench import _loaded_pool
+from repro.units import US_PER_MS
 
 from tests.partition.test_collapse import (
     _COEFFS,
@@ -61,6 +67,7 @@ from tests.partition.test_collapse import (
     _crossed_router_case,
     _wide_area_case,
 )
+from tests.partition.test_fastpath_equivalence import _allgather_computation
 
 #: Router intercepts drawn from a short list, so equal crossings recur.
 _INTERCEPTS = (0.5, 0.9, 2.5)
@@ -224,7 +231,7 @@ def level_oracle(est: ArrayCycleEstimator, plan: CollapsePlan, lim: np.ndarray):
     least one processor, its multi-station patterns swept as one
     ``(variants × levels)`` grid per active class set over that set's own
     levels, and its winner scored by
-    :meth:`ArrayCycleEstimator.score_block` (the kernel fallback above 16
+    :meth:`ArrayCycleEstimator.score_block` (Eq 1 unfolded above 16
     clusters).  Its ``evaluations`` count every live cell of those grids,
     the count the pattern grid reports."""
     classes = plan.classes
@@ -320,6 +327,103 @@ def level_oracle(est: ArrayCycleEstimator, plan: CollapsePlan, lim: np.ndarray):
         return best, float(est.score_block(n)[0]), cells + 1
 
 
+def message_bytes_oracle(est: ArrayCycleEstimator, c: np.ndarray) -> np.ndarray:
+    """Per-row message size ``b``: the constant, or one share callback
+    per row."""
+    if est._b_const is not None:
+        return np.full(c.shape[0], est._b_const)
+    phase = est.comm_phase
+    b = np.zeros(c.shape[0])
+    for m in range(c.shape[0]):
+        rates = np.concatenate([est._cluster_rates[k][: c[m, k]] for k in range(c.shape[1])])
+        speeds = 1.0 / rates
+        shares = (speeds / speeds.sum() * est.num_pdus).tolist()
+        b[m] = phase.complexity_for_shares(est.computation.problem, shares)
+    return b
+
+
+def eq1_oracle(est: ArrayCycleEstimator, k: int, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Unfolded Eq 1 for cluster ``k`` (callers guarantee ``p >= 2``)."""
+    per_byte = est._c3[k] + est._c4[k] * p
+    if est._quirk[k]:
+        per_byte = np.abs(per_byte)
+    return est._c1[k] + est._c2[k] * p + b * per_byte
+
+
+def topology_cost_oracle(est, c, totals, b, mask) -> np.ndarray:
+    """Row-wise Eq 5 over an ``(n, K)`` count matrix: the per-cluster Eq 1
+    max, plus the pairwise crossing max chained from 0.0."""
+    m, k_n = c.shape
+    active = c > 0
+    n_active = active.sum(axis=1)
+    multi = n_active > 1
+
+    needed = active & mask[:, None]
+    missing = needed & ~est._have_comm[None, :]
+    if np.any(missing):
+        k_bad = int(np.argmax(missing.any(axis=0)))
+        raise FittingError(
+            f"no fitted cost function for cluster {est.ordered[k_bad].name!r}, "
+            f"topology {str(est.topology)!r}"
+        )
+
+    per_cluster = np.full((m, k_n), -np.inf)
+    if est.topology.bandwidth_limited:
+        for k in range(k_n):
+            rows = needed[:, k]
+            if rows.any():
+                per_cluster[rows, k] = eq1_oracle(est, k, b[rows], totals[rows])
+    else:
+        extra = np.where(multi & est.cost_db.router_extra_station, 1, 0)
+        for k in range(k_n):
+            rows = needed[:, k]
+            if not rows.any():
+                continue
+            p_eff = c[rows, k] + extra[rows]
+            p_eff = np.where(multi[rows], np.maximum(p_eff, 2), p_eff)
+            per_cluster[rows, k] = eq1_oracle(est, k, b[rows], p_eff)
+    cost = np.where(mask, per_cluster.max(axis=1, initial=-np.inf), 0.0)
+
+    if np.any(multi & mask):
+        crossing = np.zeros(m)
+        for i in range(k_n):
+            for j in range(i + 1, k_n):
+                rows = needed[:, i] & needed[:, j]
+                if not rows.any():
+                    continue
+                if np.isnan(est._cross_intercept[i, j]):
+                    raise FittingError(
+                        f"no fitted router cost for clusters "
+                        f"{est.ordered[i].name!r}/{est.ordered[j].name!r}"
+                    )
+                pair = est._cross_intercept[i, j] + est._cross_slope[i, j] * b[rows]
+                crossing[rows] = np.maximum(crossing[rows], pair)
+        cost = cost + np.where(multi & mask, crossing, 0.0)
+    return cost
+
+
+def score_block_oracle(est: ArrayCycleEstimator, c: np.ndarray):
+    """``(t_comp, t_comm, t_overlap, t_cycle, totals)`` of an ``(n, K)``
+    count matrix by the per-row fallback kernel that scored blocks without
+    a crossing table (share-dependent ``b``, or more than 16 clusters)
+    until :meth:`ArrayCycleEstimator.score_block` took them in place."""
+    n = c.shape[0]
+    totals = c.sum(axis=1)
+    sums = np.zeros(n)
+    for k, prefix in enumerate(est._speed_prefix):
+        sums += prefix[c[:, k]]
+    t_comp = est._comp_numer / sums / US_PER_MS
+    mask = totals > 1
+    if mask.any():
+        b = message_bytes_oracle(est, c)
+        rounds = est._rounds_lut[totals] if est._rounds_lut is not None else est._rounds_const
+        t_comm = np.where(mask, rounds * topology_cost_oracle(est, c, totals, b, mask), 0.0)
+    else:
+        t_comm = np.zeros(n)
+    t_overlap = np.minimum(t_comp, t_comm) if est.overlapped else np.zeros(n)
+    return t_comp, t_comm, t_overlap, (t_comp + t_comm) - t_overlap, totals
+
+
 # -- generated pools ----------------------------------------------------------------
 
 
@@ -328,13 +432,15 @@ def _wide_area_estimator(sites: int, seed: int) -> ArrayCycleEstimator:
 
 
 @st.composite
-def synthetic_estimators(draw, max_sites: int = 8):
+def synthetic_estimators(draw, max_sites: int = 8, min_sites: int = 2):
     """Pools stamped from 1-3 templates (duplicates on purpose), with quirk
     and unfitted clusters, explicit router and coercion entries drawn from a short value
     list, sometimes crossed between two template pairs, and, without a
     router default, missing (NaN) router pairs."""
     n_templates = draw(st.integers(1, 3))
-    sites = draw(st.lists(st.integers(0, n_templates - 1), min_size=2, max_size=max_sites))
+    sites = draw(
+        st.lists(st.integers(0, n_templates - 1), min_size=min_sites, max_size=max_sites)
+    )
     counts = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
     quirks = draw(st.lists(st.booleans(), min_size=3, max_size=3))
     fitted = draw(st.lists(st.sampled_from((True, True, True, False)), min_size=3, max_size=3))
@@ -412,6 +518,19 @@ def _estimator(net, db, n=600, overlap=False, load_adjusted=False) -> ArrayCycle
     return ArrayCycleEstimator(stencil_computation(n, overlap=overlap), ordered, db)
 
 
+def _broadcast_computation() -> DataParallelComputation:
+    """A bandwidth-limited (broadcast) workload with a constant ``b``."""
+    return DataParallelComputation(
+        name="broadcast",
+        problem=None,
+        num_pdus=600,
+        computation_phases=[ComputationPhase("comp", complexity=100.0, op_kind="fp")],
+        communication_phases=[
+            CommunicationPhase("comm", topology="broadcast", complexity=800.0, rounds=1)
+        ],
+    )
+
+
 #: The level-mode gates :func:`gated_estimator` fails on purpose.
 LEVEL_GATES = ("overlap", "broadcast", "quirk", "rows", "router")
 
@@ -427,15 +546,7 @@ def gated_estimator(gate: str, sites: int, seed: int) -> ArrayCycleEstimator:
     names = [cluster.name for cluster in net.clusters]
     comp = stencil_computation(600, overlap=gate == "overlap")
     if gate == "broadcast":
-        comp = DataParallelComputation(
-            name="broadcast",
-            problem=None,
-            num_pdus=600,
-            computation_phases=[ComputationPhase("comp", complexity=100.0, op_kind="fp")],
-            communication_phases=[
-                CommunicationPhase("comm", topology="broadcast", complexity=800.0, rounds=1)
-            ],
-        )
+        comp = _broadcast_computation()
     elif gate == "quirk":
         fit = db.comm[(names[seed % sites], "1-D")]
         db.add_comm(replace(fit, abs_bandwidth_quirk=True))
@@ -923,6 +1034,109 @@ def test_a_tie_across_levels_takes_the_grid():
     got, grid_ran = _sweep(est, plan, est.limits)
     assert grid_ran
     assert got == level_oracle(est, plan, est.limits)
+
+
+# -- blocks without a crossing table ------------------------------------------------
+
+def _rows(est: ArrayCycleEstimator, seed: int, size: int = 120) -> np.ndarray:
+    """Seeded rows mixing sparse and dense activation, so single-processor,
+    single-cluster, crossing and full-pool rows all occur (never the
+    empty row, which no search scores)."""
+    rng = np.random.default_rng(seed)
+    density = rng.choice([0.05, 0.3, 1.0], size=(size, 1))
+    active = rng.random((size, len(est.ordered))) < density
+    rows = rng.integers(0, est.limits + 1, size=(size, len(est.ordered))) * active
+    return rows[rows.sum(axis=1) >= 1].astype(np.int64)
+
+
+def assert_kernel_equals_the_fallback(est: ArrayCycleEstimator, rows: np.ndarray) -> None:
+    """``score_block`` on a block without a crossing table writes the
+    fallback kernel's ``t_comp``, ``t_comm``, ``t_overlap``, ``t_cycle`` and
+    ``totals`` bit for bit, or raises its error with its text."""
+    assert est._cross_lut is None
+    ws = est.workspace
+    with np.errstate(invalid="ignore", divide="ignore"):
+        try:
+            want = score_block_oracle(est, rows)
+        except FittingError as exc:
+            with pytest.raises(FittingError) as raised:
+                est.score_block(est.load_rows(rows))
+            assert str(raised.value) == str(exc)
+            return
+        n = est.load_rows(rows)
+        est.score_block(n)
+    names = ("t_comp", "t_comm", "t_overlap", "t_cycle", "totals")
+    for name, theirs in zip(names, want):
+        mine = getattr(ws, name)[:n]
+        assert mine.dtype == theirs.dtype, name
+        assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), name
+
+
+#: Workloads :func:`_wide_workload_estimator` runs on wide-area pools.
+WIDE_WORKLOADS = ("power", "allgather", "broadcast")
+
+
+def _wide_workload_estimator(sites: int, seed: int, workload: str) -> ArrayCycleEstimator:
+    """A wide-area pool with every site's 1-D fit copied to the ring and
+    broadcast topologies, running the power method or a ring all-gather
+    (``b`` depends on the shares, rounds on the total), or a
+    bandwidth-limited broadcast."""
+    net = wide_area_network(sites, seed=seed)
+    db = wide_area_cost_database(net)
+    for cluster in net.clusters:
+        for topology in ("ring", "broadcast"):
+            db.add_comm(replace(db.comm[(cluster.name, "1-D")], topology=topology))
+    comp = {
+        "power": lambda: power_computation(600),
+        "allgather": lambda: _allgather_computation(600),
+        "broadcast": _broadcast_computation,
+    }[workload]()
+    ordered = order_by_power(gather_available_resources(net), "fp")
+    return ArrayCycleEstimator(comp, ordered, db)
+
+
+@_SYNTHETIC
+@given(est=synthetic_estimators(min_sites=17, max_sites=24), seed=st.integers(0, 10_000))
+def test_no_table_blocks_equal_the_fallback_kernel_on_synthetic_pools(est, seed):
+    """Past the table, with quirk and unfitted clusters, coercion entries
+    and NaN router pairs: the unfolded Eq 1 with ``abs`` for quirk fits,
+    the missing-fit and missing-router errors, the pair max from 0.0."""
+    assert_kernel_equals_the_fallback(est, _rows(est, seed))
+
+
+@pytest.mark.parametrize("gate", LEVEL_GATES)
+@_PROPERTY
+@given(sites=st.integers(17, 40), seed=st.integers(0, 10_000))
+def test_no_table_blocks_equal_the_fallback_kernel_on_gated_pools(gate, sites, seed):
+    """STEN-2's overlap, the bandwidth-limited broadcast, a quirk fit,
+    explicit router pairs and a missing one, on 17-40 sites."""
+    est = gated_estimator(gate, sites, seed)
+    assert_kernel_equals_the_fallback(est, _rows(est, seed))
+
+
+@pytest.mark.parametrize("workload", WIDE_WORKLOADS)
+@_PROPERTY
+@given(sites=st.integers(17, 40), seed=st.integers(0, 10_000))
+def test_wide_workloads_equal_the_fallback_kernel(workload, sites, seed):
+    """Share-dependent ``b`` with callable rounds, and a fitted broadcast
+    (the broadcast gate's pool has no broadcast fit, so it only raises)."""
+    est = _wide_workload_estimator(sites, seed, workload)
+    assert (est._b_const is None) == (workload != "broadcast")
+    assert_kernel_equals_the_fallback(est, _rows(est, seed))
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 10_000), power=st.booleans())
+def test_share_dependent_b_equals_the_fallback_kernel_on_small_networks(seed, power):
+    """1-4 random clusters, every fit with the quirk (the
+    ``CommCostFunction`` default): no table, whatever the pool size."""
+    rng = np.random.default_rng(seed)
+    net = random_network(rng)
+    db = random_cost_database(net, rng)
+    comp = power_computation(480) if power else _allgather_computation(480)
+    est = ArrayCycleEstimator(comp, order_by_power(gather_available_resources(net)), db)
+    assert est._b_const is None
+    assert_kernel_equals_the_fallback(est, _rows(est, seed))
 
 
 # -- a decision grid pinned across the rewrites -----------------------------------------

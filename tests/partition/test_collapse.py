@@ -200,9 +200,9 @@ def test_wide_area_parity_all_engines(seed):
     + [pytest.param(16, True, 0.05, id="16-True-loaded")],
 )
 def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit(sites, extra_station, share):
-    """Level mode re-scores its winner by one replay of the kernels'
+    """Level mode re-scores its winner by one replay of the kernel's
     arithmetic (:func:`_score_row`): the folded Eq 1 up to 16 clusters,
-    the per-row fallback's unfolded form above.  It agrees with
+    the unfolded form without the crossing table above.  It agrees with
     ``score_block`` to the bit on sparse, crossing and dense rows alike,
     with and without the router's extra station, on clean and loaded
     pools."""
@@ -213,7 +213,7 @@ def test_analytic_replay_matches_the_kernel_fallback_bit_for_bit(sites, extra_st
         comp, ordered, db = _wide_area_case(sites, seed=7)
     db.router_extra_station = extra_station
     est = ArrayCycleEstimator(comp, ordered, db)
-    assert est.vectorized_fast_path == (sites <= 16)
+    assert (est._cross_lut is not None) == (sites <= 16)
     rng = np.random.default_rng(sites)
     for _ in range(60):
         active = rng.random(len(ordered)) < rng.choice([0.05, 0.3, 1.0])

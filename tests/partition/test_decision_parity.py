@@ -24,13 +24,16 @@ from repro.hardware.processor import ProcessorSpec
 from repro.model.workloads import random_cost_database
 from repro.partition import exhaustive_partition, gather_available_resources, partition
 from repro.partition.config import ProcessorConfiguration
-from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine
+from repro.partition.arrayengine import ArrayCycleEstimator, ArraySearchEngine, _stream_search
+from repro.partition.collapse import CollapsePlan
 from repro.partition.estimator import CycleEstimator
 from repro.partition.heuristic import (
     _best_of,
     _scalar_exhaustive_partition,
     order_by_power,
 )
+from repro.server.protocol import restrict_pool
+from repro.server.service import resolve_pool
 from tests.partition.test_fastpath_equivalence import full_count_matrix, score_rows
 
 
@@ -68,17 +71,42 @@ def test_array_and_scalar_exhaustive_identical_on_exact_tie():
     scalar = _scalar_exhaustive_partition(comp, res, db)
     array = exhaustive_partition(comp, res, db)
     ordered = order_by_power(res)
-    unpruned = ArraySearchEngine(comp, ordered, db).search(prune=False)
+    unpruned = ArraySearchEngine(comp, ordered, db).search()
+    assert unpruned.method == "array-scan"
     assert scalar.counts_by_name() == array.counts_by_name()
     assert scalar.config.counts == array.config.counts == unpruned.counts
-    # The size cutoff never prunes a space this small; force the prune too.
-    forced = ArraySearchEngine(comp, ordered, db).search(prune=True)
+    # The size cutoff never prunes a space this small at the default block
+    # size; a two-row workspace puts it past the cutoff.
+    est = ArrayCycleEstimator(comp, ordered, db, max_rows=2)
+    forced = _stream_search(est, CollapsePlan.singletons(est.limits), est.limits, metrics=None)
+    assert forced.method == "array-pruned"
     assert forced.counts == scalar.config.counts
     # And the common choice is the lexicographically-smallest tied tuple.
     matrix = full_count_matrix(ordered)
     t = score_rows(ArrayCycleEstimator(comp, ordered, db), matrix)[3]
     lex_smallest = min(map(tuple, matrix[t == t.min()].tolist()))
     assert scalar.config.counts == lex_smallest
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the kernels' Eq 4 and overlap arithmetic break the scalar "
+    "reference's plateau ties differently on the overlapped stencil",
+)
+def test_exact_engine_matches_the_scalar_oracle_on_a_sten2_shrink():
+    """Serve-mix's STEN-2 workload (the overlapped stencil) on a shrink of
+    ``synthetic:32,32,32``: the exact engine returns (2, 12, 1) at
+    68.32600000000002 ms, while the scalar product loop finds (2, 12, 0)
+    one ulp lower, 68.32600000000001 ms, in its own arithmetic.  The
+    first counterexample to the differential parity property; strict, so
+    it fails once the engine agrees."""
+    net, db = resolve_pool("synthetic:32,32,32")
+    pool = restrict_pool(gather_available_resources(net), {"c0": 2, "c1": 12, "c2": 1})
+    comp = stencil_computation(600, overlap=True)
+    engine = exhaustive_partition(comp, pool, db)
+    scalar = _scalar_exhaustive_partition(comp, pool, db)
+    assert engine.counts_by_name() == scalar.counts_by_name()
+    assert engine.t_cycle_ms == scalar.t_cycle_ms
 
 
 def test_block_best_tie_breaks_lex_regardless_of_row_order():

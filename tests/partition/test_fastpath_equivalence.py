@@ -138,8 +138,8 @@ def test_randomized_networks_componentwise(seed):
 @pytest.mark.parametrize("sites", [17, 24, 40])
 def test_wide_area_pools_past_the_lut_componentwise(sites, overlap):
     """Above 16 clusters no crossing lookup table is built and
-    ``score_block`` takes the pairwise fallback — the path the 24-64-site
-    wide-area decisions are scored on.  Seeded rows mix sparse and dense
+    ``score_block`` takes the max over active pairs — the path the
+    24-64-site wide-area streams are scored on.  Seeded rows mix sparse and dense
     activation so single-cluster, crossing and full-pool rows all occur."""
     net = wide_area_network(sites, seed=7)
     db = wide_area_cost_database(net)
@@ -152,7 +152,7 @@ def test_wide_area_pools_past_the_lut_componentwise(sites, overlap):
     rows = rng.integers(1, limits + 1, size=(300, len(ordered))) * active
     rows = rows[rows.sum(axis=1) >= 1]
     est, _ = assert_componentwise_match(comp, ordered, db, rows)
-    assert not est.vectorized_fast_path
+    assert est._cross_lut is None
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -258,18 +258,8 @@ def test_per_config_complexity_and_rounds_match():
     db = random_cost_database(net, rng)
     ordered = order_by_power(gather_available_resources(net))
     comp = _allgather_computation(480)
-    assert_componentwise_match(comp, ordered, db, full_count_matrix(ordered))
-
-
-def test_per_config_complexity_and_rounds_match():
-    """The b(A_i) and rounds(P) callback paths agree with the scalar model."""
-    rng = np.random.default_rng(123)
-    net = random_network(rng)
-    db = random_cost_database(net, rng)
-    ordered = order_by_power(gather_available_resources(net))
-    comp = _allgather_computation(480)
     est, _ = assert_componentwise_match(comp, ordered, db, full_count_matrix(ordered))
-    assert not est.vectorized_fast_path
+    assert est._cross_lut is None
 
 
 def _two_cluster_env():

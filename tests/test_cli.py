@@ -132,10 +132,13 @@ def test_bench_widearea_json(tmp_path, capsys):
 
 
 def test_bench_partition_no_prune(capsys):
-    assert main(
-        ["bench-partition", "--clusters", "3", "3", "--repeat", "1", "--no-prune"]
-    ) == 0
-    # Both engines visit the full 4*4-1 combo space.
+    # The prune is a size decision, not a flag.
+    with pytest.raises(SystemExit) as exited:
+        main(["bench-partition", "--clusters", "3", "3", "--repeat", "1", "--no-prune"])
+    assert exited.value.code == 2
+    assert "--no-prune" in capsys.readouterr().err
+    assert main(["bench-partition", "--clusters", "3", "3", "--repeat", "1"]) == 0
+    # Both engines visit the full 4*4-1 combo space: it is under the cutoff.
     assert "15" in capsys.readouterr().out
 
 
