@@ -69,8 +69,8 @@ def detect_imbalance(
     """
     # Parameters are validated before the measurement scan: a caller who
     # passed a bad threshold should hear about the threshold, not about
-    # whatever their measurements happen to contain.
-    if threshold <= 1.0:
+    # whatever their measurements happen to contain.  NaN fails it too.
+    if not threshold > 1.0:
         raise PartitionError(f"threshold must exceed 1.0, got {threshold}")
     if not per_pdu_times_ms:
         raise PartitionError("no measurements")
@@ -121,7 +121,7 @@ def classify_epoch(
     Positive-but-divergent live times classify as slowdown, exactly as
     :func:`detect_imbalance` would over the live subset.
     """
-    if threshold <= 1.0:
+    if not threshold > 1.0:  # NaN fails it too
         raise PartitionError(f"threshold must exceed 1.0, got {threshold}")
     if not per_pdu_times_ms:
         raise PartitionError("no measurements")
@@ -335,16 +335,17 @@ class HysteresisController:
         clear_threshold: float = 1.1,
         trip_after: int = 3,
     ) -> None:
-        if clear_threshold < 1.0:
+        # Each check is written so that NaN fails it.
+        if not clear_threshold >= 1.0:
             raise PartitionError(
                 f"clear_threshold must be >= 1.0, got {clear_threshold}"
             )
-        if trip_threshold <= clear_threshold:
+        if not trip_threshold > clear_threshold:
             raise PartitionError(
                 f"trip_threshold ({trip_threshold}) must exceed "
                 f"clear_threshold ({clear_threshold})"
             )
-        if trip_after < 1:
+        if not trip_after >= 1:
             raise PartitionError(f"trip_after must be >= 1, got {trip_after}")
         self.trip_threshold = float(trip_threshold)
         self.clear_threshold = float(clear_threshold)

@@ -191,8 +191,6 @@ class DecisionEngine:
         hit = self.cached_exact(ordered, tenant=tenant)
         if hit is not None:
             return hit
-        if self.cache is not None:
-            self.cache.searches += 1
         self._m_exact_searches.inc()
         decision = exhaustive_partition(
             self.computation,

@@ -213,7 +213,6 @@ def partition(
             # necessarily identical; report zero fresh search work.
             m_decision_hits.inc()
             return replace(hit, evaluations=0, trace=())
-        cache.searches += 1
     m_searches.inc()
     memo = cache.estimator_memo(ordered) if cache is not None else None
     estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms, memo=memo)

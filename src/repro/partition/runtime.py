@@ -17,10 +17,10 @@ cycles:
   the §5 heuristic on the surviving clusters;
 * slowdown triggers the measured Eq 3 rebalance
   (:func:`~repro.partition.dynamic.rebalance_counts`);
-* every decomposition change replays a
-  :func:`~repro.partition.dynamic.transfer_plan` and is recorded in a
-  structured audit trail (epoch, trigger, old/new configuration, moved
-  PDUs, retry counts) that serializes to plain dicts.
+* every decomposition change goes through one commit step, which bills a
+  :func:`~repro.partition.dynamic.transfer_plan` to the clock and records
+  it in a structured audit trail (epoch, trigger, old/new configuration,
+  moved PDUs, retry counts) that serializes to plain dicts.
 
 **Failure model** (see ``docs/resilience.md``): fail-stop nodes with
 recoverable partitions — a lost node's PDU block is re-fetched from its
@@ -33,9 +33,10 @@ reproducible in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -99,26 +100,19 @@ class ManualClock:
 
 @dataclass(frozen=True)
 class RuntimePolicy:
-    """Tunables of the supervisor loop."""
+    """Tunables of the supervisor loop.
 
-    #: Live per-PDU time ratio beyond which a slowdown rebalance fires.
+    The resilient gathering sweep runs at its own defaults (50 ms
+    per-query timeout, 2 retries, 25 ms backoff doubled per retry,
+    degrading to the surviving clusters; see ``docs/resilience.md``), and
+    every supervised epoch executes one computation cycle.
+    """
+
+    #: Live per-PDU time ratio beyond which a slowdown rebalance fires
+    #: (must exceed 1.0).
     imbalance_threshold: float = 1.25
-    #: Computation cycles executed per supervised epoch.
-    cycles_per_epoch: int = 1
-    #: Per-manager-query timeout for the gathering sweep.
-    manager_timeout_ms: float = 50.0
-    #: Extra attempts per manager after the first.
-    manager_retries: int = 2
-    #: First retry backoff; multiplied by ``backoff_multiplier`` per retry.
-    backoff_ms: float = 25.0
-    backoff_multiplier: float = 2.0
-    #: Modelled cost of shipping one PDU to its new owner.
+    #: Modelled cost of shipping one PDU to its new owner (finite, >= 0).
     transfer_ms_per_pdu: float = 0.05
-    #: Rebalance on slowdown (False: only node loss repartitions).
-    rebalance_on_slowdown: bool = True
-    #: Degrade to the surviving clusters when a manager never answers
-    #: (False: a lost manager aborts the run).
-    allow_partial_gather: bool = True
     #: Incremental decision layer (adaptive self-clustering): debounce
     #: slowdown triggers through a
     #: :class:`~repro.partition.dynamic.HysteresisController`, answer trips
@@ -142,9 +136,10 @@ class RuntimePolicy:
     #: against).  Mutually exclusive with ``adaptive``.
     slowdown_research: bool = False
     #: Modelled decision-compute cost charged to the sim clock per fresh
-    #: ``T_c`` evaluation of a search (0 = decisions are free, the
-    #: pre-adaptive behaviour).  Cache hits and memoized decisions cost
-    #: nothing, so warm starts show up as genuinely cheaper decisions.
+    #: ``T_c`` evaluation of a search (finite, >= 0; 0 = decisions are
+    #: free, the pre-adaptive behaviour).  Cache hits and memoized
+    #: decisions cost nothing, so warm starts show up as genuinely cheaper
+    #: decisions.
     decide_cost_per_eval_ms: float = 0.0
 
 
@@ -268,7 +263,8 @@ class AuditTrail:
 
 
 class SimulatedEpochExecutor:
-    """Runs one epoch of the abstract workload on the current decomposition.
+    """Runs one epoch — one computation cycle — of the abstract workload on
+    the current decomposition.
 
     Per rank, the per-PDU compute time follows the node's *effective*
     instruction rate (load-adjusted, so external load genuinely slows the
@@ -279,16 +275,10 @@ class SimulatedEpochExecutor:
     charged to the supervisor's clock by the caller.
     """
 
-    def __init__(self, computation, *, cycles_per_epoch: int = 1) -> None:
-        if cycles_per_epoch < 1:
-            raise PartitionError(
-                f"cycles_per_epoch must be >= 1, got {cycles_per_epoch}"
-            )
+    def __init__(self, computation) -> None:
         comp_phase = computation.dominant_computation_phase()
         self.op_kind = comp_phase.op_kind
-        self.ops_per_pdu = (
-            comp_phase.complexity_value(computation.problem) * cycles_per_epoch
-        )
+        self.ops_per_pdu = comp_phase.complexity_value(computation.problem)
 
     def run_epoch(
         self, epoch: int, procs: Sequence[Processor], counts: Sequence[int]
@@ -365,6 +355,15 @@ def _block_value(prefix: np.ndarray, epoch: int, start: int, count: int) -> int:
     return int(prefix[start + count] - prefix[start]) * (epoch + 1)
 
 
+class _Layout(NamedTuple):
+    """The decomposition in force: each rank's processor, its PDU count,
+    and processors per cluster."""
+
+    procs: list[Processor]
+    counts: list[int]
+    config: dict[str, int]
+
+
 class PartitionRuntime:
     """Supervises gather → partition → execute cycles with fault tolerance.
 
@@ -427,33 +426,40 @@ class PartitionRuntime:
         self.failures = failures or FailureSchedule()
         self.loads = loads or LoadSchedule()
         self.mmps = mmps
-        if self.policy.adaptive and self.policy.slowdown_research:
+        policy = self.policy
+        if policy.adaptive and policy.slowdown_research:
             raise PartitionError(
                 "adaptive and slowdown_research are mutually exclusive policies"
             )
-        if self.policy.migrate_k < 1:
-            raise PartitionError(
-                f"migrate_k must be >= 1, got {self.policy.migrate_k}"
-            )
-        if self.policy.divergence_bound <= 1.0:
-            raise PartitionError(
-                "divergence_bound must exceed 1.0, "
-                f"got {self.policy.divergence_bound}"
-            )
-        if self.policy.decide_cost_per_eval_ms < 0:
-            raise PartitionError(
-                "decide_cost_per_eval_ms must be >= 0, "
-                f"got {self.policy.decide_cost_per_eval_ms}"
-            )
+        # Each check is written so that NaN fails it.
+        for name, ok, rule in (
+            ("imbalance_threshold", policy.imbalance_threshold > 1.0, "exceed 1.0"),
+            ("divergence_bound", policy.divergence_bound > 1.0, "exceed 1.0"),
+            ("migrate_k", policy.migrate_k >= 1, "be >= 1"),
+            (
+                "transfer_ms_per_pdu",
+                0 <= policy.transfer_ms_per_pdu < math.inf,
+                "be finite and >= 0",
+            ),
+            (
+                "decide_cost_per_eval_ms",
+                0 <= policy.decide_cost_per_eval_ms < math.inf,
+                "be finite and >= 0",
+            ),
+        ):
+            if not ok:
+                raise PartitionError(
+                    f"{name} must {rule}, got {getattr(policy, name)}"
+                )
         #: The debounce/hysteresis state machine (adaptive mode only; its
         #: constructor validates the threshold ordering).
         self.hysteresis: Optional[HysteresisController] = (
             HysteresisController(
-                trip_threshold=self.policy.imbalance_threshold,
-                clear_threshold=self.policy.clear_threshold,
-                trip_after=self.policy.hysteresis_k,
+                trip_threshold=policy.imbalance_threshold,
+                clear_threshold=policy.clear_threshold,
+                trip_after=policy.hysteresis_k,
             )
-            if self.policy.adaptive
+            if policy.adaptive
             else None
         )
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -514,9 +520,7 @@ class PartitionRuntime:
         self._decide_searches = 0
         self._decide_evaluations = 0
         self.num_pdus = computation.num_pdus_value()
-        self.executor = SimulatedEpochExecutor(
-            computation, cycles_per_epoch=self.policy.cycles_per_epoch
-        )
+        self.executor = SimulatedEpochExecutor(computation)
         self.audit = AuditTrail()
         #: The shared search facade (the same boundary the decision server
         #: drives), with the cross-epoch warm-start cache (scoped to this
@@ -532,22 +536,13 @@ class PartitionRuntime:
 
     # -- gather + partition ------------------------------------------------------
 
-    def _gather(self) -> tuple[list, GatherReport]:
-        return gather_available_resources_resilient(
-            self.network,
-            probe=self.probe,
-            timeout_ms=self.policy.manager_timeout_ms,
-            max_retries=self.policy.manager_retries,
-            backoff_ms=self.policy.backoff_ms,
-            backoff_multiplier=self.policy.backoff_multiplier,
-            clock=self.clock,
-            allow_partial=self.policy.allow_partial_gather,
-        )
-
-    def _decide(self) -> tuple[PartitionDecision, GatherReport]:
+    def _decide(self) -> tuple[_Layout, GatherReport]:
+        """Gather resiliently and run the warm-started §5 search."""
         t_start = self.clock.now
         with self.spans.start("runtime.decide") as span:
-            resources, report = self._gather()
+            resources, report = gather_available_resources_resilient(
+                self.network, probe=self.probe, clock=self.clock
+            )
             usable = [r for r in resources if r.n_available > 0]
             if not usable:
                 raise PartitionError(
@@ -577,17 +572,15 @@ class PartitionRuntime:
         self._decide_evaluations += decision.evaluations
         self._m_decide_ms.observe(self.clock.now - t_start)
         self._last_decision = decision
-        return decision, report
+        layout = _Layout(
+            decision.config.processors(), list(decision.vector), decision.counts_by_name()
+        )
+        return layout, report
 
-    # -- decomposition bookkeeping -----------------------------------------------
+    # -- decomposition changes ---------------------------------------------------
 
     @staticmethod
-    def _union_transfer(
-        old_procs: Sequence[Processor],
-        old_counts: Sequence[int],
-        new_procs: Sequence[Processor],
-        new_counts: Sequence[int],
-    ) -> dict[tuple[int, int], int]:
+    def _union_transfer(old: _Layout, new: _Layout) -> dict[tuple[int, int], int]:
         """Transfer plan across a (possibly) changed processor set.
 
         Ranks are aligned on the union of old and new processors (old
@@ -596,42 +589,43 @@ class PartitionRuntime:
         a dead processor's rank model recovery reads of its checkpointed
         block by the new owners.
         """
-        universe = [p.proc_id for p in old_procs]
-        seen = set(universe)
-        for proc in new_procs:
-            if proc.proc_id not in seen:
-                universe.append(proc.proc_id)
-                seen.add(proc.proc_id)
-        old_by_id = {p.proc_id: c for p, c in zip(old_procs, old_counts)}
-        new_by_id = {p.proc_id: c for p, c in zip(new_procs, new_counts)}
+        universe = dict.fromkeys(p.proc_id for p in (*old.procs, *new.procs))
+        old_by_id = {p.proc_id: c for p, c in zip(old.procs, old.counts)}
+        new_by_id = {p.proc_id: c for p, c in zip(new.procs, new.counts)}
         old_vec = [old_by_id.get(pid, 0) for pid in universe]
         new_vec = [new_by_id.get(pid, 0) for pid in universe]
         return transfer_plan(old_vec, new_vec)
 
-    def _record(
+    def _commit(
         self,
-        *,
         epoch: int,
         trigger: str,
-        old_config: Optional[dict[str, int]],
-        new_config: dict[str, int],
-        old_vector: Optional[Sequence[int]],
-        new_vector: Sequence[int],
-        moved: int,
-        replayed: int,
-        report: Optional[GatherReport],
+        old: Optional[_Layout],
+        new: _Layout,
+        plan: dict[tuple[int, int], int],
+        *,
+        replayed: int = 0,
+        report: Optional[GatherReport] = None,
         dead_ranks: Sequence[int] = (),
-    ) -> None:
+    ) -> _Layout:
+        """Adopt ``new``: ship ``plan``'s PDUs on the clock, then record
+        the change in the audit trail at the clock's new reading.
+
+        Every decomposition the run adopts goes through here, bootstrap
+        (no ``old``, an empty plan) included.
+        """
+        moved = moved_pdus(plan)
+        self.clock.advance(moved * self.policy.transfer_ms_per_pdu)
         # One serialization path: the JSON-ready record is built once, as
         # the attrs of a span event; the trail's AuditEvent is a view on it.
         span = self.spans.event(
             "runtime.audit",
             epoch=epoch,
             trigger=trigger,
-            old_config=dict(old_config) if old_config else None,
-            new_config=dict(new_config),
-            old_vector=list(old_vector) if old_vector is not None else None,
-            new_vector=list(new_vector),
+            old_config=dict(old.config) if old is not None else None,
+            new_config=dict(new.config),
+            old_vector=list(old.counts) if old is not None else None,
+            new_vector=list(new.counts),
             moved_pdus=moved,
             replayed_pdus=replayed,
             retries=dict(report.retries) if report is not None else {},
@@ -640,42 +634,43 @@ class PartitionRuntime:
             t_ms=self.clock.now,
         )
         self.audit.append(AuditEvent(span))
+        self._m_moved.inc(moved)
+        return new
+
+    def _research(
+        self,
+        epoch: int,
+        trigger: str,
+        old: _Layout,
+        *,
+        replayed: int = 0,
+        dead_ranks: Sequence[int] = (),
+    ) -> _Layout:
+        """Gather, search, and commit the union transfer onto the new
+        processor set (re-admitting nodes whose load cleared, dropping
+        dead ones and ones above the availability threshold).
+
+        A full search installs a new world, so the hysteresis streak
+        starts over.
+        """
+        new, report = self._decide()
+        if self.hysteresis is not None:
+            self.hysteresis.reset()
+        return self._commit(
+            epoch,
+            trigger,
+            old,
+            new,
+            self._union_transfer(old, new),
+            replayed=replayed,
+            report=report,
+            dead_ranks=dead_ranks,
+        )
 
     def _bump(self, name: str) -> None:
         """Advance one decide.adaptive.* counter and its plain-int mirror."""
         self._adaptive_stats[name] += 1
         self._m_adaptive[name].inc()
-
-    def _research_slowdown(
-        self,
-        epoch: int,
-        old_procs: Sequence[Processor],
-        old_counts: Sequence[int],
-        old_config: dict[str, int],
-    ) -> tuple[list, list[int], dict[str, int]]:
-        """Answer a slowdown with a full gather + §5 search (re-admitting
-        nodes whose load cleared, dropping ones above the availability
-        threshold) and commit the union transfer."""
-        decision, report = self._decide()
-        procs = decision.config.processors()
-        counts = list(decision.vector)
-        config_by_name = decision.counts_by_name()
-        plan = self._union_transfer(old_procs, old_counts, procs, counts)
-        moved = moved_pdus(plan)
-        self.clock.advance(moved * self.policy.transfer_ms_per_pdu)
-        self._record(
-            epoch=epoch,
-            trigger="slowdown",
-            old_config=old_config,
-            new_config=config_by_name,
-            old_vector=old_counts,
-            new_vector=counts,
-            moved=moved,
-            replayed=0,
-            report=report,
-        )
-        self._m_moved.inc(moved)
-        return procs, counts, config_by_name
 
     # -- the supervisor loop -------------------------------------------------------
 
@@ -691,21 +686,8 @@ class PartitionRuntime:
             raise PartitionError(f"epochs must be >= 1, got {epochs}")
         policy = self.policy
         run_span = self.spans.start("runtime.run", epochs=epochs)
-        decision, report = self._decide()
-        procs = decision.config.processors()
-        counts = list(decision.vector)
-        self._record(
-            epoch=-1,
-            trigger="bootstrap",
-            old_config=None,
-            new_config=decision.counts_by_name(),
-            old_vector=None,
-            new_vector=counts,
-            moved=0,
-            replayed=0,
-            report=report,
-        )
-        config_by_name = decision.counts_by_name()
+        first, report = self._decide()
+        layout = self._commit(-1, "bootstrap", None, first, {}, report=report)
 
         answer = 0
         prefix = _answer_prefix(self.num_pdus)
@@ -726,7 +708,8 @@ class PartitionRuntime:
                 if proc.alive:
                     proc.set_load(change.load)
 
-            measurements = self.executor.run_epoch(epoch, procs, counts)
+            counts = layout.counts
+            measurements = self.executor.run_epoch(epoch, layout.procs, counts)
             epoch_ms = self.executor.epoch_duration_ms(measurements, counts)
             self.clock.advance(epoch_ms)
 
@@ -755,35 +738,15 @@ class PartitionRuntime:
                 if live and replay_pdus:
                     speed = sum(1.0 / t for t in live)
                     self.clock.advance(replay_pdus / speed)
-
-                old_procs, old_counts = procs, counts
-                old_config = config_by_name
-                decision, report = self._decide()
-                procs = decision.config.processors()
-                counts = list(decision.vector)
-                config_by_name = decision.counts_by_name()
-                plan = self._union_transfer(old_procs, old_counts, procs, counts)
-                moved = moved_pdus(plan)
-                self.clock.advance(moved * policy.transfer_ms_per_pdu)
-                self._record(
-                    epoch=epoch,
-                    trigger="node-loss",
-                    old_config=old_config,
-                    new_config=config_by_name,
-                    old_vector=old_counts,
-                    new_vector=counts,
-                    moved=moved,
+                layout = self._research(
+                    epoch,
+                    "node-loss",
+                    layout,
                     replayed=replay_pdus,
-                    report=report,
                     dead_ranks=dead_ranks,
                 )
                 self._m_triage["node_loss"].inc()
                 self._m_replayed.inc(replay_pdus)
-                self._m_moved.inc(moved)
-                # The decomposition is a new world: forget the hysteresis
-                # streak and the divergence reference.
-                if self.hysteresis is not None:
-                    self.hysteresis.reset()
                 reference_ms = None
                 epoch_span.annotate(outcome="node-loss", dead_ranks=dead_ranks).end()
                 continue
@@ -791,7 +754,7 @@ class PartitionRuntime:
             reference_ms = (
                 epoch_ms if reference_ms is None else min(reference_ms, epoch_ms)
             )
-            outcome = "healthy"
+            before = layout
             if policy.adaptive:
                 # Incremental decision layer: watch the completion-time
                 # skew (allocation error), debounce it, and answer trips
@@ -799,50 +762,33 @@ class PartitionRuntime:
                 # diverged from the modelled one.
                 assert self.hysteresis is not None  # policy.adaptive implies it
                 skew = completion_skew(measurements, counts)
-                verdict = self.hysteresis.observe(skew)
-                if verdict.act:
+                if self.hysteresis.observe(skew).act:
                     self._bump("trips")
                     if epoch_ms / reference_ms > policy.divergence_bound:
                         # Sustained drift the delta planner cannot explain:
                         # distrust the incremental model and pay for one
                         # full warm-started search.
-                        procs, counts, config_by_name = self._research_slowdown(
-                            epoch, procs, counts, config_by_name
-                        )
+                        layout = self._research(epoch, "slowdown", layout)
                         self._bump("full_fallbacks")
-                        self.hysteresis.reset()
                         reference_ms = None
-                        outcome = "slowdown"
                     else:
                         new_vec = list(
-                            migrate_k_counts(
-                                counts, measurements, policy.migrate_k
-                            )
+                            migrate_k_counts(counts, measurements, policy.migrate_k)
                         )
                         if new_vec != counts:
                             plan = transfer_plan(counts, new_vec)
-                            moved = moved_pdus(plan)
-                            bill = moved * policy.transfer_ms_per_pdu
+                            bill = moved_pdus(plan) * policy.transfer_ms_per_pdu
                             saving = (
-                                epoch_ms
-                                - projected_epoch_ms(measurements, new_vec)
+                                epoch_ms - projected_epoch_ms(measurements, new_vec)
                             ) * (epochs - epoch - 1)
                             if saving > bill:
-                                self.clock.advance(bill)
-                                self._record(
-                                    epoch=epoch,
-                                    trigger="slowdown",
-                                    old_config=config_by_name,
-                                    new_config=config_by_name,
-                                    old_vector=counts,
-                                    new_vector=new_vec,
-                                    moved=moved,
-                                    replayed=0,
-                                    report=None,
+                                layout = self._commit(
+                                    epoch,
+                                    "slowdown",
+                                    layout,
+                                    layout._replace(counts=new_vec),
+                                    plan,
                                 )
-                                counts = new_vec
-                                outcome = "slowdown"
-                                self._m_moved.inc(moved)
                                 self._bump("migrations")
                                 self._m_saved_ms.observe(saving - bill)
                             else:
@@ -855,36 +801,22 @@ class PartitionRuntime:
                 # Always-research baseline: any over-threshold skew pays
                 # for a full gather + search, immediately.
                 if completion_skew(measurements, counts) > policy.imbalance_threshold:
-                    procs, counts, config_by_name = self._research_slowdown(
-                        epoch, procs, counts, config_by_name
+                    layout = self._research(epoch, "slowdown", layout)
+            elif classify_epoch(
+                measurements, threshold=policy.imbalance_threshold
+            ).imbalanced:
+                new_vec = list(rebalance_counts(counts, measurements))
+                if new_vec != counts:
+                    layout = self._commit(
+                        epoch,
+                        "slowdown",
+                        layout,
+                        layout._replace(counts=new_vec),
+                        transfer_plan(counts, new_vec),
                     )
-                    reference_ms = None
-                    outcome = "slowdown"
-            elif policy.rebalance_on_slowdown:
-                health = classify_epoch(
-                    measurements, threshold=policy.imbalance_threshold
-                )
-                if health.imbalanced:
-                    new_vec = list(rebalance_counts(counts, measurements))
-                    if new_vec != counts:
-                        plan = transfer_plan(counts, new_vec)
-                        moved = moved_pdus(plan)
-                        self.clock.advance(moved * policy.transfer_ms_per_pdu)
-                        self._record(
-                            epoch=epoch,
-                            trigger="slowdown",
-                            old_config=config_by_name,
-                            new_config=config_by_name,
-                            old_vector=counts,
-                            new_vector=new_vec,
-                            moved=moved,
-                            replayed=0,
-                            report=None,
-                        )
-                        counts = new_vec
-                        outcome = "slowdown"
-                        self._m_moved.inc(moved)
-            self._m_triage["slowdown" if outcome == "slowdown" else "healthy"].inc()
+            # Every commit installs a new layout object.
+            outcome = "healthy" if layout is before else "slowdown"
+            self._m_triage[outcome].inc()
             epoch_span.annotate(outcome=outcome).end()
 
         run_span.annotate(answer=answer, replayed_pdus=replayed_total).end()
@@ -892,8 +824,8 @@ class PartitionRuntime:
             answer=answer,
             epochs=epochs,
             audit=self.audit,
-            final_proc_ids=tuple(p.proc_id for p in procs),
-            final_vector=tuple(counts),
+            final_proc_ids=tuple(p.proc_id for p in layout.procs),
+            final_vector=tuple(layout.counts),
             elapsed_ms=self.clock.now,
             replayed_pdus=replayed_total,
             decide_searches=self._decide_searches,

@@ -115,10 +115,6 @@ class SearchCache:
         self._bound = max_entries if max_entries is not None else float("inf")
         #: Every entry, keyed ``(kind, key)``, least recently used first.
         self._entries: OrderedDict[tuple, object] = OrderedDict()
-        #: Decisions served without any search at all.
-        self.decision_hits = 0
-        #: Searches that ran (cold or estimate-warm).
-        self.searches = 0
         #: Entries dropped by the LRU bound.
         self.evictions = 0
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -208,10 +204,7 @@ class SearchCache:
 
     def decision(self, signature: tuple) -> Optional["PartitionDecision"]:
         """A previously-stored decision for this exact pool, if any."""
-        hit = self._get("dec", signature)
-        if hit is not None:
-            self.decision_hits += 1
-        return hit
+        return self._get("dec", signature)
 
     def store_decision(self, signature: tuple, decision: "PartitionDecision") -> None:
         self._put("dec", signature, decision)
@@ -232,6 +225,5 @@ class SearchCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SearchCache {self.entries} entries, "
-            f"{self.decision_hits} decision hits, "
             f"{self.evictions} evictions, bound={self._bound}>"
         )

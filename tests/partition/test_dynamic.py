@@ -33,6 +33,8 @@ def test_detect_imbalance_validation():
         detect_imbalance([1.0, 0.0])
     with pytest.raises(PartitionError):
         detect_imbalance([1.0, 2.0], threshold=1.0)
+    with pytest.raises(PartitionError, match="threshold"):
+        detect_imbalance([1.0, 3.0], threshold=float("nan"))
 
 
 def test_rebalance_shifts_rows_from_slow_to_fast():
@@ -156,6 +158,8 @@ def test_classify_validation():
         classify_epoch([1.0, -2.0])
     with pytest.raises(PartitionError, match="threshold"):
         classify_epoch([1.0, 1.0], threshold=0.9)
+    with pytest.raises(PartitionError, match="threshold"):
+        classify_epoch([1.0, 3.0], threshold=float("nan"))
 
 
 def test_transfer_plan_simple_shift():
@@ -353,6 +357,13 @@ def test_hysteresis_validation():
         HysteresisController(clear_threshold=0.9)
     with pytest.raises(PartitionError, match="trip_after"):
         HysteresisController(trip_after=0)
+    nan = float("nan")
+    with pytest.raises(PartitionError, match="trip_threshold"):
+        HysteresisController(trip_threshold=nan)
+    with pytest.raises(PartitionError, match="clear_threshold"):
+        HysteresisController(clear_threshold=nan)
+    with pytest.raises(PartitionError, match="trip_after"):
+        HysteresisController(trip_after=nan)
     ctl = HysteresisController()
     with pytest.raises(PartitionError, match="skew ratio"):
         ctl.observe(0.5)

@@ -267,10 +267,15 @@ def test_run_validation():
     _, runtime = make_runtime()
     with pytest.raises(PartitionError):
         runtime.run(0)
-    with pytest.raises(PartitionError):
+    # An epoch is one computation cycle: neither the executor nor the
+    # policy takes a cycle count, and no policy switch turns slowdown
+    # handling off.
+    with pytest.raises(TypeError, match="cycles_per_epoch"):
         SimulatedEpochExecutor(
             stencil_computation(N, overlap=False, cycles=1), cycles_per_epoch=0
         )
+    with pytest.raises(TypeError, match="rebalance_on_slowdown"):
+        RuntimePolicy(rebalance_on_slowdown=False)
 
 
 # -- the audit trail schema ----------------------------------------------------

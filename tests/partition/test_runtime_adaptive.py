@@ -107,12 +107,25 @@ def test_adaptive_and_research_mutually_exclusive():
 
 
 def test_policy_knob_validation():
+    nan, inf = float("nan"), float("inf")
     with pytest.raises(PartitionError, match="migrate_k"):
         make_runtime(migrate_k=0)
-    with pytest.raises(PartitionError, match="divergence_bound"):
-        make_runtime(divergence_bound=1.0)
-    with pytest.raises(PartitionError, match="decide_cost_per_eval_ms"):
-        make_runtime(decide_cost_per_eval_ms=-0.1)
+    for bound in (1.0, nan):
+        with pytest.raises(PartitionError, match="divergence_bound"):
+            make_runtime(divergence_bound=bound)
+    for cost in (-0.1, nan, inf):
+        with pytest.raises(PartitionError, match="decide_cost_per_eval_ms"):
+            make_runtime(decide_cost_per_eval_ms=cost)
+    # Checked at construction under every policy, before a run can fail
+    # half-way (a negative price) or silently (NaN clocks, a threshold no
+    # skew reaches or every skew passes).
+    for cost in (-0.05, nan, inf):
+        with pytest.raises(PartitionError, match="transfer_ms_per_pdu"):
+            make_runtime(transfer_ms_per_pdu=cost)
+    for threshold in (0.9, 1.0, nan):
+        for mode in ({}, {"adaptive": True}, {"slowdown_research": True}):
+            with pytest.raises(PartitionError, match="imbalance_threshold"):
+                make_runtime(imbalance_threshold=threshold, **mode)
 
 
 # -- debounce -------------------------------------------------------------------

@@ -31,11 +31,16 @@ def _setting(n=512):
 def test_identical_pool_hits_the_decision_cache():
     network, comp, db = _setting()
     cache = SearchCache()
+    registry = MetricsRegistry()
     resources = gather_available_resources(network)
-    first = partition(comp, resources, db, cache=cache)
+    first = partition(comp, resources, db, cache=cache, metrics=registry)
     assert first.evaluations == len(first.trace) > 0
-    repeat = partition(comp, gather_available_resources(network), db, cache=cache)
-    assert cache.decision_hits == 1
+    repeat = partition(
+        comp, gather_available_resources(network), db, cache=cache, metrics=registry
+    )
+    counters = registry.counter_values("host")
+    assert counters["partition.cache.decision_hits"] == 1
+    assert counters["partition.searches"] == 1
     # Decision-cache hits search nothing: zero fresh evaluations, no trace.
     assert repeat.evaluations == 0 and repeat.trace == ()
     assert tuple(repeat.config.counts) == tuple(first.config.counts)

@@ -58,15 +58,19 @@ def test_decide_exact_serves_a_wide_area_pool():
 def test_exact_memo_is_per_tenant():
     network, comp, db = _setting()
     resources = gather_available_resources(network)
-    cache = SearchCache()
-    engine = DecisionEngine(comp, db, cache=cache)
+    registry = MetricsRegistry()
+    engine = DecisionEngine(comp, db, cache=SearchCache(), metrics=registry)
+
+    def searches():
+        return registry.counter_values("host")["decide.exact.searches"]
+
     first = engine.decide_exact(resources, tenant="team-a")
-    assert cache.searches == 1
+    assert searches() == 1
 
     # Same tenant, same pool: memo hit — zero evaluations, no trace,
     # identical decision.
     again = engine.decide_exact(resources, tenant="team-a")
-    assert cache.searches == 1
+    assert searches() == 1
     assert again.evaluations == 0 and again.trace == ()
     assert tuple(again.config.counts) == tuple(first.config.counts)
     assert again.t_cycle_ms == first.t_cycle_ms
@@ -75,7 +79,7 @@ def test_exact_memo_is_per_tenant():
     ordered = engine.order(resources)
     assert engine.cached_exact(ordered, tenant="team-b") is None
     other = engine.decide_exact(resources, tenant="team-b")
-    assert cache.searches == 2
+    assert searches() == 2
     assert tuple(other.config.counts) == tuple(first.config.counts)
     assert other.t_cycle_ms == first.t_cycle_ms
 
