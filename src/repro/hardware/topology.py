@@ -24,10 +24,11 @@ This module implements that inference pass:
   stays homogeneous in processor type — the §3 model invariant the
   partitioning math relies on;
 * :class:`LogicalTopology` — the result, with a **stable content
-  fingerprint**: a SHA-256 over the canonical grouping.  Downstream memo
-  keys (:class:`~repro.partition.warmstart.SearchCache`) incorporate the
-  fingerprint so a re-inferred grouping can never be served decisions that
-  were computed for a different one.
+  fingerprint**: a SHA-256 over the canonical grouping, which identifies
+  one grouping.  No cache is keyed on it: a
+  :class:`~repro.partition.warmstart.SearchCache` keys clusters by name
+  and serves one grouping, so a caller that re-infers a different one
+  starts a new cache.
 
 Everything here is deterministic: inference is pure arithmetic over the
 measurement, and :func:`measure_fabric` reads only static link parameters

@@ -229,8 +229,9 @@ def gather_available_resources_resilient(
                 clock.advance(timeout_ms)
                 last_reason = exc.reason
             else:
-                if answer.latency_ms > timeout_ms:
-                    # Hung manager: we stop waiting at the budget.
+                if not answer.latency_ms <= timeout_ms:
+                    # Hung manager (a NaN latency included): we stop
+                    # waiting at the budget.
                     clock.advance(timeout_ms)
                     last_reason = "timeout"
                 else:

@@ -27,15 +27,13 @@ def equal_decomposition(
     computation,
     resources: Sequence[ClusterResources],
     cost_db,
-    *,
-    startup_ms: float = 0.0,
 ) -> PartitionDecision:
     """All available processors, PDUs split equally (ignoring speeds).
 
     The imbalanced T_comp is costed at the slowest processor via
     :meth:`CycleEstimator.t_comp_with_vector`.
     """
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
+    estimator = CycleEstimator(computation, cost_db)
     ordered = order_by_power(resources, estimator.op_kind)
     if not ordered:
         raise PartitionError("no available processors")
@@ -51,16 +49,16 @@ def equal_decomposition(
         config=config,
         vector=vector,
         estimate=estimate,
-        t_elapsed_ms=computation.cycles * estimate.t_cycle_ms + startup_ms,
+        t_elapsed_ms=computation.cycles * estimate.t_cycle_ms,
         evaluations=estimator.evaluations,
         method="equal-decomposition",
     )
 
 
 def _fixed_config_decision(
-    computation, config: ProcessorConfiguration, cost_db, method: str, startup_ms: float
+    computation, config: ProcessorConfiguration, cost_db, method: str
 ) -> PartitionDecision:
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
+    estimator = CycleEstimator(computation, cost_db)
     estimate = estimator.estimate(config)
     return PartitionDecision(
         config=config,
@@ -76,23 +74,19 @@ def all_available(
     computation,
     resources: Sequence[ClusterResources],
     cost_db,
-    *,
-    startup_ms: float = 0.0,
 ) -> PartitionDecision:
     """Use every available processor, with balanced (Eq 3) decomposition."""
     ordered = order_by_power(resources, "fp")
     if not ordered:
         raise PartitionError("no available processors")
     config = ProcessorConfiguration(ordered, [r.n_available for r in ordered])
-    return _fixed_config_decision(computation, config, cost_db, "all-available", startup_ms)
+    return _fixed_config_decision(computation, config, cost_db, "all-available")
 
 
 def fastest_cluster_only(
     computation,
     resources: Sequence[ClusterResources],
     cost_db,
-    *,
-    startup_ms: float = 0.0,
 ) -> PartitionDecision:
     """All of the fastest cluster, nothing else, balanced decomposition."""
     ordered = order_by_power(resources, "fp")
@@ -100,6 +94,4 @@ def fastest_cluster_only(
         raise PartitionError("no available processors")
     counts = [ordered[0].n_available] + [0] * (len(ordered) - 1)
     config = ProcessorConfiguration(ordered, counts)
-    return _fixed_config_decision(
-        computation, config, cost_db, "fastest-cluster", startup_ms
-    )
+    return _fixed_config_decision(computation, config, cost_db, "fastest-cluster")

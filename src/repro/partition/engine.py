@@ -48,14 +48,17 @@ EXACT_SEARCH_MODE = "exhaustive-array"
 class DecisionEngine:
     """One computation + cost database + warm-start cache, decided repeatedly.
 
+    A decision depends only on the computation, the cost database and the
+    pool: both paths minimise ``T_c``, and no start-up cost is passed, so
+    every decision's ``t_elapsed_ms`` is ``I·T_c``.  Exact decisions are
+    memoized under ``(tenant, pool, EXACT_SEARCH_MODE)``.
+
     Parameters
     ----------
     computation:
         The annotated :class:`~repro.model.DataParallelComputation`.
     cost_db:
         Fitted :class:`~repro.benchmarking.CostDatabase`.
-    startup_ms:
-        Fixed per-engine start-up cost, forwarded to both search paths.
     cache:
         The :class:`~repro.partition.warmstart.SearchCache` shared across
         calls.  ``None`` disables all cross-call reuse (every decision is
@@ -70,13 +73,11 @@ class DecisionEngine:
         computation,
         cost_db,
         *,
-        startup_ms: float = 0.0,
         cache: Optional[SearchCache] = None,
         metrics=None,
     ) -> None:
         self.computation = computation
         self.cost_db = cost_db
-        self.startup_ms = startup_ms
         self.cache = cache
         self.metrics = metrics
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -114,7 +115,6 @@ class DecisionEngine:
             self.computation,
             resources,
             self.cost_db,
-            startup_ms=self.startup_ms,
             cache=self.cache,
             warm_start=warm_start,
             metrics=self.metrics,
@@ -132,10 +132,7 @@ class DecisionEngine:
         if self.cache is None:
             return None
         return self.cache.availability_signature(
-            ordered,
-            search=EXACT_SEARCH_MODE,
-            startup_ms=self.startup_ms,
-            tenant=tenant,
+            ordered, search=EXACT_SEARCH_MODE, tenant=tenant
         )
 
     def cached_exact(
@@ -196,7 +193,6 @@ class DecisionEngine:
             self.computation,
             ordered,
             self.cost_db,
-            startup_ms=self.startup_ms,
             cache=self.cache,
             metrics=self.metrics,
         )
@@ -205,4 +201,4 @@ class DecisionEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cached = "cached" if self.cache is not None else "uncached"
-        return f"<DecisionEngine startup_ms={self.startup_ms:g} {cached}>"
+        return f"<DecisionEngine {cached}>"

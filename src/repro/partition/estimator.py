@@ -71,7 +71,11 @@ class CycleEstimate:
 
 
 class CycleEstimator:
-    """Evaluates ``T_c`` for candidate configurations of one computation."""
+    """Evaluates ``T_c`` for candidate configurations of one computation.
+
+    ``startup_ms`` is the paper's ``T_startup`` in :meth:`t_elapsed`; no
+    decision path passes it, so a decision's ``t_elapsed_ms`` is ``I·T_c``.
+    """
 
     def __init__(
         self,

@@ -76,7 +76,6 @@ def general_partition(
     resources: Sequence[ClusterResources],
     cost_db,
     *,
-    startup_ms: float = 0.0,
     extra_starts: Sequence[Sequence[int]] = (),
 ) -> PartitionDecision:
     """Solve the general problem by multi-start local search.
@@ -86,7 +85,7 @@ def general_partition(
     full strength; and the prefix heuristic's own answer — plus any
     caller-provided ``extra_starts``.
     """
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
+    estimator = CycleEstimator(computation, cost_db)
     ordered = order_by_power(resources, estimator.op_kind)
     if not ordered:
         raise PartitionError("no available processors in any cluster")
@@ -114,7 +113,7 @@ def general_partition(
     # Seed with the paper heuristic's answer so we never do worse than it.
     from repro.partition.heuristic import partition as prefix_partition
 
-    prefix = prefix_partition(computation, resources, cost_db, startup_ms=startup_ms)
+    prefix = prefix_partition(computation, resources, cost_db)
     add(tuple(prefix.config.count_of(r.name) for r in ordered))
     for extra in extra_starts:
         add(extra)

@@ -123,7 +123,6 @@ def partition(
     resources: Sequence[ClusterResources],
     cost_db,
     *,
-    startup_ms: float = 0.0,
     cluster_order: Optional[Sequence[ClusterResources]] = None,
     search: str = "binary",
     cache=None,
@@ -204,9 +203,7 @@ def partition(
         raise PartitionError("no available processors in any cluster")
     signature = None
     if cache is not None:
-        signature = cache.availability_signature(
-            ordered, search=search, startup_ms=startup_ms
-        )
+        signature = cache.availability_signature(ordered, search=search)
         hit = cache.decision(signature)
         if hit is not None:
             # Same schedulable pool as a previous epoch: the decision is
@@ -215,7 +212,7 @@ def partition(
             return replace(hit, evaluations=0, trace=())
     m_searches.inc()
     memo = cache.estimator_memo(ordered) if cache is not None else None
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms, memo=memo)
+    estimator = CycleEstimator(computation, cost_db, memo=memo)
 
     line = ProbeLine(estimator, ordered)
     argmin = _argmin_unimodal if search == "binary" else _argmin_scan
@@ -307,7 +304,6 @@ def _decision_from_counts(
     counts: Sequence[int],
     method: str,
     *,
-    startup_ms: float = 0.0,
     evaluations: int = 0,
 ) -> PartitionDecision:
     """Package a winning counts vector as a full decision.
@@ -317,7 +313,7 @@ def _decision_from_counts(
     (the array kernel agrees with it to ~1e-13 ms; see
     ``tests/partition/test_fastpath_equivalence.py``).
     """
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
+    estimator = CycleEstimator(computation, cost_db)
     config = ProcessorConfiguration(ordered, tuple(counts))
     return _decision(estimator, config, method, evaluations=evaluations)
 
@@ -326,8 +322,6 @@ def prefix_scan_partition(
     computation,
     resources: Sequence[ClusterResources],
     cost_db,
-    *,
-    startup_ms: float = 0.0,
 ) -> PartitionDecision:
     """Linear scan of the cluster-prefix space the heuristic searches.
 
@@ -335,7 +329,7 @@ def prefix_scan_partition(
     p of cluster 2; and so on.  The oracle for the binary search, probed
     along the same :class:`~repro.partition.estimator.ProbeLine`.
     """
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
+    estimator = CycleEstimator(computation, cost_db)
     ordered = tuple(order_by_power(resources, estimator.op_kind))
     if not ordered:
         raise PartitionError("no available processors in any cluster")
@@ -360,7 +354,6 @@ def exhaustive_partition(
     resources: Sequence[ClusterResources],
     cost_db,
     *,
-    startup_ms: float = 0.0,
     cache=None,
     metrics=None,
 ) -> PartitionDecision:
@@ -388,7 +381,6 @@ def exhaustive_partition(
         cost_db,
         result.counts,
         "exhaustive",
-        startup_ms=startup_ms,
         evaluations=result.evaluations,
     )
 
@@ -397,14 +389,12 @@ def _scalar_exhaustive_partition(
     computation,
     resources: Sequence[ClusterResources],
     cost_db,
-    *,
-    startup_ms: float = 0.0,
 ) -> PartitionDecision:
     """The reference exhaustive oracle: every count combination, probed one
     by one through the scalar :class:`CycleEstimator` in
     :func:`itertools.product` order.  Only the parity tests and the
     partition throughput bench use it."""
-    estimator = CycleEstimator(computation, cost_db, startup_ms=startup_ms)
+    estimator = CycleEstimator(computation, cost_db)
     ordered = tuple(order_by_power(resources, estimator.op_kind))
     if not ordered:
         raise PartitionError("no available processors in any cluster")

@@ -88,8 +88,9 @@ class ManualClock:
         self.now = float(start_ms)
 
     def advance(self, ms: float) -> float:
-        """Move time forward by ``ms`` (must be non-negative)."""
-        if ms < 0:
+        """Move time forward by ``ms`` (must be non-negative; NaN is
+        rejected too)."""
+        if not ms >= 0:
             raise ValueError(f"cannot advance the clock by {ms} ms")
         self.now += ms
         return self.now

@@ -85,15 +85,12 @@ def _cluster_key(res: "ClusterResources") -> tuple:
 class SearchCache:
     """Cross-epoch warm-start memos for one computation's partition searches.
 
-    ``topology_fingerprint`` scopes every memo to one logical-cluster
-    grouping (see :meth:`LogicalTopology.fingerprint
-    <repro.hardware.topology.LogicalTopology.fingerprint>`): wide-area
-    deployments re-infer their grouping as measurements drift, and two
-    groupings can present identical cluster *names* with different member
-    sets — a name-keyed memo would happily serve the old grouping's
-    decision.  With the fingerprint folded into every key, re-inference
-    lands in fresh namespaces instead.  ``None`` (the default) keeps the
-    LAN behaviour, where cluster identity is administrative and stable.
+    Every key holds only what its value depends on: an estimate namespace
+    is the ordered per-cluster keys, and a decision signature is
+    ``(tenant, pool, search)``.  Start-up cost is not in either — it enters
+    only ``T_elapsed``, never the ``T_c`` a search minimises.  Cluster
+    identity is the cluster name, so one cache serves one grouping of the
+    network into clusters; a caller that re-groups it starts a new cache.
 
     ``max_entries`` bounds the entry count (estimate namespaces +
     decisions + array-engine slots) with LRU eviction; ``None`` keeps the
@@ -105,13 +102,11 @@ class SearchCache:
     def __init__(
         self,
         *,
-        topology_fingerprint: Optional[str] = None,
         max_entries: Optional[int] = None,
         metrics=None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.topology_fingerprint = topology_fingerprint
         self._bound = max_entries if max_entries is not None else float("inf")
         #: Every entry, keyed ``(kind, key)``, least recently used first.
         self._entries: OrderedDict[tuple, object] = OrderedDict()
@@ -158,16 +153,13 @@ class SearchCache:
     def estimate_namespace(self, ordered: Sequence["ClusterResources"]) -> tuple:
         """The estimate memo's namespace: everything ``T_c`` depends on
         besides the counts tuple."""
-        return (self.topology_fingerprint,) + tuple(
-            _cluster_key(res) for res in ordered
-        )
+        return tuple(_cluster_key(res) for res in ordered)
 
     def availability_signature(
         self,
         ordered: Sequence["ClusterResources"],
         *,
         search: str,
-        startup_ms: float,
         tenant: Optional[str] = None,
     ) -> tuple:
         """The decision memo's key: the exact schedulable pool + search mode.
@@ -186,7 +178,7 @@ class SearchCache:
             )
             for res in ordered
         )
-        return (self.topology_fingerprint, tenant, pool, search, startup_ms)
+        return (tenant, pool, search)
 
     # -- memo access -------------------------------------------------------------
 

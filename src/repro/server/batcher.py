@@ -3,10 +3,10 @@
 The server collects requests for one batch window, then hands the whole
 tick to :class:`Coalescer.run`.  Coalescing happens at two levels:
 
-* **identical requests** — same workload, same ``startup_ms``, same
-  restricted pool — are served by *one* engine evaluation fanned out to
-  every requester, whatever their tenant (the decision is a pure function
-  of those inputs; only the decision *memo* stays per-tenant, via
+* **identical requests** — same workload, same restricted pool — are
+  served by *one* engine evaluation fanned out to every requester,
+  whatever their tenant (the decision is a pure function of those two
+  inputs; only the decision *memo* stays per-tenant, via
   :meth:`DecisionEngine.remember_exact
   <repro.partition.engine.DecisionEngine.remember_exact>`);
 * **compatible requests** — same workload, different pools — run through
@@ -26,8 +26,8 @@ paid for.
 
 :class:`EnginePool` owns one :class:`~repro.partition.engine.DecisionEngine`
 (and its bounded :class:`~repro.partition.warmstart.SearchCache`) per
-``(workload, startup_ms)``, itself LRU-bounded so a tenant enumerating
-problem sizes cannot hold unbounded lowered engines alive.
+workload, itself LRU-bounded so a tenant enumerating problem sizes
+cannot hold unbounded lowered engines alive.
 
 This module is deliberately asyncio-free: the server calls :meth:`run`
 from its flush task, and the unit tests call it directly.
@@ -55,7 +55,7 @@ __all__ = ["BatchItem", "BatchStats", "Coalescer", "EnginePool"]
 
 
 class EnginePool:
-    """LRU-bounded ``(workload, startup_ms) -> DecisionEngine`` map.
+    """LRU-bounded ``workload -> DecisionEngine`` map.
 
     Every engine gets its own :class:`SearchCache` (caches are scoped to
     one computation + cost database) that is *shared across tenants*:
@@ -68,7 +68,6 @@ class EnginePool:
         self,
         cost_db,
         *,
-        topology_fingerprint: Optional[str] = None,
         cache_entries: Optional[int] = 4096,
         max_engines: int = 32,
         metrics=None,
@@ -76,7 +75,6 @@ class EnginePool:
         if max_engines < 1:
             raise ValueError(f"max_engines must be >= 1, got {max_engines}")
         self.cost_db = cost_db
-        self.topology_fingerprint = topology_fingerprint
         self.cache_entries = cache_entries
         self.max_engines = max_engines
         self.metrics = metrics
@@ -96,26 +94,16 @@ class EnginePool:
             "serve.engines.live", domain="host", help="live workload engines"
         )
 
-    def engine_for(
-        self, workload: WorkloadSpec, *, startup_ms: float = 0.0
-    ) -> DecisionEngine:
-        key = workload.key() + (startup_ms,)
+    def engine_for(self, workload: WorkloadSpec) -> DecisionEngine:
+        key = workload.key()
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
             return engine
         computation = workload.build()
-        cache = SearchCache(
-            topology_fingerprint=self.topology_fingerprint,
-            max_entries=self.cache_entries,
-            metrics=self.metrics,
-        )
+        cache = SearchCache(max_entries=self.cache_entries, metrics=self.metrics)
         engine = DecisionEngine(
-            computation,
-            self.cost_db,
-            startup_ms=startup_ms,
-            cache=cache,
-            metrics=self.metrics,
+            computation, self.cost_db, cache=cache, metrics=self.metrics
         )
         self._engines[key] = engine
         self._m_built.inc()
@@ -224,11 +212,7 @@ class Coalescer:
         self._m_batch_size.observe(len(items))
         groups: "OrderedDict[tuple, list[BatchItem]]" = OrderedDict()
         for item in items:
-            key = (
-                item.request.workload.key(),
-                item.request.startup_ms,
-                item.pool_key(),
-            )
+            key = (item.request.workload.key(), item.pool_key())
             groups.setdefault(key, []).append(item)
         outcomes: list[tuple[BatchItem, dict]] = []
         for members in groups.values():
@@ -253,9 +237,7 @@ class Coalescer:
         first = members[0]
         request = first.request
         try:
-            engine = self.pool.engine_for(
-                request.workload, startup_ms=request.startup_ms
-            )
+            engine = self.pool.engine_for(request.workload)
             ordered = engine.order(first.resources)
             if not ordered:
                 raise ServeError("availability selects no processors at all")

@@ -39,7 +39,6 @@ class LoadPattern:
     cycles: int = 10
     #: Per-cluster counts, or ``None`` for the full pool.
     availability: Optional[Dict[str, int]] = None
-    startup_ms: float = 0.0
 
     def request_obj(self, request_id: str, tenant: str) -> dict:
         obj: dict = {
@@ -54,8 +53,6 @@ class LoadPattern:
         }
         if self.availability is not None:
             obj["availability"] = dict(self.availability)
-        if self.startup_ms:
-            obj["startup_ms"] = self.startup_ms
         return obj
 
 

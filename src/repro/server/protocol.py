@@ -8,8 +8,12 @@ Request::
 
     {"id": "r1", "tenant": "team-a",
      "workload": {"app": "stencil", "n": 600, "overlap": false, "cycles": 10},
-     "availability": {"c0": 8, "c1": 4},        # optional; omitted = full pool
-     "startup_ms": 0.0}                          # optional
+     "availability": {"c0": 8, "c1": 4}}        # optional; omitted = full pool
+
+A v1 request may still carry ``startup_ms``, a non-negative number: it is
+validated, then dropped.  It never changed a reply — decisions minimise
+``T_c``, and ``T_startup`` enters only ``T_elapsed``, which no reply
+carries.
 
 Decision reply::
 
@@ -133,7 +137,6 @@ class ServeRequest:
     workload: WorkloadSpec
     #: Per-cluster schedulable node counts; ``None`` = the whole pool.
     availability: Optional[Dict[str, int]]
-    startup_ms: float = 0.0
 
 
 def _require(obj: dict, field: str, types, *, where: str):
@@ -200,7 +203,6 @@ def decode_request(line: str) -> ServeRequest:
         tenant=tenant,
         workload=WorkloadSpec(app=app, n=n, overlap=overlap, cycles=cycles),
         availability=dict(availability) if availability is not None else None,
-        startup_ms=float(startup_ms),
     )
 
 

@@ -129,12 +129,7 @@ def _direct_decision(pattern: LoadPattern, base_resources, cost_db):
     """The reference answer: one cold uncached array search."""
     comp = _pattern_spec(pattern).build()
     restricted = restrict_pool(base_resources, pattern.availability)
-    return exhaustive_partition(
-        comp,
-        restricted,
-        cost_db,
-        startup_ms=pattern.startup_ms,
-    )
+    return exhaustive_partition(comp, restricted, cost_db)
 
 
 def _mix_frequencies(

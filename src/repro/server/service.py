@@ -54,7 +54,8 @@ __all__ = ["PartitionServer", "ServerConfig", "resolve_pool"]
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Service knobs (``repro serve`` exposes each as a flag)."""
+    """Service knobs (``repro serve`` exposes each as a flag, except
+    ``max_engines``)."""
 
     #: How long a tick collects requests before the coalescer runs (ms).
     #: Larger windows coalesce more at the cost of added latency.
@@ -64,8 +65,6 @@ class ServerConfig:
     cache_entries: Optional[int] = 4096
     #: Lowered workload engines kept alive (LRU).
     max_engines: int = 32
-    #: Scope every cache to one logical-topology grouping.
-    topology_fingerprint: Optional[str] = None
     #: Serve this many requests, then drain and stop (``None`` = forever).
     max_requests: Optional[int] = None
 
@@ -142,7 +141,6 @@ class PartitionServer:
         self._clock = clock
         self.pool = EnginePool(
             cost_db,
-            topology_fingerprint=self.config.topology_fingerprint,
             cache_entries=self.config.cache_entries,
             max_engines=self.config.max_engines,
             metrics=metrics,

@@ -158,6 +158,9 @@ def test_unknown_engine_rejected():
     for oracle in (partition, prefix_scan_partition, exhaustive_partition):
         with pytest.raises(TypeError, match="engine"):
             oracle(comp, res, db, engine="array")
+        # T_c excludes start-up, so no search takes it.
+        with pytest.raises(TypeError, match="startup_ms"):
+            oracle(comp, res, db, startup_ms=0.0)
     with pytest.raises(TypeError, match="engine"):
         DecisionEngine(comp, db, engine="array")
     with pytest.raises(TypeError, match="prune"):

@@ -73,6 +73,10 @@ def test_heuristic_never_worse_than_baselines(env):
             for baseline in (equal_decomposition, all_available, fastest_cluster_only):
                 b = baseline(comp, res, db)
                 assert heur.t_cycle_ms <= b.t_cycle_ms + 1e-9, (n, overlap, b.method)
+    # Every decision minimises or prices T_c; none takes a start-up cost.
+    for baseline in (equal_decomposition, all_available, fastest_cluster_only):
+        with pytest.raises(TypeError, match="startup_ms"):
+            baseline(comp, res, db, startup_ms=0.0)
 
 
 def test_paper_bound_values():

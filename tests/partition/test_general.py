@@ -114,3 +114,5 @@ def test_extra_starts_validated():
     # Valid extra starts are clipped into range and accepted.
     d = general_partition(comp, res, db, extra_starts=[(99, 99)])
     assert d.config.total >= 1
+    with pytest.raises(TypeError, match="startup_ms"):
+        general_partition(comp, res, db, startup_ms=0.0)

@@ -64,6 +64,10 @@ def test_manual_clock_advances_only_when_told():
     assert clock.advance(0.0) == 12.5
     with pytest.raises(ValueError):
         clock.advance(-1.0)
+    # NaN would make every later reading NaN; it is refused like a negative.
+    with pytest.raises(ValueError):
+        clock.advance(float("nan"))
+    assert clock.now == 12.5
 
 
 # -- resilient gathering -------------------------------------------------------
@@ -119,6 +123,31 @@ def test_gather_treats_slow_reply_as_timeout():
     assert [r.name for r in resources] == ["sparc2"]
     # ipc cost exactly two full timeouts plus one backoff — never 500 ms.
     assert clock.now == pytest.approx(1.0 + 50 + 10 + 50)
+
+
+def test_gather_treats_nan_latency_as_timeout():
+    """A reply with a NaN latency is a hung manager, not an answer: it
+    costs the full timeout, so the clock stays finite."""
+
+    def nan_latency(cluster):
+        return ManagerReply(
+            available=default_manager_probe(cluster).available,
+            latency_ms=float("nan"),
+        )
+
+    clock = ManualClock()
+    resources, report = gather_available_resources_resilient(
+        paper_testbed(), probe=nan_latency, clock=clock
+    )
+    assert resources == []
+    assert report.lost == ("sparc2", "ipc")
+    assert report.attempts == {"sparc2": 3, "ipc": 3}
+    # Per cluster: three 50 ms timeouts plus the 25 and 50 ms backoffs.
+    assert clock.now == 2 * (3 * 50 + 25 + 50) == 450.0
+    # The supervisor stops with a typed error instead of a NaN clock.
+    _, runtime = make_runtime(probe=nan_latency)
+    with pytest.raises(PartitionError, match="no surviving clusters"):
+        runtime.run(4)
 
 
 def test_gather_allow_partial_false_raises():

@@ -172,30 +172,19 @@ def test_decision_signature_tracks_the_exact_pool():
     network, _, _ = _setting()
     cache = SearchCache()
     sig = cache.availability_signature(
-        gather_available_resources(network), search="binary", startup_ms=0.0
+        gather_available_resources(network), search="binary"
     )
+    # (tenant, pool, search): nothing else a decision depends on.
+    assert len(sig) == 3 and sig[0] is None and sig[2] == "binary"
     network.clusters[0].processors[3].fail()
     sig_after = cache.availability_signature(
-        gather_available_resources(network), search="binary", startup_ms=0.0
+        gather_available_resources(network), search="binary"
     )
     assert sig != sig_after
-
-
-def test_topology_fingerprint_scopes_every_memo_key():
-    network, _, _ = _setting()
-    resources = gather_available_resources(network)
-    plain = SearchCache()
-    scoped = SearchCache(topology_fingerprint="abcd1234ef567890")
-    assert plain.estimate_namespace(resources) != scoped.estimate_namespace(resources)
-    assert plain.availability_signature(
-        resources, search="binary", startup_ms=0.0
-    ) != scoped.availability_signature(resources, search="binary", startup_ms=0.0)
-    # A re-inferred grouping (new fingerprint) must land in fresh slots even
-    # when the logical cluster names it presents are identical.
-    rescoped = SearchCache(topology_fingerprint="ffff0000ffff0000")
-    assert scoped.estimate_namespace(resources) != rescoped.estimate_namespace(
-        resources
-    )
+    with pytest.raises(TypeError, match="startup_ms"):
+        cache.availability_signature(
+            gather_available_resources(network), search="binary", startup_ms=0.0
+        )
 
 
 # -- bounding (max_entries LRU) ----------------------------------------------------
@@ -266,6 +255,8 @@ def test_lru_bound_spans_estimates_decisions_and_engines():
 def test_max_entries_validation():
     with pytest.raises(ValueError):
         SearchCache(max_entries=0)
+    with pytest.raises(TypeError, match="topology_fingerprint"):
+        SearchCache(topology_fingerprint="x")
 
 
 def test_eviction_telemetry_on_a_real_registry():

@@ -1,6 +1,10 @@
 """The tick coalescer and engine pool: one search serves many requests,
 errors stay per-group, engines stay bounded."""
 
+import json
+
+import pytest
+
 from repro.partition.available import gather_available_resources
 from repro.partition.heuristic import exhaustive_partition
 from repro.partition.perfbench import synthetic_database, synthetic_network
@@ -8,6 +12,7 @@ from repro.server.batcher import BatchItem, Coalescer, EnginePool
 from repro.server.protocol import (
     ServeRequest,
     WorkloadSpec,
+    decode_request,
     restrict_pool,
 )
 from repro.telemetry.metrics import MetricsRegistry
@@ -183,14 +188,32 @@ def test_engine_pool_reuses_and_evicts_lru():
     assert len(pool) == 2
     e1_again = pool.engine_for(w1)
     assert e1_again is not e1
+    # One engine per workload: nothing else keys it.
+    with pytest.raises(TypeError, match="startup_ms"):
+        pool.engine_for(w1, startup_ms=0.0)
 
 
-def test_engine_pool_keys_on_startup_ms_too():
-    _, db = _pool()
+def test_startup_ms_request_is_served_as_the_plain_request():
+    """A v1 request may carry ``startup_ms``; it is validated and dropped,
+    so the request shares the plain one's group, engine and search."""
+    base, db = _pool()
     pool = EnginePool(db)
-    w = WorkloadSpec(app="stencil", n=100)
-    assert pool.engine_for(w) is not pool.engine_for(w, startup_ms=5.0)
-    assert len(pool) == 2
+    coalescer = Coalescer(pool)
+    request = {"tenant": "a", "workload": {"app": "stencil", "n": 256}}
+    plain = decode_request(json.dumps({"id": "plain", **request}))
+    startup = decode_request(
+        json.dumps({"id": "startup", "startup_ms": 5.0, **request})
+    )
+    outcomes = coalescer.run(
+        [BatchItem(req, tuple(base)) for req in (plain, startup)]
+    )
+    assert coalescer.stats.searches == 1
+    assert len(pool) == 1
+    replies = [
+        {k: v for k, v in reply.items() if k not in ("id", "served_from")}
+        for _, reply in outcomes
+    ]
+    assert replies[0]["ok"] and replies[0] == replies[1]
 
 
 def test_batcher_metrics_flow_to_a_real_registry():

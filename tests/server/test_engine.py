@@ -1,6 +1,8 @@
 """The DecisionEngine facade: parity with the raw search functions and
 the per-tenant exact-decision memo."""
 
+import pytest
+
 from repro.apps.stencil import stencil_computation
 from repro.experiments.paper import paper_cost_database
 from repro.hardware.presets import paper_testbed
@@ -108,10 +110,12 @@ def test_exact_signature_folds_tenant_and_mode_in():
     assert sig_a != sig_b
     # The exact mode label keeps exact memos apart from heuristic ones.
     heuristic_sig = cache.availability_signature(
-        ordered, search="binary", startup_ms=0.0, tenant="a"
+        ordered, search="binary", tenant="a"
     )
     assert sig_a != heuristic_sig
-    assert EXACT_SEARCH_MODE in sig_a
+    assert sig_a == ("a", heuristic_sig[1], EXACT_SEARCH_MODE)
+    with pytest.raises(TypeError, match="startup_ms"):
+        DecisionEngine(comp, db, startup_ms=0.0)
 
 
 def test_uncached_engine_has_no_signatures_or_memos():

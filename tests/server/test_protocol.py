@@ -33,20 +33,21 @@ def test_decode_minimal_request_fills_defaults():
     assert req.id == "r1" and req.tenant == "team-a"
     assert req.workload == WorkloadSpec(app="stencil", n=600)
     assert req.workload.cycles == 10 and req.workload.overlap is False
-    assert req.availability is None and req.startup_ms == 0.0
+    assert req.availability is None and not hasattr(req, "startup_ms")
 
 
 def test_decode_full_request():
-    req = decode_request(
-        _line(
-            workload={"app": "sor", "n": 300, "overlap": False, "cycles": 4},
-            availability={"c0": 4, "c1": 0},
-            startup_ms=2.5,
-        )
+    fields = dict(
+        workload={"app": "sor", "n": 300, "overlap": False, "cycles": 4},
+        availability={"c0": 4, "c1": 0},
     )
+    req = decode_request(_line(startup_ms=2.5, **fields))
     assert req.workload.key() == ("sor", 300, False, 4)
     assert req.availability == {"c0": 4, "c1": 0}
-    assert req.startup_ms == 2.5
+    # A v1 startup_ms is validated, then dropped: the request is the one
+    # sent without it.
+    assert not hasattr(req, "startup_ms")
+    assert req == decode_request(_line(**fields))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ max-requests shutdown, and the /metrics endpoint."""
 import asyncio
 import json
 
+import pytest
+
 from repro.partition.available import gather_available_resources
 from repro.partition.heuristic import exhaustive_partition
 from repro.partition.perfbench import synthetic_database, synthetic_network
@@ -178,6 +180,8 @@ def test_draining_server_answers_with_typed_reply():
 
 def test_max_requests_drains_and_stops():
     config = ServerConfig(max_requests=3)
+    with pytest.raises(TypeError, match="topology_fingerprint"):
+        ServerConfig(topology_fingerprint="x")
 
     async def run():
         server = _server(config=config)
@@ -257,8 +261,6 @@ def test_resolve_pool_specs():
 
     net, db = resolve_pool("synthetic:2,4,6")
     assert [len(c.processors) for c in net.clusters] == [2, 4, 6]
-
-    import pytest
 
     from repro.errors import ServeError
 
