@@ -231,7 +231,7 @@ def _serve(args) -> str:
     stats = server.coalescer.stats
     text = (
         f"served {server.served} requests "
-        f"({stats.searches} fresh searches, {stats.memo_hits} memo groups, "
+        f"({stats.searches} fresh searches, {stats.memo_hits} memo hits, "
         f"{stats.fanned_out} fanned out; "
         f"{server.admission.shed_overloaded + server.admission.shed_rate_limited} shed)"
     )

@@ -10,6 +10,7 @@ gathering sweep costs one round of manager queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -174,6 +175,22 @@ class GatherReport:
         return sum(self.retries.values())
 
 
+def _hung_sweep_ms(
+    clusters: int, timeout_ms: float, retries: int, backoff_ms: float, multiplier: float
+) -> float:
+    """What a sweep charges when every manager hangs through every retry:
+    per cluster, ``retries + 1`` timeouts and the backoffs
+    ``backoff_ms * multiplier**k`` (``k < retries``) between them."""
+    try:
+        if backoff_ms == 0 or multiplier == 1:
+            backoffs = backoff_ms * retries
+        else:
+            backoffs = backoff_ms * (multiplier**retries - 1) / (multiplier - 1)
+        return clusters * ((retries + 1) * timeout_ms + backoffs)
+    except OverflowError:
+        return math.inf
+
+
 def gather_available_resources_resilient(
     network: HeterogeneousNetwork,
     *,
@@ -189,12 +206,18 @@ def gather_available_resources_resilient(
     """The cooperative sweep hardened against hung and vanished managers.
 
     Each manager is queried through ``probe`` with a per-query
-    ``timeout_ms``; a reply slower than the budget counts as a timeout and
-    is retried after an exponential backoff (``backoff_ms``,
-    ``backoff_multiplier``) up to ``max_retries`` extra attempts.  A
-    cluster whose manager never answers is dropped from the result when
-    ``allow_partial`` (degrading to the surviving clusters) or re-raises
-    :class:`~repro.errors.ManagerUnreachableError` otherwise.
+    ``timeout_ms``; a reply slower than the budget (or with a negative or
+    NaN latency) counts as a timeout and is retried after an exponential
+    backoff (``backoff_ms``, ``backoff_multiplier``) up to ``max_retries``
+    extra attempts.  A cluster whose manager never answers is dropped
+    from the result when ``allow_partial`` (degrading to the surviving
+    clusters) or re-raises :class:`~repro.errors.ManagerUnreachableError`
+    otherwise.  A knob no clock can charge (a ``timeout_ms`` that is not
+    finite and positive, a ``backoff_ms`` or ``backoff_multiplier`` that
+    is not finite and non-negative, or settings under which a sweep with
+    every manager hung would run the clock past the largest float)
+    raises :class:`~repro.errors.PartitionError` before any manager is
+    asked.
 
     All time is charged against the injectable ``clock`` (anything with an
     ``advance(ms)`` method and a ``now`` attribute, e.g.
@@ -206,13 +229,32 @@ def gather_available_resources_resilient(
     """
     from repro.partition.runtime import ManualClock
 
-    if timeout_ms <= 0:
-        raise PartitionError(f"timeout_ms must be positive, got {timeout_ms}")
+    if not (math.isfinite(timeout_ms) and timeout_ms > 0):
+        raise PartitionError(
+            f"timeout_ms must be finite and positive, got {timeout_ms}"
+        )
     if max_retries < 0:
         raise PartitionError(f"max_retries must be >= 0, got {max_retries}")
+    for name, value in (
+        ("backoff_ms", backoff_ms),
+        ("backoff_multiplier", backoff_multiplier),
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            raise PartitionError(
+                f"{name} must be finite and non-negative, got {value}"
+            )
     probe = probe or default_manager_probe
     clock = clock if clock is not None else ManualClock()
     start = clock.now
+    hung_ms = _hung_sweep_ms(
+        len(network.clusters), timeout_ms, max_retries, backoff_ms, backoff_multiplier
+    )
+    if not math.isfinite(start + hung_ms):
+        raise PartitionError(
+            "a sweep with every manager hung would run the clock past the "
+            f"largest float (timeout_ms={timeout_ms}, max_retries={max_retries}, "
+            f"backoff_ms={backoff_ms}, backoff_multiplier={backoff_multiplier})"
+        )
     report = GatherReport()
     resources: list[ClusterResources] = []
     lost: list[str] = []
@@ -229,9 +271,9 @@ def gather_available_resources_resilient(
                 clock.advance(timeout_ms)
                 last_reason = exc.reason
             else:
-                if not answer.latency_ms <= timeout_ms:
-                    # Hung manager (a NaN latency included): we stop
-                    # waiting at the budget.
+                if not 0 <= answer.latency_ms <= timeout_ms:
+                    # Hung manager, or a latency no clock can charge
+                    # (negative or NaN): we stop waiting at the budget.
                     clock.advance(timeout_ms)
                     last_reason = "timeout"
                 else:

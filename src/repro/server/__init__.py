@@ -14,8 +14,9 @@ Modules
   decision replies, typed error replies) and the workload registry;
 * :mod:`repro.server.admission` — load shedding: in-flight/queue caps and
   per-tenant token-bucket rate limits;
-* :mod:`repro.server.batcher` — the tick coalescer: one engine evaluation
-  per distinct (workload, pool) in a batch, fanned out per tenant;
+* :mod:`repro.server.batcher` — the memo lookup that answers a tenant's
+  repeat at decode, and the tick coalescer: one engine evaluation per
+  distinct (workload, pool) among a tick's misses, fanned out per tenant;
 * :mod:`repro.server.service` — the asyncio TCP server with graceful
   drain (SIGTERM) and the optional ``/metrics`` HTTP endpoint
   (:mod:`repro.server.metricshttp`);

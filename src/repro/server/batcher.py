@@ -1,7 +1,11 @@
-"""Request batching: coalesce one tick's compatible requests.
+"""Request batching: answer repeats at once, coalesce one tick's misses.
 
-The server collects requests for one batch window, then hands the whole
-tick to :class:`Coalescer.run`.  Coalescing happens at two levels:
+A request its tenant asked before is answered from that tenant's decision
+memo as soon as the server has decoded it (:meth:`Coalescer.memo_reply`):
+it waits for no window and no tick.  Only the misses wait.  The first miss
+to find the pending list empty arms the tick; every miss arriving within
+one batch window of it joins, and the whole tick goes to
+:meth:`Coalescer.run`.  Coalescing happens at two levels:
 
 * **identical requests** — same workload, same restricted pool — are
   served by *one* engine evaluation fanned out to every requester,
@@ -18,19 +22,22 @@ tick to :class:`Coalescer.run`.  Coalescing happens at two levels:
 Failures stay inside their request group: an unservable pool or workload
 is a ``bad-request`` reply, any other exception (a search that runs out
 of memory, a bug) an ``internal`` reply, and the tick's other groups are
-served as usual.
+served as usual.  The memo path answers hits only: a miss, a workload
+with no engine yet and a pool with no processors all go to the tick,
+which maps each failure to its typed reply.
 
 The coalescing ratio the bench reports is
 ``requests / fresh searches`` — how many answers each streamed search
-paid for.
+paid for, memo hits included.
 
 :class:`EnginePool` owns one :class:`~repro.partition.engine.DecisionEngine`
 (and its bounded :class:`~repro.partition.warmstart.SearchCache`) per
 workload, itself LRU-bounded so a tenant enumerating problem sizes
 cannot hold unbounded lowered engines alive.
 
-This module is deliberately asyncio-free: the server calls :meth:`run`
-from its flush task, and the unit tests call it directly.
+This module is deliberately asyncio-free: the server calls
+:meth:`Coalescer.memo_reply` at decode and :meth:`Coalescer.run` from its
+tick callback, and the unit tests call both directly.
 """
 
 from __future__ import annotations
@@ -94,18 +101,25 @@ class EnginePool:
             "serve.engines.live", domain="host", help="live workload engines"
         )
 
-    def engine_for(self, workload: WorkloadSpec) -> DecisionEngine:
+    def lookup(self, workload: WorkloadSpec) -> Optional[DecisionEngine]:
+        """The workload's engine, now the most recently used, or ``None``;
+        never builds one."""
         key = workload.key()
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
+        return engine
+
+    def engine_for(self, workload: WorkloadSpec) -> DecisionEngine:
+        engine = self.lookup(workload)
+        if engine is not None:
             return engine
         computation = workload.build()
         cache = SearchCache(max_entries=self.cache_entries, metrics=self.metrics)
         engine = DecisionEngine(
             computation, self.cost_db, cache=cache, metrics=self.metrics
         )
-        self._engines[key] = engine
+        self._engines[workload.key()] = engine
         self._m_built.inc()
         while len(self._engines) > self.max_engines:
             self._engines.popitem(last=False)
@@ -144,7 +158,9 @@ class BatchStats:
 
     requests: int = 0
     searches: int = 0  #: fresh streamed searches that ran
-    memo_hits: int = 0  #: groups answered whole from a tenant decision memo
+    #: requests answered at decode, plus tick groups answered whole, from
+    #: a tenant decision memo
+    memo_hits: int = 0
     fanned_out: int = 0  #: requests beyond the first in their group
     errors: int = 0
     batches: int = 0
@@ -162,7 +178,8 @@ class BatchStats:
 
 
 class Coalescer:
-    """Serves one batch of admitted requests through the engine pool."""
+    """Serves admitted requests through the engine pool: a memo hit at
+    once, the misses one tick at a time."""
 
     def __init__(self, pool: EnginePool, *, metrics=None) -> None:
         self.pool = pool
@@ -195,6 +212,31 @@ class Coalescer:
             "serve.batch_size",
             domain="host",
             help="requests per batch tick",
+        )
+
+    def memo_reply(self, item: BatchItem) -> Optional[dict]:
+        """The reply to ``item`` from its own tenant's decision memo, or
+        ``None`` when the request must wait for a tick: its workload has
+        no engine yet, its pool selects no processors, or the memo has no
+        entry for it.
+
+        A hit is counted as a memo-answered group of one.
+        """
+        engine = self.pool.lookup(item.request.workload)
+        if engine is None:
+            return None
+        ordered = engine.order(item.resources)
+        if not ordered:
+            return None
+        decision = engine.cached_exact(ordered, tenant=item.request.tenant)
+        if decision is None:
+            return None
+        self.stats.requests += 1
+        self.stats.memo_hits += 1
+        self._m_requests.inc()
+        self._m_memo.inc()
+        return decision_reply(
+            item.request, decision, served_from="memo", batch_size=1
         )
 
     def run(self, items: Sequence[BatchItem]) -> list[tuple[BatchItem, dict]]:

@@ -367,7 +367,7 @@ def serve_report(bench: ServeBench) -> str:
         f"\nspeedup {bench.speedup_vs_baseline:.1f}x — {verdict} the "
         f"committed {SERVE_SPEEDUP_FLOOR:g}x floor"
         f"\ncoalescing: {bench.searches} fresh searches + "
-        f"{bench.memo_hits} memo groups served {bench.ok} decisions "
+        f"{bench.memo_hits} memo hits served {bench.ok} decisions "
         f"({bench.coalesce_ratio:.0f} per search; {bench.fanned_out} fanned out)"
     )
     if bench.parity_ok is not None:

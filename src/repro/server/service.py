@@ -2,9 +2,16 @@
 
 Request lifecycle::
 
-    readline -> decode + restrict pool -> admission gate -> pending tick
-      -> (batch window elapses) -> Coalescer.run -> reply futures resolve
+    readline -> decode + restrict pool -> admission gate
+      -> Coalescer.memo_reply: a memo hit is answered at once
+      -> a miss joins the pending list (the first miss arms the tick)
+         -> (one batch window later) Coalescer.run -> reply futures resolve
       -> write reply line
+
+A repeat of a request its tenant already asked never waits for a window:
+the tenant's memo answers it right after admission.  A miss waits one
+window from the arrival of the first miss in its tick, so every miss
+arriving within that window is coalesced with it.
 
 Each connection may pipeline: every request line spawns a processing
 task, and replies (carrying the request ``id``) are written as they
@@ -57,8 +64,9 @@ class ServerConfig:
     """Service knobs (``repro serve`` exposes each as a flag, except
     ``max_engines``)."""
 
-    #: How long a tick collects requests before the coalescer runs (ms).
-    #: Larger windows coalesce more at the cost of added latency.
+    #: How long a tick collects misses before the coalescer runs (ms),
+    #: counted from the first miss's arrival.  Larger windows coalesce
+    #: more at the cost of added latency; a memo hit never waits for one.
     batch_window_ms: float = 2.0
     limits: AdmissionLimits = field(default_factory=AdmissionLimits)
     #: Per-workload :class:`SearchCache` bound (``None`` = unbounded).
@@ -166,9 +174,9 @@ class PartitionServer:
             help="request latency at the server (decode to reply), ms",
         )
         self._pending: list[tuple[BatchItem, "asyncio.Future"]] = []
-        self._kick: Optional[asyncio.Event] = None
+        #: The armed tick, from the first miss until it fires.
+        self._tick_handle: Optional[asyncio.TimerHandle] = None
         self._shutdown_event: Optional[asyncio.Event] = None
-        self._flush_task: Optional["asyncio.Task"] = None
         self._server: Optional["asyncio.base_events.Server"] = None
         self._conn_tasks: set = set()
         self._draining = False
@@ -188,9 +196,7 @@ class PartitionServer:
         """Bind and start serving; returns the bound ``(host, port)``."""
         if self._server is not None:
             raise ServeError("server already started", kind="internal")
-        self._kick = asyncio.Event()
         self._shutdown_event = asyncio.Event()
-        self._flush_task = asyncio.create_task(self._flush_loop())
         self._server = await asyncio.start_server(
             self._on_connection, host, port
         )
@@ -234,20 +240,11 @@ class PartitionServer:
             self._server.close()
             await self._server.wait_closed()
         while self.admission.inflight > 0 or self._pending:
-            if self._kick is not None:
-                self._kick.set()
             await asyncio.sleep(0.005)
 
     async def close(self) -> None:
-        """Graceful drain, then tear the flush task and connections down."""
+        """Graceful drain, then tear the connections down."""
         await self.drain()
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
-            self._flush_task = None
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -337,13 +334,11 @@ class PartitionServer:
                 ),
             )
             return
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        self._pending.append((BatchItem(request, tuple(resources)), future))
-        assert self._kick is not None
-        self._kick.set()
+        item = BatchItem(request, tuple(resources))
         try:
-            reply = await future
+            reply = self.coalescer.memo_reply(item)
+            if reply is None:
+                reply = await self._join_tick(item)
         finally:
             self.admission.release()
         if reply.get("ok"):
@@ -361,39 +356,42 @@ class PartitionServer:
 
     # -- batching ----------------------------------------------------------------
 
-    async def _flush_loop(self) -> None:
-        window_s = msec_to_seconds(self.config.batch_window_ms)
-        assert self._kick is not None
-        while True:
-            await self._kick.wait()
-            self._kick.clear()
-            if window_s > 0:
-                # The coalescing window: requests arriving while we sleep
-                # join this tick.
-                await asyncio.sleep(window_s)
-            if not self._pending:
-                continue
-            batch = self._pending
-            self._pending = []
-            future_of = {id(item): future for item, future in batch}
-            try:
-                outcomes = self.coalescer.run([item for item, _ in batch])
-            except Exception:
-                # The coalescer maps per-request failures to typed replies
-                # itself; anything escaping is a server bug — answer the
-                # whole tick rather than strand its futures.
-                outcomes = []
-            for item, reply in outcomes:
-                future = future_of.get(id(item))
-                if future is not None and not future.done():
-                    future.set_result(reply)
-            # Belt-and-braces: never leave a future unresolved.
-            for item, future in batch:
-                if not future.done():
-                    future.set_result(
-                        error_reply(
-                            item.request.id,
-                            "internal",
-                            "request fell out of its batch tick",
-                        )
+    def _join_tick(self, item: BatchItem) -> "asyncio.Future":
+        """Queue a miss for the next tick; the first one arms it."""
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future" = loop.create_future()
+        self._pending.append((item, future))
+        if self._tick_handle is None:
+            # The coalescing window starts at this miss: every miss
+            # arriving before the tick fires joins it.
+            window_s = msec_to_seconds(self.config.batch_window_ms)
+            self._tick_handle = loop.call_later(window_s, self._tick)
+        return future
+
+    def _tick(self) -> None:
+        """Serve every pending miss as one batch and resolve its futures."""
+        self._tick_handle = None
+        batch = self._pending
+        self._pending = []
+        future_of = {id(item): future for item, future in batch}
+        try:
+            outcomes = self.coalescer.run([item for item, _ in batch])
+        except Exception:
+            # The coalescer maps per-request failures to typed replies
+            # itself; anything escaping is a server bug — answer the
+            # whole tick rather than strand its futures.
+            outcomes = []
+        for item, reply in outcomes:
+            future = future_of.get(id(item))
+            if future is not None and not future.done():
+                future.set_result(reply)
+        # Belt-and-braces: never leave a future unresolved.
+        for item, future in batch:
+            if not future.done():
+                future.set_result(
+                    error_reply(
+                        item.request.id,
+                        "internal",
+                        "request fell out of its batch tick",
                     )
+                )

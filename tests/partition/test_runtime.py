@@ -150,6 +150,79 @@ def test_gather_treats_nan_latency_as_timeout():
         runtime.run(4)
 
 
+def test_gather_treats_negative_latency_as_timeout():
+    """A manager clock running behind answers a negative latency; like a
+    NaN one, it costs the full timeout instead of rewinding the clock."""
+
+    def behind(cluster):
+        return ManagerReply(
+            available=default_manager_probe(cluster).available, latency_ms=-5.0
+        )
+
+    clock = ManualClock()
+    resources, report = gather_available_resources_resilient(
+        paper_testbed(), probe=behind, clock=clock
+    )
+    assert resources == []
+    assert report.lost == ("sparc2", "ipc")
+    assert clock.now == report.elapsed_ms == 450.0
+
+
+def _hung(cluster):
+    raise ManagerUnreachableError(cluster.name, 1)
+
+
+@pytest.mark.parametrize(
+    "knobs, match",
+    [
+        ({"timeout_ms": float("nan")}, "timeout_ms"),
+        ({"timeout_ms": float("inf")}, "timeout_ms"),
+        ({"backoff_ms": -1.0}, "backoff_ms"),
+        ({"backoff_ms": float("nan")}, "backoff_ms"),
+        ({"backoff_multiplier": -2.0}, "backoff_multiplier"),
+        ({"backoff_multiplier": float("nan")}, "backoff_multiplier"),
+        # Finite knobs whose worst case is not: the backoff or the
+        # timeouts add up past the largest float.
+        ({"backoff_multiplier": 1e308, "max_retries": 2}, "every manager hung"),
+        ({"max_retries": 1100}, "every manager hung"),
+        ({"timeout_ms": 1e308, "max_retries": 1}, "every manager hung"),
+    ],
+    ids=[
+        "timeout-nan",
+        "timeout-inf",
+        "backoff-negative",
+        "backoff-nan",
+        "multiplier-negative",
+        "multiplier-nan",
+        "multiplier-overflows",
+        "retries-overflow",
+        "timeouts-overflow",
+    ],
+)
+def test_gather_rejects_a_knob_no_clock_can_charge(knobs, match):
+    """Each of these, with a hung manager, used to escape as an untyped
+    ValueError from the clock or leave the clock at inf; it is now a
+    typed error before any manager is asked."""
+    clock = ManualClock()
+    with pytest.raises(PartitionError, match=match):
+        gather_available_resources_resilient(
+            paper_testbed(), probe=_hung, clock=clock, **knobs
+        )
+    assert clock.now == 0.0
+
+
+def test_gather_accepts_many_retries_without_backoff():
+    """The worst case bounds what the clock can charge, not the retry
+    count: with no backoff, 2,000 retries of a hung manager cost exactly
+    their timeouts."""
+    clock = ManualClock()
+    resources, report = gather_available_resources_resilient(
+        paper_testbed(), probe=_hung, clock=clock, max_retries=2000, backoff_ms=0.0
+    )
+    assert resources == [] and report.lost == ("sparc2", "ipc")
+    assert clock.now == report.elapsed_ms == 2 * 2001 * 50.0
+
+
 def test_gather_allow_partial_false_raises():
     network = paper_testbed()
     network.clusters[0].processors[0].fail()  # sparc2's manager host

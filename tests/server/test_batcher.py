@@ -96,6 +96,42 @@ def test_memo_hit_serves_a_later_tick_without_searching():
     assert coalescer.stats.coalesce_ratio == 2.0
 
 
+def test_memo_reply_answers_only_the_tenants_own_hit():
+    base, db = _pool()
+    registry = MetricsRegistry()
+    pool = EnginePool(db, metrics=registry)
+    coalescer = Coalescer(pool, metrics=registry)
+    # No engine for the workload yet: nothing to answer, nothing built.
+    assert coalescer.memo_reply(_item("r0", "a", base=base)) is None
+    assert len(pool) == 0
+    [(_, searched)] = coalescer.run([_item("r1", "a", base=base)])
+    # A miss: another tenant, or another pool.
+    assert coalescer.memo_reply(_item("r2", "b", base=base)) is None
+    shrunk = _item("r3", "a", base=base, availability={"c1": 3})
+    assert coalescer.memo_reply(shrunk) is None
+    # An ordering with no processors is left to the tick's typed error.
+    empty = _item("r4", "a", base=base, availability={"c0": 0})
+    assert empty.resources == ()
+    assert coalescer.memo_reply(empty) is None
+    assert (coalescer.stats.requests, coalescer.stats.memo_hits) == (1, 0)
+
+    reply = coalescer.memo_reply(_item("r5", "a", base=base))
+    assert reply["ok"] and reply["id"] == "r5"
+    assert reply["served_from"] == "memo" and reply["batch_size"] == 1
+    assert reply["evaluations"] == 0
+    for key in ("counts", "vector", "t_cycle_ms", "method"):
+        assert reply[key] == searched[key]
+    # Counted as a memo-answered group of one, outside any tick.
+    stats = coalescer.stats
+    assert (stats.requests, stats.searches, stats.memo_hits) == (2, 1, 1)
+    assert stats.batches == 1 and stats.fanned_out == 0
+    counters = registry.counter_values("host")
+    assert counters["serve.coalesce.requests"] == 2
+    assert counters["serve.coalesce.memo_hits"] == 1
+    assert counters["serve.batches"] == 1
+    assert counters["serve.engines.built"] == 1
+
+
 def test_any_member_tenants_memo_answers_the_group():
     base, db = _pool()
     coalescer = Coalescer(EnginePool(db))
@@ -184,8 +220,13 @@ def test_engine_pool_reuses_and_evicts_lru():
     assert pool.engine_for(w1) is e1
     pool.engine_for(w2)
     assert len(pool) == 2
-    pool.engine_for(w3)  # evicts w1 (least recently used)
+    # A lookup never builds, and refreshes recency as engine_for does.
+    assert pool.lookup(w3) is None and len(pool) == 2
+    assert pool.lookup(w1) is e1
+    pool.engine_for(w3)  # evicts w2 (least recently used)
     assert len(pool) == 2
+    assert pool.lookup(w2) is None
+    pool.engine_for(w2)  # evicts w1
     e1_again = pool.engine_for(w1)
     assert e1_again is not e1
     # One engine per workload: nothing else keys it.

@@ -1,5 +1,5 @@
-"""The asyncio NDJSON server: wire round trips, shedding, drain,
-max-requests shutdown, and the /metrics endpoint."""
+"""The asyncio NDJSON server: wire round trips, memo hits at decode,
+shedding, drain, max-requests shutdown, and the /metrics endpoint."""
 
 import asyncio
 import json
@@ -130,6 +130,44 @@ def test_pipelined_requests_answered_by_id():
     assert len({tuple(r["vector"]) for r in replies}) == 1
 
 
+def test_repeat_is_answered_at_decode_without_a_tick():
+    """A tenant's repeat is answered from its own memo with no tick; the
+    same request from another tenant still goes through one."""
+
+    async def run():
+        server = _server()
+        host, port = await server.start()
+        stats = server.coalescer.stats
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            first = await _request(reader, writer, _req("r1"))
+            ticks = stats.batches
+            repeat = await _request(reader, writer, _req("r2"))
+            ticks_after_repeat = stats.batches
+            inflight = server.admission.inflight
+            other = await _request(reader, writer, _req("r3", tenant="team-b"))
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            # A hit that kept its admission slot would stall the drain.
+            await asyncio.wait_for(server.close(), timeout=30)
+        return first, repeat, other, ticks, ticks_after_repeat, inflight, stats
+
+    first, repeat, other, ticks, ticks_after_repeat, inflight, stats = asyncio.run(run())
+    assert first["served_from"] == "search" and ticks == 1
+    assert ticks_after_repeat == ticks
+    assert repeat["ok"] and repeat["id"] == "r2"
+    assert repeat["served_from"] == "memo" and repeat["batch_size"] == 1
+    for key in ("counts", "vector", "t_cycle_ms"):
+        assert repeat[key] == first[key]
+    # The hit released its admission slot before its reply went out.
+    assert inflight == 0
+    # team-b's identical request is not answered from team-a's memo.
+    assert other["served_from"] == "search"
+    assert stats.batches == 2
+    assert (stats.requests, stats.searches, stats.memo_hits) == (3, 2, 1)
+
+
 def test_rate_limited_tenant_gets_typed_backpressure():
     frozen = lambda: 0.0  # noqa: E731 - bucket never refills
     config = ServerConfig(
@@ -144,19 +182,22 @@ def test_rate_limited_tenant_gets_typed_backpressure():
             first = await _request(reader, writer, _req("r1", tenant="noisy"))
             second = await _request(reader, writer, _req("r2", tenant="noisy"))
             third = await _request(reader, writer, _req("r3", tenant="quiet"))
+            inflight = server.admission.inflight
             writer.close()
             await writer.wait_closed()
         finally:
             await server.close()
-        return first, second, third
+        return first, second, third, inflight
 
-    first, second, third = asyncio.run(run())
+    first, second, third, inflight = asyncio.run(run())
     assert first["ok"] is True
+    # The repeat would be a memo hit, but admission comes first.
     assert second["ok"] is False
     assert second["error"]["kind"] == "rate-limited"
     assert second["error"]["retry_after_ms"] > 0
     # The noisy tenant's bucket never starves other tenants.
     assert third["ok"] is True
+    assert inflight == 0
 
 
 def test_draining_server_answers_with_typed_reply():
@@ -176,6 +217,38 @@ def test_draining_server_answers_with_typed_reply():
     assert before["ok"] is True
     assert after["ok"] is False
     assert after["error"]["kind"] == "draining"
+
+
+def test_miss_pending_at_drain_is_answered():
+    """A miss queued for an armed tick when the drain starts is still
+    served by that tick; close() then leaves no tick armed."""
+    config = ServerConfig(batch_window_ms=200.0)
+
+    async def run():
+        server = _server(config=config)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_line(_req("r1")))
+        await writer.drain()
+
+        async def armed():
+            while server._tick_handle is None:
+                await asyncio.sleep(0)
+
+        await asyncio.wait_for(armed(), timeout=30)
+        queued = len(server._pending)
+        await asyncio.wait_for(server.drain(), timeout=30)
+        reply = json.loads(await asyncio.wait_for(reader.readline(), timeout=30))
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.wait_for(server.close(), timeout=30)
+        return server, queued, reply
+
+    server, queued, reply = asyncio.run(run())
+    assert queued == 1
+    assert reply["ok"] is True and reply["served_from"] == "search"
+    assert server.coalescer.stats.batches == 1
+    assert server._tick_handle is None and server._pending == []
 
 
 def test_max_requests_drains_and_stops():
