@@ -61,7 +61,7 @@ from repro.partition import (
 )
 from repro.spmd import SPMDRun, TaskContext, Topology
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "CostDatabase",

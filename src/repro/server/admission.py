@@ -8,8 +8,10 @@ Three independent guards, each mapping to a typed backpressure reply:
   deep queue means the coalescer is falling behind (kind ``overloaded``);
 * **per-tenant token bucket** — one noisy tenant cannot starve the rest:
   each tenant refills at ``tenant_rate`` requests/s up to
-  ``tenant_burst`` tokens (kind ``rate-limited``, with a computed
-  ``retry_after_ms`` hint).
+  :data:`TENANT_BURST` tokens (kind ``rate-limited``, with a computed
+  ``retry_after_ms`` hint).  Refilled buckets equal a new tenant's, so
+  they are dropped whenever the map has doubled: one-off tenant names
+  cost bounded memory and change no decision.
 
 Shed replies are cheap by design: a rejected request never touches an
 engine, so the server degrades by answering "come back later" fast
@@ -30,10 +32,17 @@ from repro.units import seconds_to_msec
 
 __all__ = ["AdmissionLimits", "AdmissionController", "Rejection"]
 
+#: Per-tenant burst allowance (bucket capacity), in requests.
+TENANT_BURST = 16.0
+#: The retry hint attached to ``overloaded`` sheds (ms).
+SHED_RETRY_MS = 20.0
+#: Bucket count below which the refilled buckets are never swept.
+_SWEEP_FLOOR = 1024
+
 
 @dataclass(frozen=True)
 class AdmissionLimits:
-    """The knobs (see ``docs/serving.md`` for capacity guidance)."""
+    """The knobs (``docs/serving.md``); the burst and the overload retry hint are fixed."""
 
     #: Admitted-but-unanswered requests across all connections.
     max_inflight: int = 512
@@ -41,10 +50,6 @@ class AdmissionLimits:
     max_queue: int = 2048
     #: Per-tenant sustained requests/s; ``0`` disables rate limiting.
     tenant_rate: float = 0.0
-    #: Per-tenant burst allowance (bucket capacity), in requests.
-    tenant_burst: float = 16.0
-    #: The retry hint attached to ``overloaded`` sheds (ms).
-    shed_retry_ms: float = 20.0
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -53,8 +58,6 @@ class AdmissionLimits:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.tenant_rate < 0:
             raise ValueError(f"tenant_rate must be >= 0, got {self.tenant_rate}")
-        if self.tenant_burst < 1:
-            raise ValueError(f"tenant_burst must be >= 1, got {self.tenant_burst}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class AdmissionController:
         self.inflight = 0
         #: tenant -> (tokens, last refill time in seconds).
         self._buckets: Dict[str, tuple[float, float]] = {}
+        #: Buckets left by the last sweep.
+        self._swept_to = 0
         self.admitted = 0
         self.shed_overloaded = 0
         self.shed_rate_limited = 0
@@ -93,12 +98,19 @@ class AdmissionController:
         when the bucket is empty, else ``None``."""
         rate = self.limits.tenant_rate
         now = self._clock()
-        tokens, last = self._buckets.get(tenant, (self.limits.tenant_burst, now))
-        tokens = min(self.limits.tenant_burst, tokens + (now - last) * rate)
+        tokens, last = self._buckets.get(tenant, (TENANT_BURST, now))
+        tokens = min(TENANT_BURST, tokens + (now - last) * rate)
         if tokens < 1.0:
             self._buckets[tenant] = (tokens, now)
             return (1.0 - tokens) / rate
         self._buckets[tenant] = (tokens - 1.0, now)
+        if len(self._buckets) >= max(_SWEEP_FLOOR, 2 * self._swept_to):
+            self._buckets = {
+                name: (held, at)
+                for name, (held, at) in self._buckets.items()
+                if held + (now - at) * rate < TENANT_BURST
+            }
+            self._swept_to = len(self._buckets)
         return None
 
     def try_admit(self, tenant: str, *, queued: int) -> Optional[Rejection]:
@@ -125,7 +137,7 @@ class AdmissionController:
                 kind="overloaded",
                 message=f"{self.inflight} requests in flight (cap "
                 f"{self.limits.max_inflight})",
-                retry_after_ms=self.limits.shed_retry_ms,
+                retry_after_ms=SHED_RETRY_MS,
             )
         if queued >= self.limits.max_queue:
             self.shed_overloaded += 1
@@ -133,7 +145,7 @@ class AdmissionController:
                 kind="overloaded",
                 message=f"{queued} requests queued for the next batch tick "
                 f"(cap {self.limits.max_queue})",
-                retry_after_ms=self.limits.shed_retry_ms,
+                retry_after_ms=SHED_RETRY_MS,
             )
         self.inflight += 1
         self.admitted += 1

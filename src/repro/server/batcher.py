@@ -24,7 +24,8 @@ is a ``bad-request`` reply, any other exception (a search that runs out
 of memory, a bug) an ``internal`` reply, and the tick's other groups are
 served as usual.  The memo path answers hits only: a miss, a workload
 with no engine yet and a pool with no processors all go to the tick,
-which maps each failure to its typed reply.
+which maps each failure to its typed reply.  So a memo is read in one
+place, at decode; a tick serves misses only.
 
 The coalescing ratio the bench reports is
 ``requests / fresh searches`` — how many answers each streamed search
@@ -32,8 +33,8 @@ paid for, memo hits included.
 
 :class:`EnginePool` owns one :class:`~repro.partition.engine.DecisionEngine`
 (and its bounded :class:`~repro.partition.warmstart.SearchCache`) per
-workload, itself LRU-bounded so a tenant enumerating problem sizes
-cannot hold unbounded lowered engines alive.
+workload, itself LRU-bounded (:data:`MAX_ENGINES`) so a tenant
+enumerating problem sizes cannot hold unbounded lowered engines alive.
 
 This module is deliberately asyncio-free: the server calls
 :meth:`Coalescer.memo_reply` at decode and :meth:`Coalescer.run` from its
@@ -43,8 +44,8 @@ tick callback, and the unit tests call both directly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ServeError
 from repro.partition.available import ClusterResources
@@ -58,7 +59,10 @@ from repro.server.protocol import (
 )
 from repro.telemetry import NULL_REGISTRY
 
-__all__ = ["BatchItem", "BatchStats", "Coalescer", "EnginePool"]
+__all__ = ["MAX_ENGINES", "BatchItem", "BatchStats", "Coalescer", "EnginePool"]
+
+#: Lowered workload engines an :class:`EnginePool` keeps alive (LRU).
+MAX_ENGINES = 32
 
 
 class EnginePool:
@@ -76,14 +80,10 @@ class EnginePool:
         cost_db,
         *,
         cache_entries: Optional[int] = 4096,
-        max_engines: int = 32,
         metrics=None,
     ) -> None:
-        if max_engines < 1:
-            raise ValueError(f"max_engines must be >= 1, got {max_engines}")
         self.cost_db = cost_db
         self.cache_entries = cache_entries
-        self.max_engines = max_engines
         self.metrics = metrics
         self._engines: OrderedDict[tuple, DecisionEngine] = OrderedDict()
         registry = metrics if metrics is not None else NULL_REGISTRY
@@ -121,7 +121,7 @@ class EnginePool:
         )
         self._engines[workload.key()] = engine
         self._m_built.inc()
-        while len(self._engines) > self.max_engines:
+        while len(self._engines) > MAX_ENGINES:
             self._engines.popitem(last=False)
             self._m_evicted.inc()
         self._m_live.set(len(self._engines))
@@ -157,18 +157,16 @@ class BatchStats:
     """Plain-int mirror of the ``serve.coalesce.*`` counters."""
 
     requests: int = 0
-    searches: int = 0  #: fresh streamed searches that ran
-    #: requests answered at decode, plus tick groups answered whole, from
-    #: a tenant decision memo
+    searches: int = 0  #: tick groups, each served by one ``decide_exact``
+    #: requests answered at decode from their own tenant's decision memo
     memo_hits: int = 0
     fanned_out: int = 0  #: requests beyond the first in their group
     errors: int = 0
     batches: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
 
     @property
     def coalesce_ratio(self) -> float:
-        """Requests served per fresh search (>= 1; inf when all memo)."""
+        """Requests served per fresh search, or all of them if none ran (>= 1)."""
         served = self.requests - self.errors
         if served <= 0:
             return 1.0
@@ -198,7 +196,7 @@ class Coalescer:
         self._m_memo = registry.counter(
             "serve.coalesce.memo_hits",
             domain="host",
-            help="request groups answered from a decision memo",
+            help="requests answered at decode from a tenant decision memo",
         )
         self._m_fanout = registry.counter(
             "serve.coalesce.fanout",
@@ -220,7 +218,8 @@ class Coalescer:
         no engine yet, its pool selects no processors, or the memo has no
         entry for it.
 
-        A hit is counted as a memo-answered group of one.
+        This is the one place a memo answers a request; a hit is counted
+        as a request and a memo hit, outside any tick.
         """
         engine = self.pool.lookup(item.request.workload)
         if engine is None:
@@ -249,7 +248,6 @@ class Coalescer:
         of the tick.
         """
         self.stats.batches += 1
-        self.stats.batch_sizes.append(len(items))
         self._m_batches.inc()
         self._m_batch_size.observe(len(items))
         groups: "OrderedDict[tuple, list[BatchItem]]" = OrderedDict()
@@ -277,31 +275,14 @@ class Coalescer:
         self, members: list[BatchItem]
     ) -> list[tuple[BatchItem, dict]]:
         first = members[0]
-        request = first.request
         try:
-            engine = self.pool.engine_for(request.workload)
+            engine = self.pool.engine_for(first.request.workload)
             ordered = engine.order(first.resources)
             if not ordered:
                 raise ServeError("availability selects no processors at all")
-            # Any member tenant's memo hit answers the whole group.
-            decision = None
-            source = "memo"
-            for item in members:
-                decision = engine.cached_exact(
-                    ordered, tenant=item.request.tenant
-                )
-                if decision is not None:
-                    break
-            if decision is None:
-                decision = engine.decide_exact(
-                    first.resources, tenant=request.tenant
-                )
-                source = "search"
-                self.stats.searches += 1
-                self._m_searches.inc()
-            else:
-                self.stats.memo_hits += 1
-                self._m_memo.inc()
+            decision = engine.decide_exact(ordered, tenant=first.request.tenant)
+            self.stats.searches += 1
+            self._m_searches.inc()
         except ServeError as exc:
             self.stats.errors += len(members)
             return [
@@ -320,11 +301,11 @@ class Coalescer:
             ]
         outcomes = []
         for i, item in enumerate(members):
-            engine.remember_exact(
-                ordered, decision, tenant=item.request.tenant
-            )
-            served_from = source if i == 0 else "batch"
             if i > 0:
+                # ``decide_exact`` stored the first member's memo entry.
+                engine.remember_exact(
+                    ordered, decision, tenant=item.request.tenant
+                )
                 self.stats.fanned_out += 1
                 self._m_fanout.inc()
             outcomes.append(
@@ -333,7 +314,7 @@ class Coalescer:
                     decision_reply(
                         item.request,
                         decision,
-                        served_from=served_from,
+                        served_from="batch" if i > 0 else "search",
                         batch_size=len(members),
                     ),
                 )

@@ -219,22 +219,26 @@ def restrict_pool(
     pool does not have — silently clamping would make the reply depend on
     server state the tenant cannot see).  ``availability=None`` means the
     whole pool.
+
+    The result keeps ``base``'s cluster order, whatever the request's key
+    order: the search breaks ties between equally fast clusters on it.  Of
+    several over-asked clusters, the error names the first in that order.
     """
     if availability is None:
         return list(base)
-    by_name = {res.name: res for res in base}
-    unknown = sorted(set(availability) - set(by_name))
+    names = {res.name for res in base}
+    unknown = sorted(set(availability) - names)
     if unknown:
-        known = ", ".join(sorted(by_name))
+        known = ", ".join(sorted(names))
         raise ServeError(
             f"unknown cluster(s) {unknown} in availability (pool has: {known})"
         )
     restricted = []
-    for name, count in availability.items():
-        res = by_name[name]
+    for res in base:
+        count = availability.get(res.name, 0)
         if count > res.n_available:
             raise ServeError(
-                f"availability[{name!r}]={count} exceeds the pool's "
+                f"availability[{res.name!r}]={count} exceeds the pool's "
                 f"{res.n_available} schedulable nodes"
             )
         if count == 0:

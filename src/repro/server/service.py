@@ -61,8 +61,8 @@ __all__ = ["PartitionServer", "ServerConfig", "resolve_pool"]
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Service knobs (``repro serve`` exposes each as a flag, except
-    ``max_engines``)."""
+    """Service knobs (``repro serve`` exposes each as a flag).  The engine
+    pool's bound is :data:`~repro.server.batcher.MAX_ENGINES`."""
 
     #: How long a tick collects misses before the coalescer runs (ms),
     #: counted from the first miss's arrival.  Larger windows coalesce
@@ -71,8 +71,6 @@ class ServerConfig:
     limits: AdmissionLimits = field(default_factory=AdmissionLimits)
     #: Per-workload :class:`SearchCache` bound (``None`` = unbounded).
     cache_entries: Optional[int] = 4096
-    #: Lowered workload engines kept alive (LRU).
-    max_engines: int = 32
     #: Serve this many requests, then drain and stop (``None`` = forever).
     max_requests: Optional[int] = None
 
@@ -148,10 +146,7 @@ class PartitionServer:
         self.metrics = metrics
         self._clock = clock
         self.pool = EnginePool(
-            cost_db,
-            cache_entries=self.config.cache_entries,
-            max_engines=self.config.max_engines,
-            metrics=metrics,
+            cost_db, cache_entries=self.config.cache_entries, metrics=metrics
         )
         self.coalescer = Coalescer(self.pool, metrics=metrics)
         self.admission = AdmissionController(self.config.limits, clock=clock)

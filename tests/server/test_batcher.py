@@ -1,20 +1,24 @@
 """The tick coalescer and engine pool: one search serves many requests,
 errors stay per-group, engines stay bounded."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.partition.available import gather_available_resources
 from repro.partition.heuristic import exhaustive_partition
 from repro.partition.perfbench import synthetic_database, synthetic_network
-from repro.server.batcher import BatchItem, Coalescer, EnginePool
+from repro.server.batcher import MAX_ENGINES, BatchItem, Coalescer, EnginePool
 from repro.server.protocol import (
     ServeRequest,
     WorkloadSpec,
     decode_request,
     restrict_pool,
 )
+from repro.server.service import resolve_pool
 from repro.telemetry.metrics import MetricsRegistry
 
 
@@ -88,10 +92,11 @@ def test_distinct_pools_group_separately():
 def test_memo_hit_serves_a_later_tick_without_searching():
     base, db = _pool()
     coalescer = Coalescer(EnginePool(db))
-    coalescer.run([_item("r0", "a", base=base)])
-    [(_, reply)] = coalescer.run([_item("r1", "a", base=base)])
+    [(_, searched)] = coalescer.run([_item("r0", "a", base=base)])
+    reply = coalescer.memo_reply(_item("r1", "a", base=base))
     assert reply["ok"] and reply["served_from"] == "memo"
-    assert coalescer.stats.searches == 1
+    assert reply["t_cycle_ms"] == searched["t_cycle_ms"]
+    assert coalescer.stats.searches == 1 and coalescer.stats.batches == 1
     assert coalescer.stats.memo_hits == 1
     assert coalescer.stats.coalesce_ratio == 2.0
 
@@ -133,22 +138,24 @@ def test_memo_reply_answers_only_the_tenants_own_hit():
 
 
 def test_any_member_tenants_memo_answers_the_group():
+    """After one shared tick, every member tenant's repeat is answered at
+    decode from its own memo entry, with the group's decision."""
     base, db = _pool()
     coalescer = Coalescer(EnginePool(db))
-    coalescer.run([_item("r0", "warm-tenant", base=base)])
+    tenants = ("t-first", "t-second", "t-third")
     outcomes = coalescer.run(
-        [
-            _item("r1", "cold-tenant", base=base),
-            _item("r2", "warm-tenant", base=base),
-        ]
+        [_item(f"r{i}", tenant, base=base) for i, tenant in enumerate(tenants)]
     )
-    assert all(reply["ok"] for _, reply in outcomes)
-    # warm-tenant's memo entry answered the whole group: no second search.
-    assert coalescer.stats.searches == 1
-    # And cold-tenant now has its own memo entry for next time.
-    [(_, reply)] = coalescer.run([_item("r3", "cold-tenant", base=base)])
-    assert reply["served_from"] == "memo"
-    assert coalescer.stats.searches == 1
+    assert [reply["served_from"] for _, reply in outcomes] == ["search", "batch", "batch"]
+    group = outcomes[0][1]
+    for tenant in tenants:
+        reply = coalescer.memo_reply(_item(f"again-{tenant}", tenant, base=base))
+        assert reply["served_from"] == "memo" and reply["batch_size"] == 1
+        for key in ("counts", "vector", "t_cycle_ms"):
+            assert reply[key] == group[key]
+    assert coalescer.memo_reply(_item("r9", "t-other", base=base)) is None
+    stats = coalescer.stats
+    assert (stats.searches, stats.fanned_out, stats.memo_hits) == (1, 2, 3)
 
 
 def test_unservable_workload_errors_only_its_group():
@@ -212,26 +219,29 @@ def test_empty_restricted_pool_is_a_typed_error():
 
 def test_engine_pool_reuses_and_evicts_lru():
     _, db = _pool()
-    pool = EnginePool(db, max_engines=2)
-    w1 = WorkloadSpec(app="stencil", n=100)
-    w2 = WorkloadSpec(app="stencil", n=200)
-    w3 = WorkloadSpec(app="stencil", n=300)
-    e1 = pool.engine_for(w1)
-    assert pool.engine_for(w1) is e1
-    pool.engine_for(w2)
-    assert len(pool) == 2
+    pool = EnginePool(db)
+    workloads = [
+        WorkloadSpec(app="stencil", n=100 + i) for i in range(MAX_ENGINES + 1)
+    ]
+    *kept, extra = workloads
+    engines = [pool.engine_for(w) for w in kept]
+    assert pool.engine_for(kept[0]) is engines[0]
+    assert len(pool) == MAX_ENGINES
     # A lookup never builds, and refreshes recency as engine_for does.
-    assert pool.lookup(w3) is None and len(pool) == 2
-    assert pool.lookup(w1) is e1
-    pool.engine_for(w3)  # evicts w2 (least recently used)
-    assert len(pool) == 2
-    assert pool.lookup(w2) is None
-    pool.engine_for(w2)  # evicts w1
-    e1_again = pool.engine_for(w1)
-    assert e1_again is not e1
+    assert pool.lookup(extra) is None and len(pool) == MAX_ENGINES
+    assert pool.lookup(kept[0]) is engines[0]
+    pool.engine_for(extra)  # evicts kept[1] (least recently used)
+    assert len(pool) == MAX_ENGINES
+    assert pool.lookup(kept[1]) is None
+    assert pool.lookup(kept[0]) is engines[0]
+    assert pool.engine_for(kept[1]) is not engines[1]  # evicts kept[2]
+    assert pool.lookup(kept[2]) is None
     # One engine per workload: nothing else keys it.
     with pytest.raises(TypeError, match="startup_ms"):
-        pool.engine_for(w1, startup_ms=0.0)
+        pool.engine_for(kept[0], startup_ms=0.0)
+    # The bound is fixed.
+    with pytest.raises(TypeError, match="max_engines"):
+        EnginePool(db, max_engines=2)
 
 
 def test_startup_ms_request_is_served_as_the_plain_request():
@@ -269,3 +279,54 @@ def test_batcher_metrics_flow_to_a_real_registry():
     assert counters["serve.coalesce.fanout"] == 2
     assert counters["serve.batches"] == 1
     assert counters["serve.engines.built"] == 1
+
+
+#: ``wide:8``'s four rs6000 sites: equal instruction rates, four nodes each.
+_TIED_SITES = (
+    "site0001-rs6000",
+    "site0004-rs6000",
+    "site0005-rs6000",
+    "site0006-rs6000",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _wide8():
+    net, db = resolve_pool("wide:8")
+    return tuple(gather_available_resources(net)), db
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any),
+    orders=st.lists(st.permutations(_TIED_SITES), min_size=2, max_size=2),
+)
+def test_a_reply_does_not_depend_on_the_requests_key_order(counts, orders):
+    """Two tenants ask for the same tied-rate clusters, listed in two key
+    orders: served alone, sharing one tick, or repeated from the memo, each
+    gets the decision of the exact search on the pool in the server's
+    order."""
+    base, db = _wide8()
+    asked = dict(zip(_TIED_SITES, counts))
+    first, second = ({name: asked[name] for name in order} for order in orders)
+    workload = WorkloadSpec(app="stencil", n=60)
+    direct = exhaustive_partition(workload.build(), restrict_pool(base, asked), db)
+    expected = (direct.counts_by_name(), list(direct.vector), direct.t_cycle_ms)
+
+    def item(req_id, tenant, availability):
+        request = ServeRequest(
+            id=req_id, tenant=tenant, workload=workload, availability=availability
+        )
+        return BatchItem(request, tuple(restrict_pool(base, availability)))
+
+    alone = Coalescer(EnginePool(db))
+    shared = Coalescer(EnginePool(db))
+    outcomes = [
+        *alone.run([item("a1", "t1", first)]),
+        *alone.run([item("a2", "t2", second)]),
+        *shared.run([item("s1", "t1", first), item("s2", "t2", second)]),
+    ]
+    repeat = shared.memo_reply(item("s3", "t2", second))
+    assert repeat is not None and repeat["served_from"] == "memo"
+    for reply in [reply for _, reply in outcomes] + [repeat]:
+        assert (reply["counts"], reply["vector"], reply["t_cycle_ms"]) == expected

@@ -170,33 +170,36 @@ def test_repeat_is_answered_at_decode_without_a_tick():
 
 def test_rate_limited_tenant_gets_typed_backpressure():
     frozen = lambda: 0.0  # noqa: E731 - bucket never refills
-    config = ServerConfig(
-        limits=AdmissionLimits(tenant_rate=1.0, tenant_burst=1.0)
-    )
+    config = ServerConfig(limits=AdmissionLimits(tenant_rate=1.0))
 
     async def run():
         server = _server(config=config, clock=frozen)
         host, port = await server.start()
         try:
             reader, writer = await asyncio.open_connection(host, port)
-            first = await _request(reader, writer, _req("r1", tenant="noisy"))
-            second = await _request(reader, writer, _req("r2", tenant="noisy"))
-            third = await _request(reader, writer, _req("r3", tenant="quiet"))
+            burst = [
+                await _request(reader, writer, _req(f"r{i}", tenant="noisy"))
+                for i in range(1, 17)
+            ]
+            refused = await _request(reader, writer, _req("r17", tenant="noisy"))
+            quiet = await _request(reader, writer, _req("r18", tenant="quiet"))
             inflight = server.admission.inflight
             writer.close()
             await writer.wait_closed()
         finally:
             await server.close()
-        return first, second, third, inflight
+        return burst, refused, quiet, inflight
 
-    first, second, third, inflight = asyncio.run(run())
-    assert first["ok"] is True
-    # The repeat would be a memo hit, but admission comes first.
-    assert second["ok"] is False
-    assert second["error"]["kind"] == "rate-limited"
-    assert second["error"]["retry_after_ms"] > 0
+    burst, refused, quiet, inflight = asyncio.run(run())
+    # The fixed burst of 16 admits the noisy tenant's first 16 requests.
+    assert all(reply["ok"] for reply in burst)
+    assert burst[-1]["served_from"] == "memo"
+    # The 17th would be a memo hit too, but admission comes first.
+    assert refused["ok"] is False
+    assert refused["error"]["kind"] == "rate-limited"
+    assert refused["error"]["retry_after_ms"] > 0
     # The noisy tenant's bucket never starves other tenants.
-    assert third["ok"] is True
+    assert quiet["ok"] is True
     assert inflight == 0
 
 
@@ -255,6 +258,8 @@ def test_max_requests_drains_and_stops():
     config = ServerConfig(max_requests=3)
     with pytest.raises(TypeError, match="topology_fingerprint"):
         ServerConfig(topology_fingerprint="x")
+    with pytest.raises(TypeError, match="max_engines"):
+        ServerConfig(max_engines=2)
 
     async def run():
         server = _server(config=config)
